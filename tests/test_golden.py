@@ -1,0 +1,99 @@
+"""Golden corpus: fixed argvs whose stdout, stderr and exit code must not change.
+
+Each entry of ``golden_corpus.json`` is replayed in-process through
+``run_cli`` and compared byte for byte.  A refactor that keeps behaviour must
+leave every entry identical; an entry that changes on purpose is re-recorded
+and the change is named in ``CHANGES.md``.
+
+Re-record every entry from the current tree with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+CORPUS = Path(__file__).with_name("golden_corpus.json")
+
+ARGVS = [
+    # decide: classification, invariants, equivalence, oracle, grammar errors
+    ["classify", "Zhat(5)"],
+    ["classify", "Z/4 + Z/3"],
+    ["classify", "Z/12", "--format", "text"],
+    ["classify", "sumP(all; Z/p^1) + Q"],
+    ["invariants", "Z/4 + Z/3"],
+    ["invariants", "Z/9 + Z/8^2 + Z/2^w"],
+    ["invariants", "Zhat(2) + Q"],
+    ["eq", "Q", "Q^w"],
+    ["eq", "Z/4 + Z/3", "Z/12"],
+    ["iso", "Prufer(2)^w", "Prufer(2)^aleph(1)"],
+    ["oracle", "ulm", "Z/8 + Z/2"],
+    ["eq", "Z/4 +", "Q"],
+    # completion route: p-adic independence certificates
+    ["witness", "Zhat(5)"],
+    ["witness", "Zhat(5)", "--seed", "3"],
+    ["witness", "Zhat(7)^2 + Z/4^w + Q", "--seed", "11"],
+    ["witness", "Zhat(5)^3 + Zhat(7)", "--height", "1"],
+    ["witness", "Zhat(3) + Zhat(5)", "--degree", "1", "--seed", "5"],
+    ["witness", "Zhat(2)", "--precision", "3", "--degree", "1", "--height", "1"],
+    ["witness", "Zhat(3)", "--format", "text", "--seed", "9"],
+    ["witness", "Zhat(5)", "--precision", "1"],
+    ["witness", "Zhat(7)", "--precision", "1", "--seed", "2"],
+    ["witness", "Zhat(5)", "--height", "3"],
+    # socle route: avoidance scans over windows of 30-80 primes
+    ["witness", "sumP(all; Z/p^1)", "--window", "30", "--height", "1"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "30", "--seed", "4", "--threshold", "3"],
+    ["witness", "sumP(all\\{2}; Z/p^1)", "--route", "socle", "--window", "50",
+     "--seed", "2"],
+    ["witness", "sumP(all\\{2,5}; Z/p^2)^2 + Z/3^w + Z/9 + Q", "--window", "50",
+     "--height", "1", "--seed", "7"],
+    ["witness", "sumP(all; Z/p^2) + Z/2^w", "--window", "80", "--seed", "1"],
+    ["witness", "sumP(all\\{3}; Z/p^1)^2 + Z/5^w + Z/25^2", "--window", "80",
+     "--height", "1", "--threshold", "4", "--seed", "13"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "40", "--degree", "1", "--format", "text"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "30", "--degree", "1", "--height", "3",
+     "--seed", "5"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "30", "--degree", "0"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "30", "--threshold", "30"],
+    # refusals
+    ["witness", "Z/2^w"],
+    ["witness", "sumK(2; all)"],
+]
+
+
+def replay(argv: list[str]) -> dict:
+    """Run one argv in-process; returns its exit code, stdout and stderr."""
+    from sb_abelian.cli import run_cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _load() -> list[dict]:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_argvs():
+    assert [entry["argv"] for entry in _load()] == ARGVS
+
+
+@pytest.mark.parametrize("index", range(len(ARGVS)), ids=lambda i: " ".join(ARGVS[i]))
+def test_golden_entry(index):
+    expected = _load()[index]
+    assert replay(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    entries = [replay(argv) for argv in ARGVS]
+    CORPUS.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
+    print(f"recorded {len(entries)} entries to {CORPUS}", file=sys.stderr)

@@ -54,8 +54,8 @@ from .invariants import (
     szmielew_invariants,
     ulm_invariant,
 )
-from .padic import BudgetExceeded
 from .primes import factorize
+from .relations import BudgetExceeded
 from .witness_padic import (
     CertificateFailed,
     DuplicatePrimeError,

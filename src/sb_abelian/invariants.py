@@ -25,6 +25,7 @@ it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -324,7 +325,7 @@ def szmielew_invariants(spec: GroupSpec) -> SzmielewInvariants:
         if isinstance(fam, Cyclic):
             key = (fam.p, fam.k)
             alpha[key] = alpha.get(key, _ZERO) + mult
-            exponent = max(exponent, fam.modulus) if exponent is not None else None
+            exponent = math.lcm(exponent, fam.modulus) if exponent is not None else None
         elif isinstance(fam, CyclicPrimeFamily):
             # infinitely many primes with exponent p**k: unbounded
             alpha_pf.append((fam.primes, fam.k, mult))

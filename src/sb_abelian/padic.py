@@ -14,19 +14,19 @@ never guessed past the precision.
 * :class:`MatrixModPk` / :func:`matrix_limit_inverse` — square matrices mod
   p**N and a compatible tower of inverses lifted level by level.
 * :class:`IntPolynomial2` / :func:`independence_certificate` — two-variable
-  integer polynomials and an exhaustive bounded search certifying that two
-  units satisfy no small polynomial relation to precision N.
+  integer polynomials and an exhaustive bounded search (run by
+  :mod:`.relations`) certifying that two units satisfy no small polynomial
+  relation to precision N.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .primes import ensure_prime, p_valuation
+from .relations import BudgetExceeded, first_relation, monomials, search_space, seeded_rng
 
 __all__ = [
     "AtLeast",
@@ -56,10 +56,6 @@ class NonUnitError(ArithmeticError):
 
 class SingularModP(ArithmeticError):
     """Matrix is not invertible modulo p."""
-
-
-class BudgetExceeded(RuntimeError):
-    """A search space exceeds the configured candidate budget."""
 
 
 @dataclass(frozen=True, order=True)
@@ -186,13 +182,6 @@ class PAdicApprox:
 # ---------------------------------------------------------------------------
 
 
-def _stable_rng(p: int, seed: int) -> random.Random:
-    # hash the (p, seed) pair down to an int so the stream never depends on
-    # interpreter hash randomization
-    digest = hashlib.sha256(f"padic-digits:{p}:{seed}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 class PAdicLazy:
     """A p-adic integer producible to any precision.
 
@@ -223,7 +212,7 @@ class PAdicLazy:
         With ``unit=True`` (the default) the constant digit is forced
         nonzero so the value is invertible.
         """
-        rng = _stable_rng(p, seed)
+        rng = seeded_rng(f"padic-digits:{p}:{seed}")
 
         def digit(i: int) -> int:
             if i == 0 and unit:
@@ -569,57 +558,22 @@ def independence_certificate(
     if g1.digit(0) == 0 or g2.digit(0) == 0:
         raise NonUnitError("independence search requires unit inputs")
 
-    d, height = max_exponent, height_bound
-    pairs = [(i, j) for i in range(d + 1) for j in range(d + 1)]
-    candidates = (2 * height + 1) ** len(pairs)
-    if budget is not None and candidates > budget:
-        raise BudgetExceeded(
-            f"{candidates} candidate polynomials exceed the budget of {budget}"
-        )
-
-    p = g1.p
-    modulus = p**precision
-    x = g1.truncate(precision).residue
-    y = g2.truncate(precision).residue
+    pairs = monomials(max_exponent)
+    candidates = search_space(len(pairs), height_bound, budget)
+    modulus = g1.p**precision
+    x, y = g1.truncate(precision).residue, g2.truncate(precision).residue
     values = [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
-
-    # The trailing monomial x^d y^d is a unit, so once the other coefficients
-    # are fixed there is exactly one residue class for the last coefficient
-    # that makes the sum vanish; only that class needs testing.
-    last_inv = pow(values[-1], -1, modulus)
-    coeffs = [0] * len(pairs)
-    violation: IntPolynomial2 | None = None
-
-    def search(pos: int, acc: int, any_nonzero: bool) -> bool:
-        nonlocal violation
-        if pos == len(pairs) - 1:
-            solved = -acc * last_inv % modulus
-            # every admissible last coefficient lies in this residue class;
-            # usually at most one representative falls within the height bound
-            start = solved - (solved + height) // modulus * modulus
-            for c in range(start, height + 1, modulus):
-                if c == 0 and not any_nonzero:
-                    continue
-                coeffs[pos] = c
-                violation = IntPolynomial2.of(
-                    dict(zip(pairs, coeffs))
-                ).canonical_sign()
-                return True
-            return False
-        for c in range(-height, height + 1):
-            coeffs[pos] = c
-            if search(pos + 1, (acc + c * values[pos]) % modulus, any_nonzero or c != 0):
-                return True
-        return False
-
-    found = search(0, 0, False)
+    found = first_relation(values, height_bound, modulus)
+    violation = None
+    if found is not None:
+        violation = IntPolynomial2.of(dict(zip(pairs, found))).canonical_sign()
     return IndependenceCertificate(
-        p=p,
-        max_exponent=d,
-        height_bound=height,
+        p=g1.p,
+        max_exponent=max_exponent,
+        height_bound=height_bound,
         precision=precision,
         sources=(g1.description, g2.description),
-        passed=not found,
+        passed=violation is None,
         violation=violation,
         candidates=candidates,
     )

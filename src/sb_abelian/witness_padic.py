@@ -38,7 +38,6 @@ from .groupspec import (
     split_reduced_divisible,
 )
 from .padic import (
-    DEFAULT_INDEPENDENCE_BUDGET,
     AtLeast,
     IndependenceCertificate,
     MatrixModPk,
@@ -50,6 +49,7 @@ from .padic import (
     valuation_at_least,
 )
 from .primes import ensure_prime, p_valuation
+from .relations import check_grid, grid_allows
 
 __all__ = [
     "CertificateFailed",
@@ -256,16 +256,6 @@ class GridElement:
 # the witness pair
 # ---------------------------------------------------------------------------
 
-_GRID_NAMES = ("H1", "H2")
-
-
-def _grid_contains(which: str, m: GridMonomial) -> bool:
-    if which == "H1":
-        return True
-    # H2: right half-grid plus the basis column at the origin
-    return m.i >= 1 or m.j == 0
-
-
 @dataclass(frozen=True)
 class PAdicWitnessPair:
     """Everything needed to probe the pair (H1, H2) at finite precision."""
@@ -279,15 +269,11 @@ class PAdicWitnessPair:
     attempts: int
 
     def grid_contains(self, which: str, m: GridMonomial) -> bool:
-        self._check_which(which)
-        return _grid_contains(which, m)
+        check_grid(which)
+        return grid_allows(which, m.i, m.j)
 
     def membership(self, x: GridElement, which: str) -> bool:
         return grid_membership(x, which, self)
-
-    def _check_which(self, which: str) -> None:
-        if which not in _GRID_NAMES:
-            raise ValueError(f"unknown subgroup name {which!r}; use H1 or H2")
 
     def coordinate_sum(self, x: GridElement, s: int) -> int:
         """Residue of coordinate s of p**t * x at the working precision."""
@@ -326,7 +312,6 @@ def build_padic_witness(
     height_bound: int = 2,
     precision: int = 40,
     retries: int = 8,
-    budget: "int | None" = DEFAULT_INDEPENDENCE_BUDGET,
 ) -> PAdicWitnessPair:
     """Draw and certify a unit pair, retrying with fresh seeds on failure.
 
@@ -343,9 +328,7 @@ def build_padic_witness(
         base = seed + 1_000_003 * attempt
         unit1 = PAdicLazy.from_seed(p, 2 * base)
         unit2 = PAdicLazy.from_seed(p, 2 * base + 1)
-        cert = independence_certificate(
-            unit1, unit2, max_exponent, height_bound, precision, budget=budget
-        )
+        cert = independence_certificate(unit1, unit2, max_exponent, height_bound, precision)
         if cert.passed:
             return PAdicWitnessPair(
                 p=p,
@@ -368,7 +351,7 @@ def grid_membership(x: GridElement, which: str, w: PAdicWitnessPair) -> bool:
     p**t.  (b) is decided exactly because t < precision; (a) is where the
     independence certificate carries the weight.
     """
-    w._check_which(which)
+    check_grid(which)
     if x.p != w.p:
         raise ValueError("element and witness pair use different primes")
     if x.t >= w.precision:
@@ -378,7 +361,7 @@ def grid_membership(x: GridElement, which: str, w: PAdicWitnessPair) -> bool:
     for m in x.support:
         if m.s > w.k:
             raise ValueError(f"coordinate {m.s} exceeds k={w.k}")
-        if not _grid_contains(which, m):
+        if not grid_allows(which, m.i, m.j):
             return False
     if x.t == 0:
         return True
@@ -422,12 +405,12 @@ def random_member(
     member: (u1 - r) * y is divisible by p**t when r matches u1's
     truncation, so dividing by p**t stays inside the pure closure.
     """
-    w._check_which(which)
+    check_grid(which)
     coeffs: dict[GridMonomial, Fraction] = {}
     for _ in range(rng.randint(1, 4)):
         while True:
             m = GridMonomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, w.k))
-            if _grid_contains(which, m):
+            if grid_allows(which, m.i, m.j):
                 break
         coeffs[m] = coeffs.get(m, Fraction(0)) + rng.randint(-3, 3)
     y = GridElement.of(w.p, coeffs)

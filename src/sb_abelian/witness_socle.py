@@ -37,14 +37,10 @@ constructed socle) is recorded symbolically in the transcript.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .classify import NotApplicableError, StabilityClass, stability_class
 from .groupspec import (
@@ -58,6 +54,7 @@ from .groupspec import (
     split_reduced_divisible,
 )
 from .primes import ensure_prime, factorize
+from .relations import check_grid, grid_allows, monomials, seeded_rng, survival_scan
 
 __all__ = [
     "AutomorphismPair",
@@ -83,8 +80,6 @@ __all__ = [
 
 Vector = tuple[int, ...]
 
-_GRID_NAMES = ("H1", "H2")
-
 
 class ScalarSearchFailed(RuntimeError):
     """No scalar choice met the avoidance threshold within the retry budget."""
@@ -109,11 +104,6 @@ class BasePointError(ValueError):
 
 class NotSuperstableError(ValueError):
     """The reduction pipeline rejects input outside the superstable regime."""
-
-
-def _seeded_rng(label: str) -> random.Random:
-    digest = hashlib.sha256(label.encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +285,7 @@ class AutomorphismPair:
 
 
 def _draw_scalars(seed: int, attempt: int, p: int, diagonal: bool) -> tuple[int, int]:
-    rng = _seeded_rng(f"socle-scalars:{seed}:{attempt}:{p}")
+    rng = seeded_rng(f"socle-scalars:{seed}:{attempt}:{p}")
     s = rng.randrange(1, p)
     t = s if diagonal else rng.randrange(1, p)
     return s, t
@@ -341,89 +331,12 @@ class AvoidanceCertificate:
         }
 
 
-_GRID_LIMIT = 100_000_000
-_CHUNK = 1 << 18
-
-
-@lru_cache(maxsize=4)
-def _coefficient_grid(positions: int, height: int) -> np.ndarray:
-    """All coefficient vectors in [-height, height]^positions, one per row."""
-    base = 2 * height + 1
-    total = base**positions
-    if total > _GRID_LIMIT:
-        raise ValueError(
-            f"{total} coefficient vectors exceed the exhaustive-search limit"
-        )
-    idx = np.arange(total, dtype=np.int64)
-    out = np.empty((total, positions), dtype=np.int16)
-    for t in range(positions):
-        out[:, t] = (idx // base**t) % base - height
-    out.setflags(write=False)
-    return out
-
-
-def _scan_grid(
-    grid: np.ndarray,
-    monomial_values: np.ndarray,
-    primes: Sequence[int],
-    target: np.ndarray | None,
-    skip_row: int | None,
-) -> tuple[int, int, np.ndarray]:
-    """Count, per coefficient row, the window primes where the value is nonzero.
-
-    Returns (min count, index of a minimizing row, histogram of counts).
-    All arithmetic runs in float64, which is exact here: every intermediate
-    is an integer far below 2**53.
-    """
-    width = len(primes)
-    pvec = np.asarray(primes, dtype=np.float64)
-    mono = monomial_values.astype(np.float64)
-    min_count = width + 1
-    argmin = -1
-    hist = np.zeros(width + 2, dtype=np.int64)
-    for lo in range(0, grid.shape[0], _CHUNK):
-        block = grid[lo : lo + _CHUNK].astype(np.float64)
-        vals = block @ mono
-        if target is not None:
-            vals -= target
-        np.mod(vals, pvec, out=vals)
-        counts = np.count_nonzero(vals, axis=1)
-        if skip_row is not None and lo <= skip_row < lo + block.shape[0]:
-            counts[skip_row - lo] = width + 1
-        hist += np.bincount(counts, minlength=width + 2)
-        pos = int(counts.argmin())
-        if counts[pos] < min_count:
-            min_count = int(counts[pos])
-            argmin = lo + pos
-    return min_count, argmin, hist
-
-
-def _decode_terms(
-    index: int, pairs: Sequence[tuple[int, int]], height: int
-) -> tuple[tuple[int, int, int], ...]:
-    base = 2 * height + 1
-    terms = []
-    for i, j in pairs:
-        c = index % base - height
-        index //= base
-        if c:
-            terms.append((i, j, c))
-    return tuple(terms)
-
-
-def _monomial_matrix(
-    pairs: Sequence[tuple[int, int]],
-    primes: Sequence[int],
-    first: Sequence[int],
-    second: Sequence[int],
-) -> np.ndarray:
-    return np.array(
-        [
-            [pow(s, i, p) * pow(t, j, p) % p for p, s, t in zip(primes, first, second)]
-            for i, j in pairs
-        ],
-        dtype=np.int64,
-    )
+def _monomial_values(
+    pairs: Sequence[tuple[int, int]], scalars: AutomorphismPair
+) -> list[list[int]]:
+    """Residue of first^i second^j at each window prime, per monomial (i, j)."""
+    at = list(zip(scalars.window.primes, scalars.first, scalars.second))
+    return [[pow(s, i, p) * pow(t, j, p) % p for p, s, t in at] for i, j in pairs]
 
 
 def choose_scalars(
@@ -456,29 +369,16 @@ def choose_scalars(
         raise ScalarSearchFailed(
             0, None, f"threshold {threshold} exceeds the window width {window.width}"
         )
-    pairs = [(i, j) for i in range(max_exponent + 1) for j in range(max_exponent + 1)]
-    grid = _coefficient_grid(len(pairs), height_bound)
-    base = 2 * height_bound + 1
-    zero_row = height_bound * (base ** len(pairs) - 1) // (base - 1)
+    # The certificate reports the first minimizer when the highest monomial
+    # varies slowest, so the scan runs over the monomials in reverse.
+    pairs = monomials(max_exponent)[::-1]
     best: tuple[AutomorphismPair, AvoidanceCertificate] | None = None
     for attempt in range(retries):
-        drawn = [
-            _draw_scalars(seed, attempt, p, diagonal_only) for p in window.primes
-        ]
-        pair = AutomorphismPair(
-            window,
-            seed,
-            attempt,
-            diagonal_only,
-            tuple(s for s, _ in drawn),
-            tuple(t for _, t in drawn),
+        first, second = zip(
+            *(_draw_scalars(seed, attempt, p, diagonal_only) for p in window.primes)
         )
-        mono = _monomial_matrix(pairs, window.primes, pair.first, pair.second)
-        min_count, argmin, hist = _scan_grid(
-            grid, mono, window.primes, None, zero_row
-        )
-        hist = hist.copy()
-        hist[window.width + 1] -= 1  # remove the sentinel bin for the zero row
+        pair = AutomorphismPair(window, seed, attempt, diagonal_only, first, second)
+        scan = survival_scan(_monomial_values(pairs, pair), window.primes, height_bound)
         cert = AvoidanceCertificate(
             width=window.width,
             max_exponent=max_exponent,
@@ -486,13 +386,11 @@ def choose_scalars(
             threshold=threshold,
             seed=seed,
             attempt=attempt,
-            candidates=grid.shape[0] - 1,
-            min_count=min_count,
-            histogram=tuple(
-                (count, int(n)) for count, n in enumerate(hist.tolist()) if n
-            ),
-            worst=_decode_terms(argmin, pairs, height_bound) if argmin >= 0 else (),
-            passed=min_count >= threshold,
+            candidates=scan.candidates,
+            min_count=scan.min_count,
+            histogram=scan.histogram,
+            worst=tuple(sorted((i, j, c) for (i, j), c in zip(pairs, scan.argmin) if c)),
+            passed=scan.min_count >= threshold,
         )
         if cert.passed:
             return pair, cert
@@ -634,13 +532,6 @@ def _common_witness(a: ProductElement, b: ProductElement) -> "SocleWitnessPair":
     return a.witness
 
 
-def _grid_allows(which: str, i: int, j: int) -> bool:
-    if which == "H1":
-        return True
-    # H2: right half-grid plus the base monomial at the origin
-    return i >= 1 or j == 0
-
-
 # ---------------------------------------------------------------------------
 # The witness pair
 
@@ -767,9 +658,8 @@ class SocleWitnessPair:
     # -- membership ----------------------------------------------------------
 
     def grid_contains(self, which: str, i: int, j: int) -> bool:
-        if which not in _GRID_NAMES:
-            raise ValueError(f"which must be one of {_GRID_NAMES}")
-        return _grid_allows(which, i, j)
+        check_grid(which)
+        return grid_allows(which, i, j)
 
     def membership(self, x: ProductElement, which: str) -> bool:
         return product_membership(x, which, self)
@@ -801,13 +691,12 @@ def product_membership(
     relative to the avoidance certificate: it assumes no small relation
     rewrites one grid monomial through others.
     """
-    if which not in _GRID_NAMES:
-        raise ValueError(f"which must be one of {_GRID_NAMES}")
+    check_grid(which)
     if w is not None and w is not x.witness:
         raise ValueError("element belongs to a different witness")
     if not x.is_canonical():
         raise NonCanonicalError("membership wants a canonical element")
-    return all(_grid_allows(which, i, j) for (i, j), _ in x.tail)
+    return all(grid_allows(which, i, j) for (i, j), _ in x.tail)
 
 
 def pseudo_divide(x: ProductElement, n: int) -> ProductElement:
@@ -857,8 +746,7 @@ def random_socle_member(
     w: SocleWitnessPair, rng: random.Random, which: str = "H1", max_power: int = 3
 ) -> ProductElement:
     """A random element of the designated subgroup, built from public ops."""
-    if which not in _GRID_NAMES:
-        raise ValueError(f"which must be one of {_GRID_NAMES}")
+    check_grid(which)
     acc = w.zero()
     window = w.window.primes
     dens = [1, 1, 2, window[0], window[1], window[0] * 2]
@@ -920,23 +808,11 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
     d, height = cert.max_exponent, cert.height_bound
     rows = []
     for m in range(max_shift + 1):
-        allowed = [
-            (i, j)
-            for i in range(d + 1)
-            for j in range(d + 1)
-            if j <= m or i >= 2
-        ]
-        mono = _monomial_matrix(allowed, w.window.primes, w.scalars.first, w.scalars.second)
-        target = np.array(
-            [
-                s * pow(t, m + 1, p) % p
-                for p, s, t in zip(w.window.primes, w.scalars.first, w.scalars.second)
-            ],
-            dtype=np.float64,
-        )
-        grid = _coefficient_grid(len(allowed), height)
-        min_count, _, _ = _scan_grid(grid, mono, w.window.primes, target, None)
-        rows.append((m, min_count, grid.shape[0]))
+        allowed = [(i, j) for i, j in monomials(d) if j <= m or i >= 2]
+        target = _monomial_values([(1, m + 1)], w.scalars)[0]
+        scan = survival_scan(_monomial_values(allowed, w.scalars), w.window.primes, height,
+                             target)
+        rows.append((m, scan.min_count, scan.candidates))
     passed = all(c >= cert.threshold for _, c, _ in rows)
     return ProperInclusionCheck(
         max_shift, cert.threshold, d, height, tuple(rows), passed

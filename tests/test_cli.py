@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,13 @@ def test_invariants_payload(capsys):
     assert body["spec"] == "Q + Zhat(2)"
 
 
+def test_exponent_is_lcm_of_cyclic_moduli(capsys):
+    assert run_json(capsys, "classify", "Z/4 + Z/3")["exponent"] == 12
+    body = run_json(capsys, "invariants", "Z/4 + Z/3")
+    assert body["exponent"] == body["szmielew"]["exponent"] == 12
+    assert run_json(capsys, "classify", "Z/9 + Z/8^w")["exponent"] == 72
+
+
 def test_eq_divisible_collapse(capsys):
     body = run_json(capsys, "eq", "Q", "Q^w")
     assert body["equivalent"] is True
@@ -149,6 +160,24 @@ def test_witness_budget_exhaustion(capsys):
     )
     assert code == EXIT_BUDGET
     assert "threshold" in err
+
+
+def test_witness_socle_over_budget_exits_4(capsys):
+    # 9^9 coefficient vectors: refused before any scan, like the p-adic route
+    code, out, err = run(capsys, "witness", "sumP(all; Z/p^1)", "--height", "4")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "387420489 candidate polynomials exceed the budget" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, sb_abelian.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_table_bounded_power():
     assert inv.bounded and inv.exponent == 4
 
 
+def test_table_exponent_is_lcm_of_cyclic_moduli():
+    # the finite oracle computes the exponent element by element
+    for text in ["Z/4 + Z/3", "Z/9 + Z/8^2", "Z/2 + Z/3 + Z/5", "Z/12 + Z/8"]:
+        spec = parse_spec(text)
+        assert szmielew_invariants(spec).exponent == realize(spec).exponent, text
+    assert szmielew_invariants(parse_spec("Z/4 + Z/3^w")).exponent == 12
+    assert szmielew_invariants(parse_spec("Z/4 + Q")).exponent is None
+
+
 def test_table_quasicyclic():
     # truncations Z/3^N have a stable 3-element bottom layer at every height
     for n in range(2, 7):

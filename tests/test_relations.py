@@ -1,0 +1,181 @@
+"""The relation engine against a brute-force enumeration of every coefficient vector."""
+
+import random
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from sb_abelian import relations
+from sb_abelian.padic import IntPolynomial2, PAdicLazy, independence_certificate
+from sb_abelian.relations import (
+    SCAN_BUDGET,
+    BudgetExceeded,
+    first_relation,
+    monomials,
+    search_space,
+    survival_scan,
+)
+
+
+def vectors(n, height):
+    """Every coefficient vector, in the engine's lexicographic order."""
+    return product(range(-height, height + 1), repeat=n)
+
+
+def brute_first(values, height, modulus):
+    for c in vectors(len(values), height):
+        if any(c) and sum(a * v for a, v in zip(c, values)) % modulus == 0:
+            return c
+    return None
+
+
+def brute_scan(values, primes, height, target=None):
+    counts = Counter()
+    best = None
+    for c in vectors(len(values), height):
+        if target is None and not any(c):
+            continue
+        survived = sum(
+            (sum(a * row[w] for a, row in zip(c, values)) - (target[w] if target else 0)) % p
+            != 0
+            for w, p in enumerate(primes)
+        )
+        counts[survived] += 1
+        if best is None or survived < best[0]:
+            best = (survived, c)
+    return sum(counts.values()), best[0], best[1], tuple(sorted(counts.items()))
+
+
+def random_values(rng, n, primes):
+    return [[rng.randrange(p) for p in primes] for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# first_relation: the lexicographically first vanishing vector
+
+
+@pytest.mark.parametrize("n,height,modulus", [
+    (1, 1, 7), (2, 1, 3), (3, 2, 11), (4, 1, 5), (4, 2, 25), (5, 1, 2), (5, 1, 97),
+    (6, 1, 8), (4, 3, 125),
+])
+def test_first_relation_matches_brute_force(n, height, modulus):
+    rng = random.Random(f"first:{n}:{height}:{modulus}")
+    for _ in range(20):
+        values = [rng.randrange(modulus) for _ in range(n)]
+        assert first_relation(values, height, modulus) == brute_first(values, height, modulus)
+
+
+def test_first_relation_never_returns_the_zero_vector():
+    # every vector vanishes mod 1; the first one is all -height
+    assert first_relation([3, 4, 5], 2, 1) == (-2, -2, -2)
+    # only multiples of the modulus vanish: the zero vector does not count
+    assert first_relation([1], 2, 7) is None
+
+
+@pytest.mark.parametrize("p,seed", [(5, 0), (5, 3), (7, 1), (2, 4), (3, 2)])
+def test_padic_violation_is_lexicographically_first(p, seed):
+    g1, g2 = PAdicLazy.from_seed(p, 2 * seed), PAdicLazy.from_seed(p, 2 * seed + 1)
+    for precision, d, height in [(1, 1, 1), (2, 1, 2), (1, 2, 1), (3, 2, 1)]:
+        cert = independence_certificate(g1, g2, d, height, precision)
+        modulus = p**precision
+        x, y = g1.truncate(precision).residue, g2.truncate(precision).residue
+        pairs = monomials(d)
+        values = [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
+        expected = brute_first(values, height, modulus)
+        assert cert.passed == (expected is None)
+        if expected is not None:
+            assert cert.violation == IntPolynomial2.of(
+                dict(zip(pairs, expected))).canonical_sign()
+
+
+def test_padic_pigeonhole_relation_is_found():
+    # nine monomials take at most four unit residues mod 5, so a relation
+    # with coefficients in [-2, 2] always exists at precision 1
+    for seed in range(4):
+        g1, g2 = PAdicLazy.from_seed(5, 2 * seed), PAdicLazy.from_seed(5, 2 * seed + 1)
+        cert = independence_certificate(g1, g2, 2, 2, 1)
+        assert not cert.passed
+        assert cert.candidates == 5**9
+        assert cert.violation.evaluate(g1.truncate(1), g2.truncate(1)).residue == 0
+
+
+# ---------------------------------------------------------------------------
+# survival_scan: exact histogram and first minimizer over a prime window
+
+
+@pytest.mark.parametrize("n,height,primes", [
+    (1, 2, (3, 5, 7)),
+    (2, 1, (2, 3)),
+    (3, 1, (2, 3, 5, 7, 11)),
+    (4, 1, (5, 7, 11, 13, 17, 19)),
+    (4, 2, (2, 3, 5, 7)),
+    (5, 1, (3, 5, 7, 11)),
+])
+def test_survival_scan_matches_brute_force(n, height, primes):
+    rng = random.Random(f"scan:{n}:{height}:{primes}")
+    for _ in range(5):
+        values = random_values(rng, n, primes)
+        scan = survival_scan(values, primes, height)
+        assert tuple(scan) == brute_scan(values, primes, height)
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])
+def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
+    # small comparison buffers split the pairs over many blocks: the zero
+    # vector and the first minimizer then sit in some later block
+    monkeypatch.setattr(relations, "_BLOCK", block)
+    primes = (2, 3, 5, 7)
+    rng = random.Random(f"block:{block}")
+    for n in (3, 4):
+        values = random_values(rng, n, primes)
+        assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
+        target = [rng.randrange(p) for p in primes]
+        assert tuple(survival_scan(values, primes, 1, target)) == brute_scan(
+            values, primes, 1, target)
+
+
+def test_survival_scan_primes_beyond_one_byte():
+    # residues up to 408 do not fit in uint8
+    primes = (2, 251, 257, 263, 401, 409)
+    rng = random.Random("wide")
+    for _ in range(5):
+        values = random_values(rng, 4, primes)
+        assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
+    # x - y vanishes only at the primes where the two values agree
+    values = [[1, 5, 256, 7, 400, 408], [1, 6, 256, 8, 400, 407]]
+    scan = survival_scan(values, primes, 1)
+    assert scan.min_count == 3
+    assert scan.argmin == (-1, 1)
+
+
+def test_survival_scan_with_target():
+    primes = (5, 7, 11, 13, 263)
+    rng = random.Random("target")
+    for n in (1, 3, 4):
+        values = random_values(rng, n, primes)
+        target = [rng.randrange(p) for p in primes]
+        scan = survival_scan(values, primes, 1, target)
+        assert tuple(scan) == brute_scan(values, primes, 1, target)
+        assert scan.candidates == 3**n
+    # a target equal to one monomial is hit exactly by that monomial
+    scan = survival_scan([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], primes, 1, [2, 3, 4, 5, 6])
+    assert (scan.min_count, scan.argmin) == (0, (0, 1))
+
+
+def test_survival_scan_excludes_only_the_zero_vector():
+    primes = (3, 5)
+    values = [[0, 0], [1, 1]]
+    scan = survival_scan(values, primes, 1)
+    # (c, 0) vanishes everywhere for every c; the zero vector is not counted
+    assert scan.candidates == 8
+    assert dict(scan.histogram) == {0: 2, 2: 6}
+    assert scan.argmin == (-1, 0)
+
+
+def test_budgets():
+    with pytest.raises(BudgetExceeded, match="exceed the budget of 80"):
+        search_space(4, 1, 80)
+    assert search_space(4, 1, 81) == 81
+    with pytest.raises(BudgetExceeded, match=f"budget of {SCAN_BUDGET}"):
+        survival_scan([[1]] * 12, (5,), 4)

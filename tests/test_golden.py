@@ -36,6 +36,16 @@ ARGVS = [
     ["iso", "Prufer(2)^w", "Prufer(2)^aleph(1)"],
     ["oracle", "ulm", "Z/8 + Z/2"],
     ["eq", "Z/4 +", "Q"],
+    # decide on large moduli: 13-14 digits with a 13-digit prime factor, a
+    # product of two 7-digit primes, the cube of a 7-digit prime
+    ["classify", "Z/13333773055895"],
+    ["invariants", "Z/75062942654997 + Prufer(3)"],
+    ["eq", "Z/13333773055895", "Z/2666754611179 + Z/5"],
+    ["iso", "Z/75062942654997", "Z/2274634625909 + Z/33"],
+    ["invariants", "Z/10000020999973"],
+    ["classify", "Z/10000020999973 + Q", "--format", "text"],
+    ["invariants", "Z/1000009000027000027"],
+    ["eq", "Z/1000009000027000027", "Z/1000003^3"],
     # completion route: p-adic independence certificates
     ["witness", "Zhat(5)"],
     ["witness", "Zhat(5)", "--seed", "3"],

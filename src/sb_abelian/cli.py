@@ -15,9 +15,10 @@ Every run is deterministic for a fixed argv: seeds default to 0 and all
 searches are exhaustive or seeded.  Output is JSON (default) or flat text;
 JSON carries a top-level ``schema`` tag.
 
-Exit codes: 0 success, 2 argument/grammar errors, 3 precondition or route
-errors (e.g. asking for a witness of a theory that has none), 4 exhausted
-search budgets.
+Exit codes: 0 success, 2 argument/grammar errors (moduli and primes from
+``primes.EXACT_BOUND`` on, ``--window`` above ``MAX_WINDOW`` and an ``--out``
+file that cannot be written among them), 3 precondition or route errors (e.g.
+asking for a witness of a theory that has none), 4 exhausted search budgets.
 """
 
 from __future__ import annotations
@@ -56,19 +57,6 @@ from .invariants import (
 )
 from .primes import factorize
 from .relations import BudgetExceeded
-from .witness_padic import (
-    CertificateFailed,
-    DuplicatePrimeError,
-    NoKPartError,
-    UnsupportedMultiplicityError,
-    mixed_group_witness,
-)
-from .witness_socle import (
-    BasePointError,
-    NotSuperstableError,
-    ScalarSearchFailed,
-    reduce_unbounded_torsion,
-)
 
 __all__ = ["CliConfig", "main", "run_cli"]
 
@@ -79,16 +67,11 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-_PRECONDITION_ERRORS = (
-    NotApplicableError,
-    NoKPartError,
-    DuplicatePrimeError,
-    UnsupportedMultiplicityError,
-    NotSuperstableError,
-    BasePointError,
-    MSplitPreconditionError,
-)
-_BUDGET_ERRORS = (BudgetExceeded, CertificateFailed, ScalarSearchFailed, OrderBoundError)
+# The witness modules load only when ``witness`` runs; their precondition
+# errors subclass NotApplicableError and their search failures BudgetExceeded.
+_PRECONDITION_ERRORS = (NotApplicableError, MSplitPreconditionError)
+_BUDGET_ERRORS = (BudgetExceeded, OrderBoundError)
+MAX_WINDOW = 1000  # socle window primes; a scan's memory grows with the width
 
 
 @dataclass(frozen=True)
@@ -109,6 +92,8 @@ class CliConfig:
         for name in ("precision", "degree", "height", "window", "threshold", "order_bound"):
             if getattr(self, name) < 1 and not (name == "degree" and self.degree == 0):
                 raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+        if self.window > MAX_WINDOW:
+            raise ValueError(f"--window must be <= {MAX_WINDOW}")
         if self.seed < 0:
             raise ValueError("--seed must be >= 0")
         if self.fmt not in ("json", "text"):
@@ -261,8 +246,13 @@ def _witness(args: argparse.Namespace, cfg: CliConfig) -> dict:
         route = WitnessRoute.PADIC_WITNESS if args.route == "padic" else WitnessRoute.SOCLE_WITNESS
     if route is WitnessRoute.EXTERNAL_NON_SUPERSTABLE:
         raise NotApplicableError(verdict.reason)
+    # imported here so that every other command starts without them; the
+    # builder is looked up on its module at call time, so that a wrapper
+    # installed on the module (a tracer, a test double) applies
     if route is WitnessRoute.PADIC_WITNESS:
-        built = mixed_group_witness(
+        from . import witness_padic
+
+        built = witness_padic.mixed_group_witness(
             spec,
             seed=cfg.seed,
             max_exponent=cfg.degree,
@@ -270,7 +260,9 @@ def _witness(args: argparse.Namespace, cfg: CliConfig) -> dict:
             precision=cfg.precision,
         ).to_json()
     else:
-        built = reduce_unbounded_torsion(
+        from . import witness_socle
+
+        built = witness_socle.reduce_unbounded_torsion(
             spec,
             width=cfg.window,
             seed=cfg.seed,
@@ -421,8 +413,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     payload = {"schema": SCHEMA, "command": args.command, **body}
     rendered = _render(payload, cfg)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as bad:
+            print(f"sb-abelian: cannot write {cfg.out}: {bad.strerror or bad}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .primes import ensure_prime, factorize, first_primes_excluding, p_valuation
+from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding, p_valuation
 
 __all__ = [
     "Cardinal",
@@ -710,10 +710,19 @@ class _Parser:
             raise self.error("expected a number")
         return int(self.text[start : self.pos])
 
-    def prime(self, context: str) -> int:
+    def bounded_nat(self, context: str) -> int:
+        """A number below ``EXACT_BOUND``, where primality tests are exact."""
         self.skip_ws()
         at = self.pos
         n = self.nat()
+        if n >= EXACT_BOUND:
+            raise SpecSyntaxError(f"{context} must be below {EXACT_BOUND}", at)
+        return n
+
+    def prime(self, context: str) -> int:
+        self.skip_ws()
+        at = self.pos
+        n = self.bounded_nat(context)
         try:
             return ensure_prime(n, context)
         except ValueError as exc:
@@ -763,7 +772,7 @@ class _Parser:
             return [(PAdicComplete(p), _ONE)]
         if self.accept("Z/"):
             at = self.pos
-            n = self.nat()
+            n = self.bounded_nat("Z/ modulus")
             if n in (0, 1):
                 raise SpecSyntaxError(f"Z/{n} is not a valid modulus", at)
             return [(Cyclic(p, k), _ONE) for p, k in sorted(factorize(n).items())]

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .classify import NotApplicableError
 from .groupspec import (
     GroupSpec,
     PAdicComplete,
@@ -49,7 +50,7 @@ from .padic import (
     valuation_at_least,
 )
 from .primes import ensure_prime, p_valuation
-from .relations import check_grid, grid_allows
+from .relations import BudgetExceeded, check_grid, grid_allows
 
 __all__ = [
     "CertificateFailed",
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 
-class CertificateFailed(RuntimeError):
+class CertificateFailed(BudgetExceeded):
     """No certified unit pair was found within the retry allowance."""
 
     def __init__(self, attempts: int, last: IndependenceCertificate):
@@ -88,15 +89,15 @@ class PrecisionInsufficient(ValueError):
     """A denominator exponent at or beyond the working precision."""
 
 
-class DuplicatePrimeError(ValueError):
+class DuplicatePrimeError(NotApplicableError):
     """Multi-prime assembly requires pairwise distinct primes."""
 
 
-class NoKPartError(ValueError):
+class NoKPartError(NotApplicableError):
     """The spec has no completion summand to build on."""
 
 
-class UnsupportedMultiplicityError(ValueError):
+class UnsupportedMultiplicityError(NotApplicableError):
     """Completion summands must occur with finite multiplicity (and not
     range over an infinite family of primes) for a concrete finite witness."""
 

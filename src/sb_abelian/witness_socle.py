@@ -54,7 +54,7 @@ from .groupspec import (
     split_reduced_divisible,
 )
 from .primes import ensure_prime, factorize
-from .relations import check_grid, grid_allows, monomials, seeded_rng, survival_scan
+from .relations import BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan
 
 __all__ = [
     "AutomorphismPair",
@@ -81,7 +81,7 @@ __all__ = [
 Vector = tuple[int, ...]
 
 
-class ScalarSearchFailed(RuntimeError):
+class ScalarSearchFailed(BudgetExceeded):
     """No scalar choice met the avoidance threshold within the retry budget."""
 
     def __init__(self, attempts: int, best: "AvoidanceCertificate | None", reason: str = ""):
@@ -98,11 +98,11 @@ class NonCanonicalError(ValueError):
     """A product element was not in canonical (merged, reduced) form."""
 
 
-class BasePointError(ValueError):
+class BasePointError(NotApplicableError):
     """A proposed base point fails the everywhere-nonzero projection rule."""
 
 
-class NotSuperstableError(ValueError):
+class NotSuperstableError(NotApplicableError):
     """The reduction pipeline rejects input outside the superstable regime."""
 
 

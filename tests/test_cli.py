@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,11 @@ from sb_abelian.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    MAX_WINDOW,
     CliConfig,
     main,
 )
+from sb_abelian.primes import EXACT_BOUND
 
 
 def run(capsys, *argv):
@@ -171,13 +174,53 @@ def test_witness_socle_over_budget_exits_4(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # decide calls and --help start without numpy and without the witness
+    # modules, which load only when ``witness`` runs
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, sb_abelian.cli; print('numpy' in sys.modules)"
+    unloaded = ["numpy", "sb_abelian.witness_padic", "sb_abelian.witness_socle",
+                "sb_abelian.padic", "fractions"]
+    probe = f"import sys, sb_abelian.cli; print([m for m in {unloaded!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_witness_errors_keep_their_exit_classes():
+    from sb_abelian.classify import NotApplicableError
+    from sb_abelian.relations import BudgetExceeded
+    from sb_abelian.witness_padic import (
+        CertificateFailed,
+        DuplicatePrimeError,
+        NoKPartError,
+        UnsupportedMultiplicityError,
+    )
+    from sb_abelian.witness_socle import BasePointError, NotSuperstableError, ScalarSearchFailed
+
+    for cls in (NoKPartError, DuplicatePrimeError, UnsupportedMultiplicityError,
+                BasePointError, NotSuperstableError):
+        assert issubclass(cls, NotApplicableError) and issubclass(cls, ValueError)
+    for cls in (CertificateFailed, ScalarSearchFailed):
+        assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["witness", "sumP(all; Z/p^1)", "--route", "padic"], "no completion summand"),
+    (["witness", "Zhat(5)^w"], "infinite multiplicity"),
+    (["witness", "sumK(2; all)", "--route", "socle"], "unbounded exponents"),
+], ids=["NoKPartError", "UnsupportedMultiplicityError", "NotSuperstableError"])
+def test_witness_precondition_errors_exit_3(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert needle in err
+
+
+def test_witness_certificate_failure_exits_4(capsys):
+    # at precision 1 the search runs mod 5, where a small relation always vanishes
+    code, out, err = run(capsys, "witness", "Zhat(5)", "--precision", "1")
+    assert code == EXIT_BUDGET and out == ""
+    assert "no independence certificate" in err
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +292,36 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["sb"] is True
 
 
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "classify", "Q", "--out", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"sb-abelian: cannot write {target}")
+    assert "Traceback" not in err
+
+
+def test_window_above_cap_exits_2(capsys):
+    code, out, err = run(capsys, "witness", "sumP(all; Z/p^1)",
+                         "--window", str(MAX_WINDOW + 1))
+    assert code == EXIT_USAGE and out == ""
+    assert f"--window must be <= {MAX_WINDOW}" in err
+
+
+def test_large_prime_modulus_is_fast(capsys):
+    # a 19-digit prime; trial division would need about 10**9 steps
+    start = time.perf_counter()
+    body = run_json(capsys, "classify", "Z/1000000000000000003")
+    assert time.perf_counter() - start < 2.0
+    assert body["spec"] == "Z/1000000000000000003" and body["sb"] is True
+
+
+def test_modulus_at_or_above_the_exact_bound_exits_2(capsys):
+    for text in ["Z/" + "1" * 26, f"Z/{EXACT_BOUND}", f"Prufer({EXACT_BOUND + 2})"]:
+        code, out, err = run(capsys, "classify", text)
+        assert code == EXIT_USAGE and out == ""
+        assert str(EXACT_BOUND) in err and "position" in err
+
+
 def test_bad_grammar_exits_2(capsys):
     code, _, err = run(capsys, "classify", "Z/oops")
     assert code == EXIT_USAGE and "position" in err
@@ -272,5 +345,8 @@ def test_config_validation():
     CliConfig().validate()
     with pytest.raises(ValueError, match="window"):
         CliConfig(window=0).validate()
+    CliConfig(window=MAX_WINDOW).validate()
+    with pytest.raises(ValueError, match="window"):
+        CliConfig(window=MAX_WINDOW + 1).validate()
     with pytest.raises(ValueError, match="format"):
         CliConfig(fmt="yaml").validate()

@@ -46,6 +46,17 @@ ARGVS = [
     ["classify", "Z/10000020999973 + Q", "--format", "text"],
     ["invariants", "Z/1000009000027000027"],
     ["eq", "Z/1000009000027000027", "Z/1000003^3"],
+    # decide on theories whose verdicts hang on the Szmielew invariants:
+    # completions of infinite multiplicity, the Tor/Exp parts of sumK(p; all),
+    # component indices of finite-plus-infinite powers, capped multiplicities
+    ["classify", "Zhat(2)^w + Q"],
+    ["eq", "sumK(2; all)", "sumK(2; all) + Prufer(2)"],
+    ["eq", "sumK(2; all)", "sumK(2; all) + Zhat(2)"],
+    ["classify", "Z/4 + Z/2^w"],
+    ["classify", "Z/2 + Z/4^w"],
+    ["classify", "Z/8 + Z/2^w"],
+    ["invariants", "Z/4^aleph(1)"],
+    ["eq", "0", "Q"],
     # completion route: p-adic independence certificates
     ["witness", "Zhat(5)"],
     ["witness", "Zhat(5)", "--seed", "3"],

@@ -11,23 +11,24 @@ this module decides each one separately so the agreement itself is testable:
 4. the theory is superstable and, modulo the intersection of the
    finite-index definable subgroups, every automorphism is unipotent.
 
-On specs, omega-stability means: only cyclic singletons, quasicyclic and
-rational summands (condition 3 verbatim).  Superstability fails exactly when
-one prime carries cyclic summands of unboundedly many exponents, or
-infinitely many primes carry a reduced summand with infinite multiplicity.
-When the SB property fails, a witness route records which construction
-produces a bi-embeddable non-isomorphic pair.
+Stability and the connected-component index are read off the canonical
+Szmielew key of :mod:`.invariants`; condition 3 and the unipotence witness
+are read off the summand constructors, so the agreement of the four
+conditions compares two independent derivations.  When the SB property
+fails, a witness route records which construction produces a bi-embeddable
+non-isomorphic pair.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .groupspec import (
+    ALEPH0,
     Cardinal,
     Cyclic,
-    CyclicExponentFamily,
     CyclicPrimeFamily,
     GroupSpec,
     PAdicComplete,
@@ -56,6 +57,8 @@ __all__ = [
     "connected_component_index",
     "unipotence_report",
 ]
+
+_ZERO = Cardinal.of(0)
 
 
 class StabilityClass(enum.Enum):
@@ -86,35 +89,34 @@ class BasicPredicates:
 
 
 def basic_predicates(spec: GroupSpec) -> BasicPredicates:
-    """Divisibility, reducedness and boundedness read off the entry list.
+    """Divisibility and reducedness read off the entry list, the exponent off the key.
 
     A spec is divisible iff every summand is quasicyclic or rational, and
     reduced iff no summand is.  (The trivial group is both.)
     """
     divisible = all(isinstance(fam, (Prufer, Rationals)) for fam, _ in spec.entries)
     reduced = not any(isinstance(fam, (Prufer, Rationals)) for fam, _ in spec.entries)
-    inv = szmielew_invariants(spec)
-    return BasicPredicates(divisible=divisible, reduced=reduced, exponent=inv.exponent)
+    exponent = szmielew_invariants(spec).exponent
+    return BasicPredicates(divisible=divisible, reduced=reduced, exponent=exponent)
 
 
 def stability_class(spec: GroupSpec) -> StabilityClass:
-    """Place the theory of the spec in the stability hierarchy.
+    """Place the theory of the spec in the stability hierarchy, read off its key.
 
-    Not superstable: a single prime with unboundedly many cyclic exponents
-    (an exponent family over all k), or a reduced summand of infinite
-    multiplicity spread over infinitely many primes.  Omega-stable: divisible
-    plus bounded torsion.  Everything else sits strictly between.
+    Not superstable: some p has Exp(p) infinite or U(p, k) nonzero at
+    infinitely many k (a chain p^k G of infinite indices), or infinitely many
+    primes have G/pG infinite (a chain G > p_1 G > p_1 p_2 G > ...).
+    Omega-stable: every Exp(p) is 0 and U is nonzero at only finitely many
+    (p, k), i.e. divisible plus bounded.  Everything else sits strictly between.
     """
-    for fam, mult in spec.entries:
-        if isinstance(fam, CyclicExponentFamily) and fam.exponents is None:
-            return StabilityClass.NOT_SUPERSTABLE
-        if (
-            isinstance(fam, (CyclicPrimeFamily, PAdicPrimeFamily))
-            and not fam.primes.is_finite
-            and not mult.is_finite
-        ):
-            return StabilityClass.NOT_SUPERSTABLE
-    if all(isinstance(fam, (Cyclic, Prufer, Rationals)) for fam, _ in spec.entries):
+    inv = szmielew_invariants(spec)
+    records = [inv.generic, *(rec for _, rec in inv.primes)]
+    if (
+        any(rec.exp == ALEPH0 or rec.tail != _ZERO for rec in records)
+        or any(u == ALEPH0 for _, u in inv.generic.ulm)
+    ):
+        return StabilityClass.NOT_SUPERSTABLE
+    if not inv.generic.ulm and all(rec.exp == _ZERO for rec in records):
         return StabilityClass.OMEGA_STABLE
     return StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE
 
@@ -214,26 +216,26 @@ CONTINUUM = Continuum()
 def connected_component_index(spec: GroupSpec) -> int | Continuum:
     """Index of the intersection of the finite-index definable subgroups.
 
-    For divisible-plus-bounded specs the intersection is reached by
-    multiplying out the finite-multiplicity cyclic summands, giving index
-    prod p**(k*m); any other shape forces index continuum.
+    For omega-stable specs it is the product over p of
+    p**((k - K_p) * U(p, k)) for k > K_p, where K_p is the largest k with
+    U(p, k) infinite (0 if there is none): at each p, G[p**K_p] + p**N G for
+    N beyond every finite exponent has that index and lies in every definable
+    subgroup of finite index.  Any other theory has index continuum.
 
     >>> from sb_abelian.groupspec import parse_spec
     >>> connected_component_index(parse_spec("Z/2^3 + Q"))
     8
-    >>> connected_component_index(parse_spec("Q^5"))
-    1
+    >>> connected_component_index(parse_spec("Z/4 + Z/2^w"))
+    2
     >>> connected_component_index(parse_spec("Zhat(5)"))
     Continuum()
     """
-    if not divisible_plus_bounded(spec):
+    if stability_class(spec) is not StabilityClass.OMEGA_STABLE:
         return CONTINUUM
     index = 1
-    for fam, mult in spec.entries:
-        if isinstance(fam, Cyclic) and mult.is_finite:
-            # only n coprime to the infinite-multiplicity primes keep nG of
-            # finite index, so exactly the finite-multiplicity summands die
-            index *= fam.p ** (fam.k * mult.value)
+    for p, rec in szmielew_invariants(spec).primes:
+        top = max((k for k, u in rec.ulm if u == ALEPH0), default=0)
+        index *= math.prod(p ** ((k - top) * u.value) for k, u in rec.ulm if k > top)
     return index
 
 

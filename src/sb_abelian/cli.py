@@ -397,6 +397,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         body = _HANDLERS[args.command](args, cfg)
+        # rendering can fail too: an integer past Python's 4300-digit
+        # int-to-str limit raises ValueError, which exits 2 like bad input
+        rendered = _render({"schema": SCHEMA, "command": args.command, **body}, cfg)
     except SpecSyntaxError as bad:
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_USAGE
@@ -410,8 +413,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         # remaining ValueErrors are malformed inputs (bad primes, bounds, ...)
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_USAGE
-    payload = {"schema": SCHEMA, "command": args.command, **body}
-    rendered = _render(payload, cfg)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:

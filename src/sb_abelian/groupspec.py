@@ -37,7 +37,6 @@ sum), which the grammar above cannot spell.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,7 +44,6 @@ from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
 
 __all__ = [
     "Cardinal",
-    "FINITE",
     "ALEPH0",
     "PrimeSet",
     "ALL_PRIMES",
@@ -145,10 +143,6 @@ class Cardinal:
     @classmethod
     def from_json(cls, data: Mapping) -> "Cardinal":
         return cls(data["kind"], data["value"])
-
-
-def FINITE(n: int) -> Cardinal:
-    return Cardinal.of(n)
 
 
 ALEPH0 = Cardinal.aleph(0)
@@ -667,6 +661,11 @@ def split_reduced_divisible(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, Grou
 # ---------------------------------------------------------------------------
 
 
+# Python's default limit on int-to-str conversions; a longer digit string
+# could be parsed but never printed back
+_MAX_DIGITS = 4300
+
+
 class SpecSyntaxError(ValueError):
     """Parse failure; ``position`` is the 0-based offset in the input."""
 
@@ -708,6 +707,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
+        if self.pos - start > _MAX_DIGITS:
+            raise SpecSyntaxError(f"numbers are limited to {_MAX_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def bounded_nat(self, context: str) -> int:
@@ -873,7 +874,3 @@ def spec_from_json(data: Mapping) -> GroupSpec:
         for e in data["entries"]
     ]
     return normalize(entries)
-
-
-def spec_json_text(spec: GroupSpec) -> str:
-    return json.dumps(spec_to_json(spec), indent=2)

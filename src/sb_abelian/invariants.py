@@ -1,33 +1,34 @@
-"""First-order and isomorphism invariants of symbolic group specs.
+"""The Szmielew invariants of symbolic group specs, as one canonical key.
 
-Two specs denote elementarily equivalent groups exactly when their
-Szmielew-style invariants agree after capping every infinite value at
-aleph_0: for each prime p the dimensions
+Two abelian groups are elementarily equivalent exactly when they agree on
+whether their exponent is bounded and, for every prime p, on
 
-* ``alpha(p, k)`` = dim (p^(k-1) G)[p] / (p^k G)[p]  (one per Z/p**k summand),
-* ``beta(p)``     = the eventual dimension of p^k G / p^(k+1) G  (one per
-  p-adic completion summand),
-* ``gamma(p)``    = the eventual dimension of (p^k G)[p]  (one per
-  quasicyclic summand),
+* ``U(p, k)`` = dim (p^(k-1) G)[p] / (p^k G)[p], the Ulm invariants,
+* ``Tor(p)``  = the eventual dimension of (p^k G)[p] as k grows,
+* ``Exp(p)``  = the eventual dimension of p^k G / p^(k+1) G,
 
-together with a boundedness flag and a nontriviality flag.  Every value is
-a cardinal; first-order logic only sees finite values exactly and "infinite"
-beyond that, hence the capping.  The table is validated against the
-brute-force oracle on finite groups, where agreement of all alpha values is
-the same as isomorphism.
+with every value capped at aleph_0: first-order logic sees finite values
+exactly and "infinite" beyond that (W. Szmielew, Fund. Math. 41, 1955;
+Eklof-Fisher 1972).
 
-Family entries over cofinite prime sets give the invariant maps finitely
-describable infinite support; comparisons work prime-by-prime on the finite
-set of "distinguished" primes mentioned by either side and symbolically off
-it.
+:func:`szmielew_invariants` adds these up from per-summand contributions:
+Z/p**k adds to U(p, k), a quasicyclic group to Tor(p), a p-adic completion to
+Exp(p), and ``sumK(p; all)`` adds to U(p, k) at every k and makes Tor(p) and
+Exp(p) infinite.  The rationals only make the group unbounded.  A family over
+a cofinite prime set adds to a generic record that stands for every prime no
+entry mentions, and to the record of each mentioned prime it contains.
+
+The result, :class:`SzmielewInvariants`, is canonical: a per-prime record is
+kept only where it differs from the generic one, and an Ulm value only where
+it differs from the record's tail.  Two specs therefore have equal keys
+exactly when their theories are equal, and elementary equivalence is ``==``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, NamedTuple
 
 from .groupspec import (
     ALEPH0,
@@ -35,336 +36,155 @@ from .groupspec import (
     Cyclic,
     CyclicExponentFamily,
     CyclicPrimeFamily,
+    Entry,
     GroupSpec,
     PAdicComplete,
     PAdicPrimeFamily,
-    PrimeSet,
     Prufer,
-    Rationals,
+    Summand,
 )
 
 __all__ = [
+    "PrimeRecord",
     "SzmielewInvariants",
-    "DivisibleInvariants",
-    "UlmTable",
     "ulm_invariant",
-    "ulm_table",
-    "divisible_invariants",
     "szmielew_invariants",
     "elementarily_equivalent",
     "isomorphic_standard",
 ]
 
 _ZERO = Cardinal.of(0)
+_FAMILIES = (CyclicPrimeFamily, PAdicPrimeFamily)
 
 
-def ulm_invariant(spec: GroupSpec, p: int, i: int) -> Cardinal:
-    """Multiplicity of Z/p**(i+1) among the spec's cyclic contributions.
+class PrimeRecord(NamedTuple):
+    """U, Tor and Exp at one prime, each capped at aleph_0.
 
-    This matches the brute-force Ulm value dim P_i/P_{i+1} on finite
-    p-groups (heights computed exhaustively); symbolically it just reads off
-    the i-th layer at p.
-    """
-    if i < 0:
-        raise ValueError(f"Ulm index must be >= 0, got {i}")
-    total = _ZERO
-    for fam, mult in spec.entries:
-        if isinstance(fam, Cyclic) and fam.p == p and fam.k == i + 1:
-            total = total + mult
-        elif isinstance(fam, CyclicPrimeFamily) and fam.k == i + 1 and fam.primes.contains(p):
-            total = total + mult
-        elif isinstance(fam, CyclicExponentFamily) and fam.p == p:
-            # normalized exponent families cover every k >= 1
-            total = total + mult
-    return total
-
-
-@dataclass(frozen=True, eq=False)
-class UlmTable:
-    """Finite description of all Ulm layers of a spec.
-
-    ``explicit`` maps (p, i) to the multiplicity contributed by singleton
-    entries; ``prime_families`` lists (prime set, i, mult) rows covering
-    infinitely many primes at once; ``exponent_families`` lists (p, mult)
-    rows covering every layer at one prime.
+    U(p, k) is ``dict(ulm).get(k, tail)``: ``ulm`` lists, by increasing k, the
+    values that differ from ``tail``, which only ``sumK(p; all)`` makes nonzero.
     """
 
-    explicit: Mapping[tuple[int, int], Cardinal]
-    prime_families: tuple[tuple[PrimeSet, int, Cardinal], ...]
-    exponent_families: tuple[tuple[int, Cardinal], ...]
-
-    def at(self, p: int, i: int) -> Cardinal:
-        total = self.explicit.get((p, i), _ZERO)
-        for ps, layer, mult in self.prime_families:
-            if layer == i and ps.contains(p):
-                total = total + mult
-        for q, mult in self.exponent_families:
-            if q == p:
-                total = total + mult
-        return total
+    ulm: tuple[tuple[int, Cardinal], ...]
+    tail: Cardinal
+    tor: Cardinal
+    exp: Cardinal
 
     def to_json(self) -> dict:
         return {
-            "explicit": [
-                {"p": p, "i": i, "mult": m.to_json()}
-                for (p, i), m in sorted(self.explicit.items())
-            ],
-            "prime_families": [
-                {"primes": ps.to_json(), "i": i, "mult": m.to_json()}
-                for ps, i, m in self.prime_families
-            ],
-            "exponent_families": [
-                {"p": p, "mult": m.to_json()} for p, m in self.exponent_families
-            ],
+            "ulm": [{"k": k, "value": u.to_json()} for k, u in self.ulm],
+            "ulm_tail": self.tail.to_json(),
+            "tor": self.tor.to_json(),
+            "exp": self.exp.to_json(),
         }
 
 
-def ulm_table(spec: GroupSpec) -> UlmTable:
-    explicit: dict[tuple[int, int], Cardinal] = {}
-    prime_families: list[tuple[PrimeSet, int, Cardinal]] = []
-    exponent_families: list[tuple[int, Cardinal]] = []
-    for fam, mult in spec.entries:
-        if isinstance(fam, Cyclic):
-            key = (fam.p, fam.k - 1)
-            explicit[key] = explicit.get(key, _ZERO) + mult
-        elif isinstance(fam, CyclicPrimeFamily):
-            prime_families.append((fam.primes, fam.k - 1, mult))
-        elif isinstance(fam, CyclicExponentFamily):
-            exponent_families.append((fam.p, mult))
-    return UlmTable(explicit, tuple(prime_families), tuple(exponent_families))
+class SzmielewInvariants(NamedTuple):
+    """The canonical first-order key of a spec.
 
-
-@dataclass(frozen=True, eq=False)
-class DivisibleInvariants:
-    """Isomorphism invariants of the divisible part: quasicyclic and Q ranks."""
-
-    quasicyclic: Mapping[int, Cardinal]  # p -> multiplicity
-    rational_rank: Cardinal
-
-    def to_json(self) -> dict:
-        return {
-            "quasicyclic": [
-                {"p": p, "mult": m.to_json()} for p, m in sorted(self.quasicyclic.items())
-            ],
-            "rational_rank": self.rational_rank.to_json(),
-        }
-
-
-def divisible_invariants(spec: GroupSpec) -> DivisibleInvariants:
-    """Ranks of the divisible summands; they classify the divisible part."""
-    quasi: dict[int, Cardinal] = {}
-    rank = _ZERO
-    for fam, mult in spec.entries:
-        if isinstance(fam, Prufer):
-            quasi[fam.p] = quasi.get(fam.p, _ZERO) + mult
-        elif isinstance(fam, Rationals):
-            rank = rank + mult
-    return DivisibleInvariants(quasi, rank)
-
-
-@dataclass(frozen=True, eq=False)
-class SzmielewInvariants:
-    """The first-order invariant table of a spec.
-
-    ``alpha`` holds singleton cyclic contributions keyed by (p, k);
-    ``alpha_prime_families`` rows (S, k, mult) add mult at every p in S;
-    ``alpha_exponent_families`` rows (p, mult) add mult at every k.  After
-    normalization the family prime sets are cofinite and the exponent
-    families cover all k, so evaluation anywhere is a finite sum.
+    ``primes`` holds, by increasing p, the records of the finitely many primes
+    whose invariants differ from ``generic``, the record shared by all others.
     """
 
-    alpha: Mapping[tuple[int, int], Cardinal]
-    alpha_prime_families: tuple[tuple[PrimeSet, int, Cardinal], ...]
-    alpha_exponent_families: tuple[tuple[int, Cardinal], ...]
-    beta: Mapping[int, Cardinal]
-    beta_families: tuple[tuple[PrimeSet, Cardinal], ...]
-    gamma: Mapping[int, Cardinal]
+    primes: tuple[tuple[int, PrimeRecord], ...]
+    generic: PrimeRecord
     bounded: bool
-    exponent: int | None
-    nontrivial: bool
 
-    # -- evaluation --------------------------------------------------------
+    def record(self, p: int) -> PrimeRecord:
+        return dict(self.primes).get(p, self.generic)
 
-    def alpha_at(self, p: int, k: int) -> Cardinal:
-        total = self.alpha.get((p, k), _ZERO)
-        for ps, fk, mult in self.alpha_prime_families:
-            if fk == k and ps.contains(p):
-                total = total + mult
-        for fp, mult in self.alpha_exponent_families:
-            if fp == p:
-                total = total + mult
-        return total
+    def ulm(self, p: int, k: int) -> Cardinal:
+        rec = self.record(p)
+        return dict(rec.ulm).get(k, rec.tail)
 
-    def beta_at(self, p: int) -> Cardinal:
-        total = self.beta.get(p, _ZERO)
-        for ps, mult in self.beta_families:
-            if ps.contains(p):
-                total = total + mult
-        return total
-
-    def gamma_at(self, p: int) -> Cardinal:
-        return self.gamma.get(p, _ZERO)
-
-    # -- comparison --------------------------------------------------------
-
-    def _distinguished_primes(self) -> set[int]:
-        out = {p for p, _ in self.alpha}
-        out.update(self.beta)
-        out.update(self.gamma)
-        out.update(p for p, _ in self.alpha_exponent_families)
-        for ps, _, _ in self.alpha_prime_families:
-            out.update(ps.primes)
-        for ps, _ in self.beta_families:
-            out.update(ps.primes)
-        return out
-
-    def _max_k(self) -> int:
-        ks = [k for _, k in self.alpha]
-        ks.extend(k for _, k, _ in self.alpha_prime_families)
-        return max(ks, default=0)
-
-    def _generic_alpha(self, k: int) -> Cardinal:
-        """alpha at (p, k) for any prime p outside every distinguished set."""
-        total = _ZERO
-        for ps, fk, mult in self.alpha_prime_families:
-            if fk == k and ps.complement:
-                total = total + mult
-        return total
-
-    def _generic_beta(self) -> Cardinal:
-        total = _ZERO
-        for ps, mult in self.beta_families:
-            if ps.complement:
-                total = total + mult
-        return total
-
-    def _alpha_tail(self, p: int) -> Cardinal:
-        """alpha at (p, k) for k beyond every explicitly mentioned layer."""
-        total = _ZERO
-        for fp, mult in self.alpha_exponent_families:
-            if fp == p:
-                total = total + mult
-        return total
-
-    def equivalent(self, other: "SzmielewInvariants") -> bool:
-        """Capped equality of the invariant functions (decidable).
-
-        The two maps can only differ at a prime one of them mentions, at a
-        layer one of them mentions, or in their symbolic generic/tail parts;
-        each region is compared directly.
-        """
-        if self.nontrivial != other.nontrivial:
-            return False
-        if self.bounded != other.bounded:
-            return False
-
-        def cap(c: Cardinal) -> Cardinal:
-            return c.cap_countable()
-
-        primes = self._distinguished_primes() | other._distinguished_primes()
-        max_k = max(self._max_k(), other._max_k())
-        for p in primes:
-            for k in range(1, max_k + 1):
-                if cap(self.alpha_at(p, k)) != cap(other.alpha_at(p, k)):
-                    return False
-            if cap(self._alpha_tail(p)) != cap(other._alpha_tail(p)):
-                return False
-            if cap(self.beta_at(p)) != cap(other.beta_at(p)):
-                return False
-            if cap(self.gamma_at(p)) != cap(other.gamma_at(p)):
-                return False
-        for k in range(1, max_k + 1):
-            if cap(self._generic_alpha(k)) != cap(other._generic_alpha(k)):
-                return False
-        if cap(self._generic_beta()) != cap(other._generic_beta()):
-            return False
-        return True
+    @property
+    def exponent(self) -> int | None:
+        """The exponent when bounded: the product of p**(largest k with U(p, k) > 0)."""
+        if not self.bounded:
+            return None
+        return math.prod(p ** rec.ulm[-1][0] for p, rec in self.primes)
 
     def to_json(self) -> dict:
         return {
-            "alpha": [
-                {"p": p, "k": k, "mult": m.to_json()}
-                for (p, k), m in sorted(self.alpha.items())
-            ],
-            "alpha_prime_families": [
-                {"primes": ps.to_json(), "k": k, "mult": m.to_json()}
-                for ps, k, m in self.alpha_prime_families
-            ],
-            "alpha_exponent_families": [
-                {"p": p, "mult": m.to_json()} for p, m in self.alpha_exponent_families
-            ],
-            "beta": [{"p": p, "mult": m.to_json()} for p, m in sorted(self.beta.items())],
-            "beta_families": [
-                {"primes": ps.to_json(), "mult": m.to_json()} for ps, m in self.beta_families
-            ],
-            "gamma": [{"p": p, "mult": m.to_json()} for p, m in sorted(self.gamma.items())],
+            "primes": [{"p": p, **rec.to_json()} for p, rec in self.primes],
+            "generic": self.generic.to_json(),
             "bounded": self.bounded,
             "exponent": self.exponent,
-            "nontrivial": self.nontrivial,
         }
+
+
+def _lives_at(fam: Summand, p: int | None) -> bool:
+    """Does the summand contribute at p?  ``None`` stands for a generic prime."""
+    if isinstance(fam, _FAMILIES):
+        return fam.primes.complement if p is None else fam.primes.contains(p)
+    return p is not None and getattr(fam, "p", None) == p
+
+
+def _mentioned(fam: Summand) -> Iterable[int]:
+    if isinstance(fam, _FAMILIES):
+        return fam.primes.primes
+    return (fam.p,) if hasattr(fam, "p") else ()
+
+
+def _record(entries: Iterable[Entry], p: int | None) -> PrimeRecord:
+    ulm: dict[int, Cardinal] = {}
+    tail = tor = exp = _ZERO
+    for fam, mult in entries:
+        if not _lives_at(fam, p):
+            continue
+        if isinstance(fam, (Cyclic, CyclicPrimeFamily)):
+            ulm[fam.k] = ulm.get(fam.k, _ZERO) + mult
+        elif isinstance(fam, Prufer):
+            tor = tor + mult
+        elif isinstance(fam, (PAdicComplete, PAdicPrimeFamily)):
+            exp = exp + mult
+        elif isinstance(fam, CyclicExponentFamily):  # normalized: every k >= 1
+            tail, tor, exp = tail + mult, ALEPH0, ALEPH0
+    tail = tail.cap_countable()
+    values = ((k, (u + tail).cap_countable()) for k, u in sorted(ulm.items()))
+    return PrimeRecord(
+        ulm=tuple((k, u) for k, u in values if u != tail),
+        tail=tail,
+        tor=tor.cap_countable(),
+        exp=exp.cap_countable(),
+    )
 
 
 @functools.lru_cache(maxsize=4096)
 def szmielew_invariants(spec: GroupSpec) -> SzmielewInvariants:
-    """Build the invariant table of a normalized spec.
+    """The canonical Szmielew key of a normalized spec.
 
-    Per summand: Z/p**k contributes 1 to alpha(p, k); a p-adic completion
-    contributes 1 to beta(p); a quasicyclic group contributes 1 to gamma(p);
-    the rationals contribute nothing but unboundedness.  The spec is bounded
-    exactly when all entries are cyclic singletons.
+    >>> from sb_abelian.groupspec import parse_spec
+    >>> inv = szmielew_invariants(parse_spec("Z/4^aleph(1) + Zhat(3)"))
+    >>> inv.ulm(2, 2), inv.record(3).exp, inv.bounded
+    (Cardinal.aleph(0), Cardinal.of(1), False)
     """
-    alpha: dict[tuple[int, int], Cardinal] = {}
-    alpha_pf: list[tuple[PrimeSet, int, Cardinal]] = []
-    alpha_ef: list[tuple[int, Cardinal]] = []
-    beta: dict[int, Cardinal] = {}
-    beta_f: list[tuple[PrimeSet, Cardinal]] = []
-    gamma: dict[int, Cardinal] = {}
-    bounded = True
-    exponent = 1
-    for fam, mult in spec.entries:
-        if isinstance(fam, Cyclic):
-            key = (fam.p, fam.k)
-            alpha[key] = alpha.get(key, _ZERO) + mult
-            exponent = math.lcm(exponent, fam.modulus) if exponent is not None else None
-        elif isinstance(fam, CyclicPrimeFamily):
-            # infinitely many primes with exponent p**k: unbounded
-            alpha_pf.append((fam.primes, fam.k, mult))
-            bounded, exponent = False, None
-        elif isinstance(fam, CyclicExponentFamily):
-            alpha_ef.append((fam.p, mult))
-            bounded, exponent = False, None
-        elif isinstance(fam, PAdicComplete):
-            beta[fam.p] = beta.get(fam.p, _ZERO) + mult
-            bounded, exponent = False, None
-        elif isinstance(fam, PAdicPrimeFamily):
-            beta_f.append((fam.primes, mult))
-            bounded, exponent = False, None
-        elif isinstance(fam, Prufer):
-            gamma[fam.p] = gamma.get(fam.p, _ZERO) + mult
-            bounded, exponent = False, None
-        elif isinstance(fam, Rationals):
-            bounded, exponent = False, None
+    generic = _record(spec.entries, None)
+    mentioned = sorted({p for fam, _ in spec.entries for p in _mentioned(fam)})
+    records = ((p, _record(spec.entries, p)) for p in mentioned)
     return SzmielewInvariants(
-        alpha=alpha,
-        alpha_prime_families=tuple(alpha_pf),
-        alpha_exponent_families=tuple(alpha_ef),
-        beta=beta,
-        beta_families=tuple(beta_f),
-        gamma=gamma,
-        bounded=bounded,
-        exponent=exponent if bounded else None,
-        nontrivial=not spec.is_trivial,
+        primes=tuple((p, rec) for p, rec in records if rec != generic),
+        generic=generic,
+        bounded=all(isinstance(fam, Cyclic) for fam, _ in spec.entries),
     )
+
+
+def ulm_invariant(spec: GroupSpec, p: int, i: int) -> Cardinal:
+    """U(p, i+1): the capped multiplicity of Z/p**(i+1), read off the key.
+
+    On finite p-groups this is the brute-force Ulm value dim P_i/P_{i+1}.
+    """
+    if i < 0:
+        raise ValueError(f"Ulm index must be >= 0, got {i}")
+    return szmielew_invariants(spec).ulm(p, i + 1)
 
 
 def elementarily_equivalent(a: GroupSpec, b: GroupSpec) -> bool:
     """Do the two specs denote elementarily equivalent groups?
 
-    Decided by capped comparison of the invariant tables.  On finite specs
-    this coincides with isomorphism (all invariants are finite and determine
-    the cyclic decomposition).
+    On finite specs this coincides with isomorphism (all invariants are
+    finite and determine the cyclic decomposition).
     """
-    return szmielew_invariants(a).equivalent(szmielew_invariants(b))
+    return szmielew_invariants(a) == szmielew_invariants(b)
 
 
 def isomorphic_standard(a: GroupSpec, b: GroupSpec) -> bool:

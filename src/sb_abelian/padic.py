@@ -9,8 +9,7 @@ never guessed past the precision.
   unit inverse and valuation.
 * :class:`PAdicLazy` — a p-adic integer given by a deterministic digit
   stream (seeded, integer, rational, or derived), truncatable to any
-  precision.  Digit prefixes are cached behind a lock so concurrent readers
-  see a coherent prefix.
+  precision.  Digit prefixes are cached.
 * :class:`MatrixModPk` / :func:`matrix_limit_inverse` — square matrices mod
   p**N and a compatible tower of inverses lifted level by level.
 * :class:`IntPolynomial2` / :func:`independence_certificate` — two-variable
@@ -21,7 +20,6 @@ never guessed past the precision.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -186,7 +184,8 @@ class PAdicLazy:
     """A p-adic integer producible to any precision.
 
     The digit source is consulted sequentially and the prefix is cached, so
-    ``truncate(N)`` and ``truncate(M)`` always agree mod p**min(N, M).
+    ``truncate(N)`` and ``truncate(M)`` always agree mod p**min(N, M).  The
+    cache is unguarded: an instance must not be extended from two threads.
     """
 
     def __init__(
@@ -203,7 +202,6 @@ class PAdicLazy:
         self._digit_source = digit_source
         self._digits: list[int] = []
         self._prefix: list[int] = [0]  # _prefix[i] = residue mod p**i
-        self._lock = threading.Lock()
 
     @classmethod
     def from_seed(cls, p: int, seed: int, unit: bool = True) -> "PAdicLazy":
@@ -253,16 +251,14 @@ class PAdicLazy:
         )
 
     def digit(self, i: int) -> int:
-        with self._lock:
-            self._extend(i + 1)
-            return self._digits[i]
+        self._extend(i + 1)
+        return self._digits[i]
 
     def truncate(self, precision: int) -> PAdicApprox:
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        with self._lock:
-            self._extend(precision)
-            return PAdicApprox(self.p, precision, self._prefix[precision])
+        self._extend(precision)
+        return PAdicApprox(self.p, precision, self._prefix[precision])
 
     def _extend(self, n: int) -> None:
         while len(self._digits) < n:

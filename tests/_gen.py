@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from sb_abelian.groupspec import (
     Cardinal,
@@ -31,17 +32,19 @@ def random_cardinal(rng: random.Random, allow_zero: bool = True) -> Cardinal:
     return Cardinal.aleph(rng.randint(1, 2))
 
 
-def random_prime_set(rng: random.Random) -> PrimeSet:
+def random_prime_set(rng: random.Random, primes: Sequence[int] = _PRIMES) -> PrimeSet:
     if rng.random() < 0.5:
-        return PrimeSet.cofinite(rng.sample(_PRIMES, rng.randint(0, 2)))
-    return PrimeSet.explicit(rng.sample(_PRIMES, rng.randint(1, 3)))
+        return PrimeSet.cofinite(rng.sample(primes, rng.randint(0, 2)))
+    return PrimeSet.explicit(rng.sample(primes, rng.randint(1, min(3, len(primes)))))
 
 
-def random_entries(rng: random.Random, max_entries: int = 5) -> list[Entry]:
+def random_entries(rng: random.Random, max_entries: int = 5,
+                   primes: Sequence[int] = _PRIMES) -> list[Entry]:
+    """Up to ``max_entries`` summands; every prime they name is in ``primes``."""
     entries: list[Entry] = []
     for _ in range(rng.randint(0, max_entries)):
         kind = rng.randrange(7)
-        p = rng.choice(_PRIMES)
+        p = rng.choice(primes)
         if kind == 0:
             fam = Cyclic(p, rng.randint(1, 4))
         elif kind == 1:
@@ -51,9 +54,9 @@ def random_entries(rng: random.Random, max_entries: int = 5) -> list[Entry]:
         elif kind == 3:
             fam = PAdicComplete(p)
         elif kind == 4:
-            fam = CyclicPrimeFamily(random_prime_set(rng), rng.randint(1, 3))
+            fam = CyclicPrimeFamily(random_prime_set(rng, primes), rng.randint(1, 3))
         elif kind == 5:
-            fam = PAdicPrimeFamily(random_prime_set(rng))
+            fam = PAdicPrimeFamily(random_prime_set(rng, primes))
         else:
             exps = None if rng.random() < 0.5 else frozenset(
                 rng.sample(range(1, 6), rng.randint(1, 3))
@@ -63,8 +66,9 @@ def random_entries(rng: random.Random, max_entries: int = 5) -> list[Entry]:
     return entries
 
 
-def random_spec(rng: random.Random, max_entries: int = 5) -> GroupSpec:
-    return normalize(random_entries(rng, max_entries))
+def random_spec(rng: random.Random, max_entries: int = 5,
+                primes: Sequence[int] = _PRIMES) -> GroupSpec:
+    return normalize(random_entries(rng, max_entries, primes))
 
 
 def random_finite_spec(rng: random.Random, max_order: int = 512) -> GroupSpec:

@@ -38,13 +38,15 @@ OMEGA_STABLE_SPECS = [
 
 MIDDLE_SPECS = [
     "Zhat(3)",
-    "Zhat(2)^w + Q",
+    "Zhat(2)^3 + Q",
     "sumP(all; Z/p^1)",
     "sumP(all\\{2,3}; Zhat)^5",
     "sumP({2,3,5,7,11}; Z/p^2)^w + Zhat(13)",  # finite family expands, Zhat stays
 ]
 
 NOT_SUPERSTABLE_SPECS = [
+    # 2G > 4G > 8G > ... has every index |G/2G| infinite
+    "Zhat(2)^w + Q",
     "sumK(2; all)",
     "sumK(7; all)^aleph(1) + Q",
     "sumP(all; Z/p^1)^w",
@@ -199,9 +201,12 @@ def test_connected_component_index_infinite_multiplicity():
     # an infinite power of a bounded cyclic keeps every nG either equal to G
     # or of infinite index, so nothing is cut away: index 1
     assert connected_component_index(parse_spec("Z/9^w")) == 1
-    # finite-multiplicity summands are counted summand-wise even when the
-    # same prime also occurs with infinite multiplicity
-    assert connected_component_index(parse_spec("Z/4 + Z/2^w")) == 4
+    # with Z/2^w present, 2G has infinite index but G[2] has index 2 and lies
+    # in every definable subgroup of finite index, so only the height of
+    # Z/4 above the infinite layer counts
+    assert connected_component_index(parse_spec("Z/4 + Z/2^w")) == 2
+    assert connected_component_index(parse_spec("Z/2 + Z/4^w")) == 1
+    assert connected_component_index(parse_spec("Z/8 + Z/2^w")) == 4
 
 
 def test_connected_component_index_brute_force():

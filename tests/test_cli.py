@@ -78,8 +78,9 @@ def test_classify_agreement_holds_on_assorted_specs(capsys):
 
 def test_invariants_payload(capsys):
     body = run_json(capsys, "invariants", "Zhat(2) + Q")
-    assert body["szmielew"]["beta"] == [{"p": 2, "mult": {"kind": "finite", "value": 1}}]
-    assert body["szmielew"]["nontrivial"] is True
+    (record,) = body["szmielew"]["primes"]
+    assert record["p"] == 2 and record["exp"] == {"kind": "finite", "value": 1}
+    assert body["szmielew"]["bounded"] is False
     assert body["divisible"] is False
     assert body["spec"] == "Q + Zhat(2)"
 
@@ -207,7 +208,7 @@ def test_witness_errors_keep_their_exit_classes():
 
 @pytest.mark.parametrize("argv, needle", [
     (["witness", "sumP(all; Z/p^1)", "--route", "padic"], "no completion summand"),
-    (["witness", "Zhat(5)^w"], "infinite multiplicity"),
+    (["witness", "Zhat(5)^w", "--route", "padic"], "infinite multiplicity"),
     (["witness", "sumK(2; all)", "--route", "socle"], "unbounded exponents"),
 ], ids=["NoKPartError", "UnsupportedMultiplicityError", "NotSuperstableError"])
 def test_witness_precondition_errors_exit_3(capsys, argv, needle):
@@ -320,6 +321,29 @@ def test_modulus_at_or_above_the_exact_bound_exits_2(capsys):
         code, out, err = run(capsys, "classify", text)
         assert code == EXIT_USAGE and out == ""
         assert str(EXACT_BOUND) in err and "position" in err
+
+
+def test_unprintable_output_exits_2(capsys):
+    # the component index 2^20000 has more than 4300 decimal digits
+    code, out, err = run(capsys, "classify", "Z/2^20000")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("sb-abelian: ") and "Traceback" not in err
+
+
+def test_overlong_number_exits_2_with_position(capsys):
+    code, out, err = run(capsys, "classify", "Z/" + "9" * 5000)
+    assert code == EXIT_USAGE and out == ""
+    assert "limited to 4300 digits" in err and "(at position 2)" in err
+
+
+def test_eq_and_invariants_tables_agree(capsys):
+    pairs = [("sumK(2; all)", "sumK(2; all) + Prufer(2)"), ("Z/4^aleph(1)", "Z/4^w"),
+             ("sumP(all; Z/p^1)", "sumP(all\\{2}; Z/p^1) + Z/2"), ("0", "Q"),
+             ("Zhat(5)", "Zhat(5)^2")]
+    for left, right in pairs:
+        same = run_json(capsys, "eq", left, right)["equivalent"]
+        tables = [run_json(capsys, "invariants", text)["szmielew"] for text in (left, right)]
+        assert same == (tables[0] == tables[1]), (left, right)
 
 
 def test_bad_grammar_exits_2(capsys):

@@ -127,6 +127,16 @@ def test_parse_error_reports_position():
     assert exc.value.position == 11
 
 
+def test_overlong_digit_string_reports_its_start():
+    for text, at in [("Z/" + "9" * 5000, 2), ("Q^" + "1" * 4301, 2),
+                     ("sumK(2; {3, " + "7" * 4400 + "})", 12)]:
+        with pytest.raises(SpecSyntaxError, match="limited to 4300 digits") as exc:
+            parse_spec(text)
+        assert exc.value.position == at, text
+    # 4300 digits is still a number (here a multiplicity)
+    assert str(parse_spec("Q^" + "1" * 4300)).startswith("Q^111")
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ from sb_abelian.finite_oracle import (
     realize,
     ulm_bruteforce,
 )
-from sb_abelian.groupspec import ALEPH0, Cardinal, direct_sum, parse_spec
+from sb_abelian.groupspec import ALEPH0, Cardinal, Rationals, direct_sum, parse_spec
 from sb_abelian.invariants import (
-    divisible_invariants,
     elementarily_equivalent,
     isomorphic_standard,
     szmielew_invariants,
     ulm_invariant,
-    ulm_table,
 )
 
 from _gen import random_spec
@@ -50,12 +48,12 @@ def test_ulm_symbolic_matches_oracle_small_sweep():
 
 
 def test_ulm_table_evaluation():
-    table = ulm_table(parse_spec("Z/4^3 + sumP(all; Z/p^1) + sumK(5; all)^w"))
-    assert table.at(2, 1) == Cardinal.of(3)
-    assert table.at(2, 0) == Cardinal.of(1)  # from the prime family
-    assert table.at(7, 0) == Cardinal.of(1)
-    assert table.at(5, 9) == ALEPH0
-    assert table.at(3, 4) == Cardinal.of(0)
+    inv = szmielew_invariants(parse_spec("Z/4^3 + sumP(all; Z/p^1) + sumK(5; all)^w"))
+    assert inv.ulm(2, 2) == Cardinal.of(3)
+    assert inv.ulm(2, 1) == Cardinal.of(1)  # from the prime family
+    assert inv.ulm(7, 1) == Cardinal.of(1)
+    assert inv.ulm(5, 10) == ALEPH0
+    assert inv.ulm(3, 5) == Cardinal.of(0)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +62,16 @@ def test_ulm_table_evaluation():
 
 
 def test_divisible_invariants():
-    inv = divisible_invariants(parse_spec("Prufer(2)^w + Prufer(2) + Q^5 + Z/4"))
-    assert inv.quasicyclic == {2: ALEPH0}
-    assert inv.rational_rank == Cardinal.of(5)
-    empty = divisible_invariants(parse_spec("Z/4"))
-    assert empty.quasicyclic == {}
-    assert empty.rational_rank == Cardinal.of(0)
+    spec = parse_spec("Prufer(2)^w + Prufer(2) + Q^5 + Z/4")
+    assert szmielew_invariants(spec).record(2).tor == ALEPH0
+    assert spec.multiplicity(Rationals()) == Cardinal.of(5)
+    empty = parse_spec("Z/4")
+    assert szmielew_invariants(empty).record(2).tor == Cardinal.of(0)
+    assert empty.multiplicity(Rationals()) == Cardinal.of(0)
 
 
 # ---------------------------------------------------------------------------
-# Szmielew-style table
+# the Szmielew key
 # ---------------------------------------------------------------------------
 
 
@@ -84,23 +82,23 @@ def test_table_completion_summand():
         g = FiniteAbelianGroup((2**n,))
         assert g.order // len(g.scaled_set(2)) == 2
     inv = szmielew_invariants(parse_spec("Zhat(2)"))
-    assert inv.beta_at(2) == Cardinal.of(1)
-    assert inv.alpha_at(2, 1) == Cardinal.of(0)
-    assert inv.gamma_at(2) == Cardinal.of(0)
+    assert inv.record(2).exp == Cardinal.of(1)
+    assert inv.ulm(2, 1) == Cardinal.of(0)
+    assert inv.record(2).tor == Cardinal.of(0)
     assert not inv.bounded
 
 
 def test_table_bounded_power():
     # finite analog: (Z/4)^n has [2^k G : 2^(k+1) G] collapsing to 1, so no
-    # completion-style contribution; the alpha layer at (2,2) carries it all
+    # completion-style contribution; the Ulm layer at (2,2) carries it all
     g = FiniteAbelianGroup((4, 4))
     quotients = [
         len(g.scaled_set(2**k)) // len(g.scaled_set(2 ** (k + 1))) for k in range(3)
     ]
     assert quotients == [4, 4, 1]
     inv = szmielew_invariants(parse_spec("Z/4^w"))
-    assert inv.alpha_at(2, 2) == ALEPH0
-    assert inv.beta_at(2) == Cardinal.of(0)
+    assert inv.ulm(2, 2) == ALEPH0
+    assert inv.record(2).exp == Cardinal.of(0)
     assert inv.bounded and inv.exponent == 4
 
 
@@ -121,19 +119,41 @@ def test_table_quasicyclic():
             layer = g.scaled_set(3**k) & g.torsion_set(3)
             assert len(layer) == 3
     inv = szmielew_invariants(parse_spec("Prufer(3)"))
-    assert inv.gamma_at(3) == Cardinal.of(1)
-    assert inv.alpha_at(3, 1) == Cardinal.of(0)
-    assert inv.beta_at(3) == Cardinal.of(0)
+    assert inv.record(3).tor == Cardinal.of(1)
+    assert inv.ulm(3, 1) == Cardinal.of(0)
+    assert inv.record(3).exp == Cardinal.of(0)
     assert not inv.bounded
 
 
 def test_table_rationals_invisible():
     inv = szmielew_invariants(parse_spec("Q^aleph(1)"))
-    assert inv.alpha == {}
-    assert inv.beta == {}
-    assert inv.gamma == {}
+    assert inv.primes == ()
+    assert inv.generic == szmielew_invariants(parse_spec("0")).generic
     assert not inv.bounded
-    assert inv.nontrivial
+    # the bounded flag alone tells Q from the trivial group
+    assert inv != szmielew_invariants(parse_spec("0"))
+
+
+def test_table_exponent_family_fills_tor_and_exp():
+    # sumK(p; all) has (p^k G)[p] and p^k G / p^(k+1) G infinite at every k
+    inv = szmielew_invariants(parse_spec("sumK(2; all) + Z/4^3"))
+    rec = inv.record(2)
+    assert (rec.tail, rec.tor, rec.exp) == (Cardinal.of(1), ALEPH0, ALEPH0)
+    assert rec.ulm == ((2, Cardinal.of(4)),)
+    assert inv.ulm(2, 1) == inv.ulm(2, 9) == Cardinal.of(1)
+
+
+def test_table_is_canonical():
+    # a record equal to the generic one is dropped, and so is an Ulm value
+    # equal to the tail
+    inv = szmielew_invariants(parse_spec("sumP(all\\{2}; Z/p^1) + Z/2"))
+    assert inv.primes == ()
+    assert inv == szmielew_invariants(parse_spec("sumP(all; Z/p^1)"))
+    inv = szmielew_invariants(parse_spec("sumK(3; all)^w + Z/9^aleph(1) + Prufer(3)"))
+    assert inv.record(3).ulm == ()
+    assert inv == szmielew_invariants(parse_spec("sumK(3; all)^aleph(2)"))
+    assert hash(inv) == hash(szmielew_invariants(parse_spec("sumK(3; all)^w")))
+    assert inv != szmielew_invariants(parse_spec("sumK(3; all)"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +185,14 @@ def test_eq_cofinite_family_rearrangement():
 def test_eq_infinite_capping():
     assert elementarily_equivalent(parse_spec("Z/9^w"), parse_spec("Z/9^aleph(3)"))
     assert not elementarily_equivalent(parse_spec("Z/9^2"), parse_spec("Z/9^w"))
+
+
+def test_eq_exponent_family_absorbs_tor_and_exp():
+    # sumK(p; all) already makes Tor(p) and Exp(p) infinite
+    base = parse_spec("sumK(2; all)")
+    for extra in ("Prufer(2)", "Zhat(2)", "Prufer(2)^w + Zhat(2)^w", "Q^w"):
+        assert elementarily_equivalent(base, direct_sum(base, parse_spec(extra))), extra
+    assert not elementarily_equivalent(base, direct_sum(base, parse_spec("Z/8")))
 
 
 def test_eq_trivial_vs_rationals():

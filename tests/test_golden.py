@@ -86,6 +86,14 @@ ARGVS = [
     # refusals
     ["witness", "Z/2^w"],
     ["witness", "sumK(2; all)"],
+    # flags on the commands that read them, forced routes, large sumK exponents
+    ["oracle", "ulm", "Z/8", "--order-bound", "64"],
+    ["oracle", "purity", "Z/4 + Z/2", "--format", "text"],
+    ["oracle", "iso", "Z/4", "Z/2 + Z/2"],
+    ["classify", "Q", "--seed", "3"],
+    ["witness", "Zhat(5)^w", "--route", "padic"],
+    ["witness", "sumP(all; Zhat)"],
+    ["classify", "sumK(2; {100})"],
 ]
 
 

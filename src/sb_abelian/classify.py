@@ -143,13 +143,6 @@ class SbVerdict:
     route: WitnessRoute | None
     reason: str
 
-    def to_json(self) -> dict:
-        return {
-            "has_sb": self.has_sb,
-            "route": self.route.value if self.route else None,
-            "reason": self.reason,
-        }
-
 
 def has_sb(spec: GroupSpec) -> SbVerdict:
     """Decide the Schroeder-Bernstein property and pick a witness route.
@@ -248,27 +241,12 @@ class NonUnipotentWitness:
     primes: PrimeSet | None
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "primes": self.primes.to_json() if self.primes else None,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class UnipotenceReport:
     index: "int | Continuum"
     unipotent_all: bool
     witness: NonUnipotentWitness | None
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index if isinstance(self.index, int) else str(self.index),
-            "unipotent_all": self.unipotent_all,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
 
 
 def unipotence_report(spec: GroupSpec) -> UnipotenceReport:

@@ -1,24 +1,28 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, with the flags each one reads:
 
 * ``classify SPEC``      — stability class, the equivalent property bundle,
   witness route, connected-quotient data.
 * ``invariants SPEC``    — the cardinal invariant table behind equivalence.
 * ``eq SPEC SPEC``       — elementary equivalence of two descriptions.
 * ``iso SPEC SPEC``      — isomorphism of the standard forms.
-* ``witness SPEC``       — construct the bi-embeddable non-isomorphic pair
-  (``--route auto|padic|socle``), certificates embedded.
-* ``oracle ...``         — cross-checks against the brute-force finite oracle.
+* ``witness SPEC``       — construct the bi-embeddable non-isomorphic pair,
+  certificates embedded: ``--route auto|padic|socle``, ``--precision``,
+  ``--degree``, ``--height``, ``--window``, ``--threshold``, ``--seed``.
+* ``oracle ulm|iso|purity ...`` — cross-checks against the brute-force finite
+  oracle: ``--order-bound``.
 
-Every run is deterministic for a fixed argv: seeds default to 0 and all
-searches are exhaustive or seeded.  Output is JSON (default) or flat text;
-JSON carries a top-level ``schema`` tag.
+Every subcommand takes ``--format json|text`` and ``--out FILE``; a flag given
+to a command that does not read it is an argument error.  Every run is
+deterministic for a fixed argv: seeds default to 0 and all searches are
+exhaustive or seeded.  JSON output carries a top-level ``schema`` tag.
 
-Exit codes: 0 success, 2 argument/grammar errors (moduli and primes from
-``primes.EXACT_BOUND`` on, ``--window`` above ``MAX_WINDOW`` and an ``--out``
-file that cannot be written among them), 3 precondition or route errors (e.g.
-asking for a witness of a theory that has none), 4 exhausted search budgets.
+Exit codes: 0 success, 2 argument/grammar errors (numeric flags below their
+lower bounds, moduli and primes from ``primes.EXACT_BOUND`` on, ``--window``
+above ``MAX_WINDOW`` and an ``--out`` file that cannot be written among them),
+3 precondition or route errors (e.g. asking for a witness of a theory that has
+none), 4 exhausted search budgets.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .classify import (
     NotApplicableError,
@@ -48,7 +51,7 @@ from .finite_oracle import (
     subgroup_closure,
     ulm_bruteforce,
 )
-from .groupspec import MSplitPreconditionError, SpecSyntaxError, parse_spec
+from .groupspec import MSplitPreconditionError, parse_spec
 from .invariants import (
     elementarily_equivalent,
     isomorphic_standard,
@@ -58,7 +61,7 @@ from .invariants import (
 from .primes import factorize
 from .relations import BudgetExceeded
 
-__all__ = ["CliConfig", "main", "run_cli"]
+__all__ = ["main", "run_cli"]
 
 SCHEMA = "sb-abelian/1"
 
@@ -73,101 +76,81 @@ _PRECONDITION_ERRORS = (NotApplicableError, MSplitPreconditionError)
 _BUDGET_ERRORS = (BudgetExceeded, OrderBoundError)
 MAX_WINDOW = 1000  # socle window primes; a scan's memory grows with the width
 
+# lower bounds of the numeric flags, checked after parsing like the window cap
+_LOWER_BOUNDS = (("precision", 1), ("degree", 0), ("height", 1), ("window", 1),
+                 ("threshold", 1), ("order_bound", 1), ("seed", 0))
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Search and rendering knobs shared by every subcommand."""
 
-    precision: int = 40
-    degree: int = 2
-    height: int = 2
-    window: int = 50
-    threshold: int = 5
-    seed: int = 0
-    order_bound: int = 2**16
-    fmt: str = "json"
-    out: str | None = None
-
-    def validate(self) -> None:
-        for name in ("precision", "degree", "height", "window", "threshold", "order_bound"):
-            if getattr(self, name) < 1 and not (name == "degree" and self.degree == 0):
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-        if self.window > MAX_WINDOW:
-            raise ValueError(f"--window must be <= {MAX_WINDOW}")
-        if self.seed < 0:
-            raise ValueError("--seed must be >= 0")
-        if self.fmt not in ("json", "text"):
-            raise ValueError("--format must be json or text")
+def _leaf(sub, name: str, handler: Callable, summary: str, *positionals: str):
+    """A subcommand that runs ``handler`` and takes the rendering flags."""
+    p = sub.add_parser(name, help=summary)
+    for arg in positionals:
+        p.add_argument(arg)
+    p.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
+    p.add_argument("--out", metavar="FILE", default=None,
+                   help="write the report to FILE instead of stdout")
+    p.set_defaults(handler=handler)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=40, metavar="N",
-                        help="digits kept for completion arithmetic (default 40)")
-    common.add_argument("--degree", type=int, default=2, metavar="D",
-                        help="max exponent per variable in relation searches (default 2)")
-    common.add_argument("--height", type=int, default=2, metavar="B",
-                        help="max |coefficient| in relation searches (default 2)")
-    common.add_argument("--window", type=int, default=50, metavar="W",
-                        help="number of window primes for socle witnesses (default 50)")
-    common.add_argument("--threshold", type=int, default=5,
-                        help="survival count demanded by avoidance checks (default 5)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized draws (default 0)")
-    common.add_argument("--order-bound", type=int, default=2**16, dest="order_bound",
-                        help="largest finite group the oracle will realize (default 65536)")
-    common.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
-    common.add_argument("--out", metavar="FILE", default=None,
-                        help="write the report to FILE instead of stdout")
-
     parser = argparse.ArgumentParser(
         prog="sb-abelian",
         description="Classify complete theories of abelian groups and build "
         "bi-embeddable non-isomorphic witness pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _leaf(sub, "classify", _classify, "stability class, property bundle, witness route", "spec")
+    _leaf(sub, "invariants", _invariants, "the cardinal invariant table of a description",
+          "spec")
+    _leaf(sub, "eq", _eq, "elementary equivalence", "left", "right")
+    _leaf(sub, "iso", _iso, "isomorphism of standard forms", "left", "right")
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="stability class, property bundle, witness route")
-    p.add_argument("spec")
-
-    p = sub.add_parser("invariants", parents=[common],
-                       help="the cardinal invariant table of a description")
-    p.add_argument("spec")
-
-    p = sub.add_parser("eq", parents=[common], help="elementary equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("iso", parents=[common], help="isomorphism of standard forms")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="construct a bi-embeddable non-isomorphic pair")
-    p.add_argument("spec")
+    p = _leaf(sub, "witness", _witness, "construct a bi-embeddable non-isomorphic pair", "spec")
     p.add_argument("--route", choices=("auto", "padic", "socle"), default="auto")
+    p.add_argument("--precision", type=int, default=40, metavar="N",
+                   help="digits kept for completion arithmetic (default 40)")
+    p.add_argument("--degree", type=int, default=2, metavar="D",
+                   help="max exponent per variable in relation searches (default 2)")
+    p.add_argument("--height", type=int, default=2, metavar="B",
+                   help="max |coefficient| in relation searches (default 2)")
+    p.add_argument("--window", type=int, default=50, metavar="W",
+                   help="number of window primes for socle witnesses (default 50)")
+    p.add_argument("--threshold", type=int, default=5,
+                   help="survival count demanded by avoidance checks (default 5)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for all randomized draws (default 0)")
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="cross-check symbolic answers against brute force")
-    orc = p.add_subparsers(dest="check", required=True)
-    q = orc.add_parser("ulm", parents=[common], help="layer sizes on a realized finite group")
-    q.add_argument("spec")
-    q = orc.add_parser("iso", parents=[common],
-                       help="equivalence vs. brute-force isomorphism on finite groups")
-    q.add_argument("left")
-    q.add_argument("right")
-    q = orc.add_parser("purity", parents=[common],
-                       help="purity of all cyclic subgroups of a realized finite group")
-    q.add_argument("spec")
+    orc = sub.add_parser("oracle", help="cross-check symbolic answers against brute force")
+    checks = orc.add_subparsers(dest="check", required=True)
+    for name, handler, summary, positionals in (
+        ("ulm", _oracle_ulm, "layer sizes on a realized finite group", ["spec"]),
+        ("iso", _oracle_iso, "equivalence vs. brute-force isomorphism on finite groups",
+         ["left", "right"]),
+        ("purity", _oracle_purity, "purity of all cyclic subgroups of a realized finite group",
+         ["spec"]),
+    ):
+        q = _leaf(checks, name, handler, summary, *positionals)
+        q.add_argument("--order-bound", type=int, default=2**16, dest="order_bound",
+                       help="largest finite group the oracle will realize (default 65536)")
     return parser
+
+
+def _bound_error(args: argparse.Namespace) -> str | None:
+    """The first flag outside its bounds, as a message; None if all hold."""
+    for name, low in _LOWER_BOUNDS:
+        if getattr(args, name, low) < low:
+            return f"--{name.replace('_', '-')} must be >= {low}"
+    if getattr(args, "window", 0) > MAX_WINDOW:
+        return f"--window must be <= {MAX_WINDOW}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
-def _classify(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _classify(args: argparse.Namespace) -> dict:
     spec = parse_spec(args.spec)
     verdict = has_sb(spec)
     cls = stability_class(spec)
@@ -201,7 +184,7 @@ def _classify(args: argparse.Namespace, cfg: CliConfig) -> dict:
     }
 
 
-def _invariants(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _invariants(args: argparse.Namespace) -> dict:
     spec = parse_spec(args.spec)
     preds = basic_predicates(spec)
     return {
@@ -213,7 +196,7 @@ def _invariants(args: argparse.Namespace, cfg: CliConfig) -> dict:
     }
 
 
-def _eq(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _eq(args: argparse.Namespace) -> dict:
     left, right = parse_spec(args.left), parse_spec(args.right)
     return {
         "left": str(left),
@@ -222,7 +205,7 @@ def _eq(args: argparse.Namespace, cfg: CliConfig) -> dict:
     }
 
 
-def _iso(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _iso(args: argparse.Namespace) -> dict:
     left, right = parse_spec(args.left), parse_spec(args.right)
     return {
         "left": str(left),
@@ -231,7 +214,7 @@ def _iso(args: argparse.Namespace, cfg: CliConfig) -> dict:
     }
 
 
-def _witness(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _witness(args: argparse.Namespace) -> dict:
     spec = parse_spec(args.spec)
     verdict = has_sb(spec)
     if verdict.has_sb:
@@ -240,12 +223,14 @@ def _witness(args: argparse.Namespace, cfg: CliConfig) -> dict:
             "omega-stable); bi-embeddable models are isomorphic, so no "
             "witness pair exists"
         )
+    # checked before the route: a forced --route must not reach a builder
+    # that would blame a narrower precondition
+    if verdict.route is WitnessRoute.EXTERNAL_NON_SUPERSTABLE:
+        raise NotApplicableError(verdict.reason)
     if args.route == "auto":
         route = verdict.route
     else:
         route = WitnessRoute.PADIC_WITNESS if args.route == "padic" else WitnessRoute.SOCLE_WITNESS
-    if route is WitnessRoute.EXTERNAL_NON_SUPERSTABLE:
-        raise NotApplicableError(verdict.reason)
     # imported here so that every other command starts without them; the
     # builder is looked up on its module at call time, so that a wrapper
     # installed on the module (a tracer, a test double) applies
@@ -254,28 +239,28 @@ def _witness(args: argparse.Namespace, cfg: CliConfig) -> dict:
 
         built = witness_padic.mixed_group_witness(
             spec,
-            seed=cfg.seed,
-            max_exponent=cfg.degree,
-            height_bound=cfg.height,
-            precision=cfg.precision,
+            seed=args.seed,
+            max_exponent=args.degree,
+            height_bound=args.height,
+            precision=args.precision,
         ).to_json()
     else:
         from . import witness_socle
 
         built = witness_socle.reduce_unbounded_torsion(
             spec,
-            width=cfg.window,
-            seed=cfg.seed,
-            max_exponent=cfg.degree,
-            height_bound=cfg.height,
-            threshold=cfg.threshold,
+            width=args.window,
+            seed=args.seed,
+            max_exponent=args.degree,
+            height_bound=args.height,
+            threshold=args.threshold,
         ).to_json()
     return {"spec": str(spec), "route": route.value, "witness": built}
 
 
-def _oracle_ulm(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _oracle_ulm(args: argparse.Namespace) -> dict:
     spec = parse_spec(args.spec)
-    group = realize(spec, order_bound=cfg.order_bound)
+    group = realize(spec, order_bound=args.order_bound)
     checked = []
     agree = True
     for p, depth in sorted(factorize(group.exponent).items()) or [(2, 0)]:
@@ -287,16 +272,18 @@ def _oracle_ulm(args: argparse.Namespace, cfg: CliConfig) -> dict:
             checked.append({"p": p, "layer": i, "brute": brute,
                             "symbolic": str(symbolic)})
             agree = agree and symbolic.is_finite and symbolic.value == brute
-    return {"spec": str(spec), "order": group.order, "agree": agree, "layers": checked}
+    return {"check": "ulm", "spec": str(spec), "order": group.order, "agree": agree,
+            "layers": checked}
 
 
-def _oracle_iso(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _oracle_iso(args: argparse.Namespace) -> dict:
     left, right = parse_spec(args.left), parse_spec(args.right)
-    g = realize(left, order_bound=cfg.order_bound)
-    h = realize(right, order_bound=cfg.order_bound)
+    g = realize(left, order_bound=args.order_bound)
+    h = realize(right, order_bound=args.order_bound)
     brute = iso_finite_bruteforce(g, h)
     symbolic = elementarily_equivalent(left, right)
     return {
+        "check": "iso",
         "left": str(left),
         "right": str(right),
         "equivalent_symbolic": symbolic,
@@ -305,9 +292,9 @@ def _oracle_iso(args: argparse.Namespace, cfg: CliConfig) -> dict:
     }
 
 
-def _oracle_purity(args: argparse.Namespace, cfg: CliConfig) -> dict:
+def _oracle_purity(args: argparse.Namespace) -> dict:
     spec = parse_spec(args.spec)
-    group = realize(spec, order_bound=min(cfg.order_bound, 512))
+    group = realize(spec, order_bound=min(args.order_bound, 512))
     pure, impure, samples = 0, 0, []
     seen: set[frozenset] = set()
     for g in group.elements():
@@ -320,6 +307,7 @@ def _oracle_purity(args: argparse.Namespace, cfg: CliConfig) -> dict:
         if not ok and len(samples) < 3:
             samples.append({"generator": list(g), "order": len(sub)})
     return {
+        "check": "purity",
         "spec": str(spec),
         "order": group.order,
         "cyclic_subgroups": pure + impure,
@@ -327,26 +315,6 @@ def _oracle_purity(args: argparse.Namespace, cfg: CliConfig) -> dict:
         "impure": impure,
         "impure_examples": samples,
     }
-
-
-def _oracle(args: argparse.Namespace, cfg: CliConfig) -> dict:
-    handlers: Mapping[str, Callable] = {
-        "ulm": _oracle_ulm,
-        "iso": _oracle_iso,
-        "purity": _oracle_purity,
-    }
-    body = handlers[args.check](args, cfg)
-    return {"check": args.check, **body}
-
-
-_HANDLERS: Mapping[str, Callable[[argparse.Namespace, CliConfig], dict]] = {
-    "classify": _classify,
-    "invariants": _invariants,
-    "eq": _eq,
-    "iso": _iso,
-    "witness": _witness,
-    "oracle": _oracle,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +335,8 @@ def _render_text(payload: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _render(payload: dict, cfg: CliConfig) -> str:
-    if cfg.fmt == "json":
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return "\n".join(_render_text(payload)) + "\n"
 
@@ -379,30 +347,15 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return EXIT_OK if stop.code in (0, None) else EXIT_USAGE
-    cfg = CliConfig(
-        precision=args.precision,
-        degree=args.degree,
-        height=args.height,
-        window=args.window,
-        threshold=args.threshold,
-        seed=args.seed,
-        order_bound=args.order_bound,
-        fmt=args.fmt,
-        out=args.out,
-    )
-    try:
-        cfg.validate()
-    except ValueError as bad:
-        print(f"sb-abelian: {bad}", file=sys.stderr)
+    refused = _bound_error(args)
+    if refused:
+        print(f"sb-abelian: {refused}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        body = _HANDLERS[args.command](args, cfg)
+        body = args.handler(args)
         # rendering can fail too: an integer past Python's 4300-digit
         # int-to-str limit raises ValueError, which exits 2 like bad input
-        rendered = _render({"schema": SCHEMA, "command": args.command, **body}, cfg)
-    except SpecSyntaxError as bad:
-        print(f"sb-abelian: {bad}", file=sys.stderr)
-        return EXIT_USAGE
+        rendered = _render({"schema": SCHEMA, "command": args.command, **body}, args.fmt)
     except _PRECONDITION_ERRORS as bad:
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -413,12 +366,12 @@ def run_cli(argv: list[str] | None = None) -> int:
         # remaining ValueErrors are malformed inputs (bad primes, bounds, ...)
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as bad:
-            print(f"sb-abelian: cannot write {cfg.out}: {bad.strerror or bad}", file=sys.stderr)
+            print(f"sb-abelian: cannot write {args.out}: {bad.strerror or bad}", file=sys.stderr)
             return EXIT_USAGE
     else:
         sys.stdout.write(rendered)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding, p_valuation
 
@@ -66,8 +66,6 @@ __all__ = [
     "socle",
     "m_split",
     "split_reduced_divisible",
-    "spec_to_json",
-    "spec_from_json",
 ]
 
 
@@ -139,10 +137,6 @@ class Cardinal:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "value": self.value}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Cardinal":
-        return cls(data["kind"], data["value"])
 
 
 ALEPH0 = Cardinal.aleph(0)
@@ -221,17 +215,6 @@ class PrimeSet:
             return "all" if not self.primes else "all\\{%s}" % listed
         return "{%s}" % listed
 
-    def to_json(self) -> dict:
-        if self.complement:
-            return {"kind": "cofinite", "excluded": sorted(self.primes)}
-        return {"kind": "explicit", "primes": sorted(self.primes)}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PrimeSet":
-        if data["kind"] == "cofinite":
-            return cls.cofinite(data["excluded"])
-        return cls.explicit(data["primes"])
-
 
 ALL_PRIMES = PrimeSet.cofinite()
 
@@ -247,9 +230,6 @@ class Summand:
     _rank: int = -1
 
     def sort_key(self) -> tuple:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -276,9 +256,6 @@ class Cyclic(Summand):
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
 
-    def to_json(self) -> dict:
-        return {"kind": "cyclic", "p": self.p, "k": self.k}
-
 
 @dataclass(frozen=True)
 class Prufer(Summand):
@@ -296,9 +273,6 @@ class Prufer(Summand):
     def __str__(self) -> str:
         return f"Prufer({self.p})"
 
-    def to_json(self) -> dict:
-        return {"kind": "prufer", "p": self.p}
-
 
 @dataclass(frozen=True)
 class Rationals(Summand):
@@ -311,9 +285,6 @@ class Rationals(Summand):
 
     def __str__(self) -> str:
         return "Q"
-
-    def to_json(self) -> dict:
-        return {"kind": "rationals"}
 
 
 @dataclass(frozen=True)
@@ -331,9 +302,6 @@ class PAdicComplete(Summand):
 
     def __str__(self) -> str:
         return f"Zhat({self.p})"
-
-    def to_json(self) -> dict:
-        return {"kind": "padic", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -354,9 +322,6 @@ class CyclicPrimeFamily(Summand):
     def __str__(self) -> str:
         return f"sumP({self.primes}; Z/p^{self.k})"
 
-    def to_json(self) -> dict:
-        return {"kind": "cyclic_prime_family", "primes": self.primes.to_json(), "k": self.k}
-
 
 @dataclass(frozen=True)
 class PAdicPrimeFamily(Summand):
@@ -370,9 +335,6 @@ class PAdicPrimeFamily(Summand):
 
     def __str__(self) -> str:
         return f"sumP({self.primes}; Zhat)"
-
-    def to_json(self) -> dict:
-        return {"kind": "padic_prime_family", "primes": self.primes.to_json()}
 
 
 @dataclass(frozen=True)
@@ -404,30 +366,6 @@ class CyclicExponentFamily(Summand):
             return f"sumK({self.p}; all)"
         listed = ",".join(str(k) for k in sorted(self.exponents))
         return f"sumK({self.p}; {{{listed}}})"
-
-    def to_json(self) -> dict:
-        exps = "all" if self.exponents is None else sorted(self.exponents)
-        return {"kind": "cyclic_exponent_family", "p": self.p, "exponents": exps}
-
-
-def _summand_from_json(data: Mapping) -> Summand:
-    kind = data["kind"]
-    if kind == "cyclic":
-        return Cyclic(data["p"], data["k"])
-    if kind == "prufer":
-        return Prufer(data["p"])
-    if kind == "rationals":
-        return Rationals()
-    if kind == "padic":
-        return PAdicComplete(data["p"])
-    if kind == "cyclic_prime_family":
-        return CyclicPrimeFamily(PrimeSet.from_json(data["primes"]), data["k"])
-    if kind == "padic_prime_family":
-        return PAdicPrimeFamily(PrimeSet.from_json(data["primes"]))
-    if kind == "cyclic_exponent_family":
-        exps = data["exponents"]
-        return CyclicExponentFamily(data["p"], None if exps == "all" else frozenset(exps))
-    raise ValueError(f"unknown summand kind {kind!r}")
 
 
 Entry = tuple[Summand, Cardinal]
@@ -474,9 +412,6 @@ class GroupSpec:
             else:
                 parts.append(f"{fam}^{mult}")
         return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return spec_to_json(self)
 
 
 def _expand(family: Summand, mult: Cardinal) -> Iterator[Entry]:
@@ -750,15 +685,25 @@ class _Parser:
             return PrimeSet.explicit(members)
         raise self.error("expected a prime set")
 
-    def expset(self) -> frozenset[int] | None:
+    def exponent(self, p: int) -> int:
+        """An exponent k with p**k below ``EXACT_BOUND``, the bound on a Z/ modulus."""
+        self.skip_ws()
+        at = self.pos
+        k = self.nat()
+        # p >= 2, so an exponent past the bound's bit length overshoots it
+        if k >= EXACT_BOUND.bit_length() or p**k >= EXACT_BOUND:
+            raise SpecSyntaxError(f"sumK exponent: {p}^k must be below {EXACT_BOUND}", at)
+        return k
+
+    def expset(self, p: int) -> frozenset[int] | None:
         self.skip_ws()
         if self.accept("all"):
             return None
         if self.accept("{"):
             at = self.pos
-            exps = [self.nat()]
+            exps = [self.exponent(p)]
             while self.accept(","):
-                exps.append(self.nat())
+                exps.append(self.exponent(p))
             self.expect("}")
             if any(k < 1 for k in exps):
                 raise SpecSyntaxError("exponents must be >= 1", at)
@@ -801,7 +746,7 @@ class _Parser:
         if self.accept("sumK("):
             p = self.prime("sumK prime")
             self.expect(";")
-            exps = self.expset()
+            exps = self.expset(p)
             self.expect(")")
             return [(CyclicExponentFamily(p, exps), _ONE)]
         raise self.error("expected a summand")
@@ -852,25 +797,3 @@ def parse_spec(text: str) -> GroupSpec:
     sb_abelian.groupspec.SpecSyntaxError: Zhat argument: 4 is not a prime number (at position 5)
     """
     return _Parser(text).spec()
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-# ---------------------------------------------------------------------------
-
-
-def spec_to_json(spec: GroupSpec) -> dict:
-    return {
-        "text": str(spec),
-        "entries": [
-            {"family": fam.to_json(), "mult": mult.to_json()} for fam, mult in spec.entries
-        ],
-    }
-
-
-def spec_from_json(data: Mapping) -> GroupSpec:
-    entries = [
-        (_summand_from_json(e["family"]), Cardinal.from_json(e["mult"]))
-        for e in data["entries"]
-    ]
-    return normalize(entries)

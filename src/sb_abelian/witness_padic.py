@@ -269,10 +269,6 @@ class PAdicWitnessPair:
     certificate: IndependenceCertificate
     attempts: int
 
-    def grid_contains(self, which: str, m: GridMonomial) -> bool:
-        check_grid(which)
-        return grid_allows(which, m.i, m.j)
-
     def membership(self, x: GridElement, which: str) -> bool:
         return grid_membership(x, which, self)
 

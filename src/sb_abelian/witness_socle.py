@@ -551,11 +551,6 @@ class SocleWitnessPair:
                 return vec
         return (1,) * self.window.rank(p)
 
-    def scalar_at(self, p: int, which: int) -> int:
-        if which not in (1, 2):
-            raise ValueError("which must be 1 or 2")
-        return self.scalars.at(p)[which - 1]
-
     # -- evaluation ---------------------------------------------------------
 
     def _tail_value(
@@ -656,10 +651,6 @@ class SocleWitnessPair:
         return x
 
     # -- membership ----------------------------------------------------------
-
-    def grid_contains(self, which: str, i: int, j: int) -> bool:
-        check_grid(which)
-        return grid_allows(which, i, j)
 
     def membership(self, x: ProductElement, which: str) -> bool:
         return product_membership(x, which, self)

@@ -13,7 +13,6 @@ from sb_abelian.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     MAX_WINDOW,
-    CliConfig,
     main,
 )
 from sb_abelian.primes import EXACT_BOUND
@@ -208,13 +207,24 @@ def test_witness_errors_keep_their_exit_classes():
 
 @pytest.mark.parametrize("argv, needle", [
     (["witness", "sumP(all; Z/p^1)", "--route", "padic"], "no completion summand"),
-    (["witness", "Zhat(5)^w", "--route", "padic"], "infinite multiplicity"),
-    (["witness", "sumK(2; all)", "--route", "socle"], "unbounded exponents"),
-], ids=["NoKPartError", "UnsupportedMultiplicityError", "NotSuperstableError"])
+    (["witness", "sumP(all; Zhat)"], "ranging over a prime family"),
+], ids=["NoKPartError", "UnsupportedMultiplicityError"])
 def test_witness_precondition_errors_exit_3(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PRECONDITION and out == ""
     assert needle in err
+
+
+@pytest.mark.parametrize("route", ["auto", "padic", "socle"])
+@pytest.mark.parametrize("spec", ["Zhat(5)^w", "sumK(2; all)"])
+def test_witness_refuses_non_superstable_theory_on_every_route(capsys, spec, route):
+    # the classifier's verdict is checked before the route, so a forced route
+    # cannot blame the multiplicity (Zhat(5)^w) or reach the socle builder's
+    # own stability gate (sumK(2; all), whose NotSuperstableError stays
+    # library-only)
+    code, out, err = run(capsys, "witness", spec, "--route", route)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("sb-abelian: the theory is not superstable")
 
 
 def test_witness_certificate_failure_exits_4(capsys):
@@ -265,6 +275,28 @@ def test_oracle_order_bound(capsys):
     code, _, err = run(capsys, "oracle", "ulm", "Z/1024^2", "--order-bound", "1000")
     assert code == EXIT_BUDGET
     assert "exceeds bound" in err
+
+
+def test_oracle_flags_belong_to_the_check(capsys):
+    # the oracle level takes no flags; the check's own flags take effect
+    code, out, _ = run(capsys, "oracle", "--order-bound", "4", "ulm", "Z/8")
+    assert code == EXIT_USAGE and out == ""
+    code, out, err = run(capsys, "oracle", "ulm", "Z/8", "--order-bound", "4")
+    assert code == EXIT_BUDGET and out == "" and "exceeds bound" in err
+    assert run(capsys, "oracle", "--format", "text", "ulm", "Z/2")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("check", [["ulm", "Z/4"], ["iso", "Z/4", "Z/2 + Z/2"],
+                                   ["purity", "Z/4 + Z/2"]], ids=lambda c: c[0])
+def test_oracle_format_and_out_take_effect(tmp_path, capsys, check):
+    code, out, _ = run(capsys, "oracle", *check, "--format", "text")
+    assert code == EXIT_OK
+    lines = dict(line.split(" = ", 1) for line in out.strip().splitlines())
+    assert lines["check"] == check[0] and lines["command"] == "oracle"
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "oracle", *check, "--out", str(target))
+    assert code == EXIT_OK and out == ""
+    assert json.loads(target.read_text())["check"] == check[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +383,14 @@ def test_bad_grammar_exits_2(capsys):
     assert code == EXIT_USAGE and "position" in err
 
 
+@pytest.mark.parametrize("argv", [["classify", "Q"], ["invariants", "Q"], ["eq", "Q", "Q"],
+                                  ["iso", "Q", "Q"]], ids=lambda argv: argv[0])
+def test_search_flags_are_refused_off_witness(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --seed 1" in err
+
+
 def test_bad_flag_value_exits_2(capsys):
     assert run(capsys, "classify", "Q", "--precision", "0")[0] == EXIT_USAGE
     assert run(capsys, "eq", "Q", "Q", "--format", "yaml")[0] == EXIT_USAGE
@@ -365,12 +405,21 @@ def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == EXIT_OK
 
 
-def test_config_validation():
-    CliConfig().validate()
-    with pytest.raises(ValueError, match="window"):
-        CliConfig(window=0).validate()
-    CliConfig(window=MAX_WINDOW).validate()
-    with pytest.raises(ValueError, match="window"):
-        CliConfig(window=MAX_WINDOW + 1).validate()
-    with pytest.raises(ValueError, match="format"):
-        CliConfig(fmt="yaml").validate()
+def test_config_validation(capsys):
+    argv = ["witness", "sumP(all; Z/p^1)", "--degree", "1", "--height", "1"]
+    code, out, err = run(capsys, *argv, "--window", "0")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "sb-abelian: --window must be >= 1\n"
+    assert run(capsys, *argv, "--window", str(MAX_WINDOW))[0] == EXIT_OK
+    code, out, err = run(capsys, *argv, "--window", str(MAX_WINDOW + 1))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"sb-abelian: --window must be <= {MAX_WINDOW}\n"
+    code, out, err = run(capsys, "classify", "Q", "--format", "yaml")
+    assert code == EXIT_USAGE and out == ""
+    assert "invalid choice: 'yaml'" in err
+    # --degree 0 is a valid bound; the lower bounds are named in the message
+    assert run(capsys, *argv, "--window", "10", "--degree", "0")[0] == EXIT_OK
+    code, _, err = run(capsys, *argv, "--degree", "-1")
+    assert code == EXIT_USAGE and err == "sb-abelian: --degree must be >= 0\n"
+    code, _, err = run(capsys, "oracle", "ulm", "Z/2", "--order-bound", "0")
+    assert code == EXIT_USAGE and err == "sb-abelian: --order-bound must be >= 1\n"

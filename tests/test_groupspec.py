@@ -22,8 +22,6 @@ from sb_abelian.groupspec import (
     normalize,
     parse_spec,
     socle,
-    spec_from_json,
-    spec_to_json,
     split_reduced_divisible,
 )
 from sb_abelian.finite_oracle import (
@@ -33,6 +31,7 @@ from sb_abelian.finite_oracle import (
     socle_multiplicities_bruteforce,
     subgroup_closure,
 )
+from sb_abelian.primes import EXACT_BOUND
 
 from _gen import random_spec, random_entries
 
@@ -135,6 +134,17 @@ def test_overlong_digit_string_reports_its_start():
         assert exc.value.position == at, text
     # 4300 digits is still a number (here a multiplicity)
     assert str(parse_spec("Q^" + "1" * 4300)).startswith("Q^111")
+
+
+def test_sumK_exponent_is_bounded_like_a_modulus():
+    # sumK(p; {k}) is Z/p^k, so p^k must stay below EXACT_BOUND
+    assert str(parse_spec("sumK(2; {81})")) == f"Z/{2**81}"
+    assert str(parse_spec("sumK(3; {1, 51})")) == f"Z/3 + Z/{3**51}"
+    for text, at in [("sumK(2; {82})", 9), ("sumK(2; {1000000})", 9),
+                     ("sumK(3; {1, 52})", 12), ("sumK(5; {3, 99999999999999999999})", 12)]:
+        with pytest.raises(SpecSyntaxError, match=f"must be below {EXACT_BOUND}") as exc:
+            parse_spec(text)
+        assert exc.value.position == at, text
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +361,6 @@ def test_crt_soundness_all_modulus_up_to_256():
     for n in range(2, 257):
         spec = parse_spec(f"Z/{n}")
         assert iso_finite_bruteforce(realize(spec), FiniteAbelianGroup((n,))), n
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=60)
-@given(st.integers(0, 10**9))
-def test_spec_json_roundtrip(seed):
-    import random
-
-    spec = random_spec(random.Random(seed))
-    assert spec_from_json(spec_to_json(spec)) == spec
 
 
 def test_prime_set_algebra():

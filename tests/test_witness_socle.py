@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sb_abelian.classify import NotApplicableError
 from sb_abelian.groupspec import PrimeSet, parse_spec
+from sb_abelian.relations import grid_allows
 from sb_abelian.witness_socle import (
     AutomorphismPair,
     BasePointError,
@@ -320,7 +321,7 @@ def test_apply_scalar_then_unit_inverse_is_identity_on_evaluations():
     x = random_socle_member(WIT, rng)
     y = x.apply_scalar(1)
     for p in WIT.window.primes:
-        inv = pow(WIT.scalar_at(p, 1), -1, p)
+        inv = pow(WIT.scalars.at(p)[0], -1, p)
         assert tuple(inv * v % p for v in y.evaluate(p)) == x.evaluate(p)
 
 
@@ -423,10 +424,14 @@ def test_membership_rejects_non_canonical_elements():
 
 
 def test_grid_contains_shapes():
-    assert WIT.grid_contains("H1", 0, 5)
-    assert not WIT.grid_contains("H2", 0, 5)
-    assert WIT.grid_contains("H2", 0, 0)
-    assert WIT.grid_contains("H2", 4, 2)
+    assert grid_allows("H1", 0, 5)
+    assert not grid_allows("H2", 0, 5)
+    assert grid_allows("H2", 0, 0)
+    assert grid_allows("H2", 4, 2)
+    # membership follows the same grids
+    assert product_membership(WIT.grid_point(0, 5), "H1")
+    assert not product_membership(WIT.grid_point(0, 5), "H2")
+    assert product_membership(WIT.grid_point(4, 2), "H2")
 
 
 # ---------------------------------------------------------------------------

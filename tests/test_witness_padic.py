@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -284,6 +286,24 @@ def test_elementary_matrix_probe(pair):
     assert probe["levels"] == 40
     assert elementary_matrix_probe(pair, seed=3) == probe  # deterministic
     json.dumps(probe)
+
+
+# sha256 of the probe outputs below, recorded from the inverse-tower
+# implementation; a rewrite of the inverse must keep every draw and result.
+PROBE_DIGEST = "485759504c2fdc867026665fe1bd1f696a4093c191a7cc33a5d2ed266a7c9daa"
+
+
+def test_elementary_matrix_probe_output_is_pinned():
+    probes = [
+        elementary_matrix_probe(SimpleNamespace(p=p, k=k, precision=n), seed=s)
+        for p in (2, 3, 5, 7, 101)
+        for k in range(1, 5)
+        for n in (1, 2, 3, 7, 40)
+        for s in range(6)
+    ]
+    assert all(probe["identity_at_all_levels"] for probe in probes)
+    digest = hashlib.sha256(json.dumps(probes, sort_keys=True).encode()).hexdigest()
+    assert digest == PROBE_DIGEST
 
 
 def test_multi_prime_witness():

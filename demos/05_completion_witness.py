@@ -12,7 +12,7 @@ import json
 import random
 from fractions import Fraction
 
-from sb_abelian.padic import PAdicLazy
+from sb_abelian.padic import PAdicApprox, PAdicLazy
 from sb_abelian.witness_padic import (
     GridElement,
     GridMonomial,
@@ -51,16 +51,16 @@ y = x.shift(1, 0) - x.scale(r)          # (unit1 - r)*x is divisible by 5
 fifth = y.scale(Fraction(1, 5))
 print(f"  (unit1 - {r})*x / 5 still in H1: {w.membership(fifth, 'H1')}")
 
-# any recorded embedding is a compatible tower of matrices mod 5^n;
-# the probe checks inverse towers multiply to the identity at every level
+# any recorded embedding is a matrix A mod 5^N; the probe inverts a sample
+# once and checks that A B and B A are the identity mod 5^n for every n <= N
 probe = elementary_matrix_probe(w, seed=3)
-print(f"\nmatrix tower probe: identity at all {probe['levels']} levels: "
+print(f"\nmatrix inverse probe: identity at all {probe['levels']} levels: "
       f"{probe['identity_at_all_levels']}")
 
 # rationals with 5-free denominators embed with their divisibility intact
 third = PAdicLazy.from_rational(5, 1, 3)
 print(f"\n1/3 as a 5-adic integer: {third.truncate(6)} "
-      f"(times 3: {(third.truncate(6).scale(3))})")
+      f"(times 3: {PAdicApprox.of(3 * third.truncate(6).residue, 5, 6)})")
 
 print("\nwitness descriptor (abridged):")
 payload = w.to_json()

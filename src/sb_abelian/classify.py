@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .groupspec import (
+    _MAX_DIGITS,
     ALEPH0,
     Cardinal,
     Cyclic,
@@ -213,7 +214,9 @@ def connected_component_index(spec: GroupSpec) -> int | Continuum:
     p**((k - K_p) * U(p, k)) for k > K_p, where K_p is the largest k with
     U(p, k) infinite (0 if there is none): at each p, G[p**K_p] + p**N G for
     N beyond every finite exponent has that index and lies in every definable
-    subgroup of finite index.  Any other theory has index continuum.
+    subgroup of finite index.  Any other theory has index continuum.  An
+    index of more than 4300 digits, which could not be printed, raises
+    ValueError before it is computed.
 
     >>> from sb_abelian.groupspec import parse_spec
     >>> connected_component_index(parse_spec("Z/2^3 + Q"))
@@ -225,11 +228,16 @@ def connected_component_index(spec: GroupSpec) -> int | Continuum:
     """
     if stability_class(spec) is not StabilityClass.OMEGA_STABLE:
         return CONTINUUM
-    index = 1
+    exponents = {}
     for p, rec in szmielew_invariants(spec).primes:
         top = max((k for k, u in rec.ulm if u == ALEPH0), default=0)
-        index *= math.prod(p ** ((k - top) * u.value) for k, u in rec.ulm if k > top)
-    return index
+        exponents[p] = sum((k - top) * u.value for k, u in rec.ulm if k > top)
+    if sum(e * math.log10(p) for p, e in exponents.items()) >= _MAX_DIGITS:
+        shown = " * ".join(f"{p}^{e}" for p, e in exponents.items() if e)
+        raise ValueError(
+            f"connected component index {shown} has more than {_MAX_DIGITS} digits"
+        )
+    return math.prod(p**e for p, e in exponents.items())
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ seen through its residue mod p**N.  The classes keep the bookkeeping honest —
 valuations are reported as an exact number or as the symbol "at least N",
 never guessed past the precision.
 
-* :class:`PAdicApprox` — immutable residue mod p**N with ring operations,
-  unit inverse and valuation.
+* :class:`PAdicApprox` — immutable residue mod p**N with its valuation;
+  arithmetic on it is plain integer arithmetic on ``residue``.
 * :class:`PAdicLazy` — a p-adic integer given by a deterministic digit
-  stream (seeded, integer, rational, or derived), truncatable to any
+  stream (seeded unit, integer, rational, or derived), truncatable to any
   precision.  Digit prefixes are cached.
-* :class:`MatrixModPk` / :func:`matrix_limit_inverse` — square matrices mod
-  p**N and a compatible tower of inverses lifted level by level.
+* :func:`matrix_inverse_mod` / :func:`matrix_product_mod` — the inverse of
+  a square integer matrix mod p**N, lifted from mod p by Newton steps; it
+  reduces to the inverse mod p**n at every level n <= N.
 * :class:`IntPolynomial2` / :func:`independence_certificate` — two-variable
   integer polynomials and an exhaustive bounded search (run by
   :mod:`.relations`) certifying that two units satisfy no small polynomial
@@ -21,7 +22,7 @@ never guessed past the precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .primes import ensure_prime, p_valuation
 from .relations import BudgetExceeded, first_relation, monomials, search_space, seeded_rng
@@ -32,24 +33,24 @@ __all__ = [
     "DEFAULT_INDEPENDENCE_BUDGET",
     "IndependenceCertificate",
     "IntPolynomial2",
-    "MatrixModPk",
     "NonUnitError",
     "PAdicApprox",
     "PAdicLazy",
     "PrecisionMismatch",
     "SingularModP",
     "independence_certificate",
-    "matrix_limit_inverse",
+    "matrix_inverse_mod",
+    "matrix_product_mod",
     "valuation_at_least",
 ]
 
 
 class PrecisionMismatch(ValueError):
-    """Operands live at different primes or precisions."""
+    """Values live at different primes or precisions."""
 
 
 class NonUnitError(ArithmeticError):
-    """Inverse requested for an element divisible by p."""
+    """A value that must be a p-adic unit is divisible by p."""
 
 
 class SingularModP(ArithmeticError):
@@ -102,74 +103,15 @@ class PAdicApprox:
     def of(cls, value: int, p: int, precision: int) -> "PAdicApprox":
         return cls(p, precision, value % p**precision)
 
-    @classmethod
-    def zero(cls, p: int, precision: int) -> "PAdicApprox":
-        return cls(p, precision, 0)
-
-    @classmethod
-    def one(cls, p: int, precision: int) -> "PAdicApprox":
-        return cls.of(1, p, precision)
-
     @property
     def modulus(self) -> int:
         return self.p**self.precision
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def _check(self, other: "PAdicApprox") -> None:
-        if (self.p, self.precision) != (other.p, other.precision):
-            raise PrecisionMismatch(
-                f"cannot combine mod {self.p}^{self.precision} "
-                f"with mod {other.p}^{other.precision}"
-            )
-
-    def __add__(self, other: "PAdicApprox") -> "PAdicApprox":
-        self._check(other)
-        return PAdicApprox.of(self.residue + other.residue, self.p, self.precision)
-
-    def __sub__(self, other: "PAdicApprox") -> "PAdicApprox":
-        self._check(other)
-        return PAdicApprox.of(self.residue - other.residue, self.p, self.precision)
-
-    def __mul__(self, other: "PAdicApprox") -> "PAdicApprox":
-        self._check(other)
-        return PAdicApprox.of(self.residue * other.residue, self.p, self.precision)
-
-    def __neg__(self) -> "PAdicApprox":
-        return PAdicApprox.of(-self.residue, self.p, self.precision)
-
-    def __pow__(self, exponent: int) -> "PAdicApprox":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return PAdicApprox(
-            self.p, self.precision, pow(self.residue, exponent, self.modulus)
-        )
-
-    def scale(self, n: int) -> "PAdicApprox":
-        """Multiply by an ordinary integer."""
-        return PAdicApprox.of(self.residue * n, self.p, self.precision)
-
-    def inverse(self) -> "PAdicApprox":
-        if not self.is_unit:
-            raise NonUnitError(f"{self.residue} is divisible by {self.p}")
-        return PAdicApprox(
-            self.p, self.precision, pow(self.residue, -1, self.modulus)
-        )
 
     def valuation(self) -> "int | AtLeast":
         """Exact p-valuation when visible, else ``AtLeast(precision)``."""
         if self.residue == 0:
             return AtLeast(self.precision)
         return p_valuation(self.residue, self.p)
-
-    def reduce_to(self, precision: int) -> "PAdicApprox":
-        if precision > self.precision:
-            raise PrecisionMismatch(
-                f"cannot raise precision {self.precision} to {precision}"
-            )
-        return PAdicApprox.of(self.residue, self.p, precision)
 
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.p}^{self.precision})"
@@ -204,18 +146,13 @@ class PAdicLazy:
         self._prefix: list[int] = [0]  # _prefix[i] = residue mod p**i
 
     @classmethod
-    def from_seed(cls, p: int, seed: int, unit: bool = True) -> "PAdicLazy":
-        """Deterministic pseudorandom digit stream for the given seed.
-
-        With ``unit=True`` (the default) the constant digit is forced
-        nonzero so the value is invertible.
-        """
+    def from_seed(cls, p: int, seed: int) -> "PAdicLazy":
+        """Deterministic pseudorandom unit for the given seed: the constant
+        digit is drawn nonzero, every later digit uniformly."""
         rng = seeded_rng(f"padic-digits:{p}:{seed}")
 
         def digit(i: int) -> int:
-            if i == 0 and unit:
-                return 1 + rng.randrange(p - 1)
-            return rng.randrange(p)
+            return rng.randrange(p) if i else 1 + rng.randrange(p - 1)
 
         return cls(p, digit, f"seeded({seed})", seed=seed)
 
@@ -274,144 +211,56 @@ class PAdicLazy:
 
 
 # ---------------------------------------------------------------------------
-# matrices mod p**N and inverse towers
+# matrices mod p**N
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixModPk:
-    """A square matrix over Z/p**precision."""
-
-    p: int
-    precision: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        ensure_prime(self.p, "matrix base")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        k = len(self.rows)
-        if k == 0 or any(len(row) != k for row in self.rows):
-            raise ValueError("matrix must be square and nonempty")
-        m = self.modulus
-        if any(not 0 <= e < m for row in self.rows for e in row):
-            raise ValueError("entries out of range; use MatrixModPk.of")
-
-    @classmethod
-    def of(
-        cls, rows: Iterable[Iterable[int]], p: int, precision: int
-    ) -> "MatrixModPk":
-        m = p**precision
-        return cls(p, precision, tuple(tuple(e % m for e in row) for row in rows))
-
-    @classmethod
-    def identity(cls, size: int, p: int, precision: int) -> "MatrixModPk":
-        return cls.of(
-            [[1 if i == j else 0 for j in range(size)] for i in range(size)],
-            p,
-            precision,
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
-    def __matmul__(self, other: "MatrixModPk") -> "MatrixModPk":
-        if (self.p, self.precision) != (other.p, other.precision):
-            raise PrecisionMismatch("matrix product needs matching p and precision")
-        if self.size != other.size:
-            raise ValueError("matrix sizes differ")
-        m = self.modulus
-        k = self.size
-        cols = list(zip(*other.rows))
-        return MatrixModPk(
-            self.p,
-            self.precision,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % m for col in cols)
-                for row in self.rows
-            ),
-        )
-
-    def is_identity(self) -> bool:
-        return self == MatrixModPk.identity(self.size, self.p, self.precision)
-
-    def reduce_to(self, precision: int) -> "MatrixModPk":
-        if precision > self.precision:
-            raise PrecisionMismatch(
-                f"cannot raise precision {self.precision} to {precision}"
-            )
-        return MatrixModPk.of(self.rows, self.p, precision)
+def matrix_product_mod(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int
+) -> list[list[int]]:
+    """The product of two integer matrices, reduced mod ``modulus``."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % modulus for col in cols] for row in a]
 
 
-def _invert_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Gauss-Jordan inverse over the field Z/p; raises SingularModP."""
+def matrix_inverse_mod(
+    rows: Sequence[Sequence[int]], p: int, precision: int
+) -> list[list[int]]:
+    """Inverse of a square integer matrix mod p**precision, entries reduced.
+
+    Gauss-Jordan over Z/p gives the inverse mod p (or raises
+    :class:`SingularModP`); each Newton step b <- b (2I - ab) then doubles
+    the precision.  Reduced mod p**n, the result is the inverse of ``rows``
+    mod p**n at every level n <= precision.
+    """
+    ensure_prime(p, "matrix base")
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
     k = len(rows)
-    a = [row[:] + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(rows)]
+    if k == 0 or any(len(row) != k for row in rows):
+        raise ValueError("matrix must be square and nonempty")
+    a = [[e % p for e in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] % p != 0), None)
+        pivot = next((r for r in range(col, k) if a[r][col]), None)
         if pivot is None:
             raise SingularModP(f"matrix has no inverse modulo {p}")
         a[col], a[pivot] = a[pivot], a[col]
         inv = pow(a[col][col], -1, p)
         a[col] = [e * inv % p for e in a[col]]
         for r in range(k):
-            if r != col and a[r][col] % p:
+            if r != col and a[r][col]:
                 factor = a[r][col]
                 a[r] = [(e - factor * c) % p for e, c in zip(a[r], a[col])]
-    return [row[k:] for row in a]
-
-
-def matrix_limit_inverse(a_seq: Sequence[MatrixModPk]) -> list[MatrixModPk]:
-    """Inverse tower for a compatible sequence of matrices mod p, p^2, ...
-
-    ``a_seq[n-1]`` must have precision n and reduce to ``a_seq[m-1]`` for
-    m <= n.  Returns ``b_seq`` of the same shape with
-    ``a_seq[n-1] @ b_seq[n-1]`` and ``b_seq[n-1] @ a_seq[n-1]`` both the
-    identity at every level.  The base inverse is computed modulo p and then
-    lifted, doubling the precision each round.
-    """
-    if not a_seq:
-        raise ValueError("empty matrix sequence")
-    top = a_seq[-1]
-    depth = len(a_seq)
-    if top.precision != depth:
-        raise ValueError("sequence must have precisions 1..N in order")
-    for n, mat in enumerate(a_seq, start=1):
-        if (mat.p, mat.size) != (top.p, top.size):
-            raise PrecisionMismatch("sequence entries disagree on p or size")
-        if mat.precision != n:
-            raise ValueError("sequence must have precisions 1..N in order")
-        if top.reduce_to(n) != mat:
-            raise ValueError(f"sequence is not reduction-compatible at level {n}")
-
-    p, k = top.p, top.size
-    a_full = [list(row) for row in top.rows]
-    b = _invert_mod_p([list(row) for row in top.reduce_to(1).rows], p)
+    b = [row[k:] for row in a]
     reached = 1
-    while reached < depth:
-        reached = min(2 * reached, depth)
+    while reached < precision:
+        reached = min(2 * reached, precision)
         m = p**reached
-        # one lifting round: b <- b (2I - a b), exact Newton step mod p**reached
-        ab = [
-            [sum(a_full[i][t] * b[t][j] for t in range(k)) % m for j in range(k)]
-            for i in range(k)
-        ]
-        correction = [
-            [(2 if i == j else 0) - ab[i][j] for j in range(k)] for i in range(k)
-        ]
-        b = [
-            [
-                sum(b[i][t] * correction[t][j] for t in range(k)) % m
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-    return [MatrixModPk.of(b, p, n) for n in range(1, depth + 1)]
+        ab = matrix_product_mod(rows, b, m)
+        b = matrix_product_mod(
+            b, [[(2 if i == j else 0) - e for j, e in enumerate(row)] for i, row in enumerate(ab)], m
+        )
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +335,6 @@ class IntPolynomial2:
 
     def to_json(self) -> list[list[int]]:
         return [[i, j, c] for (i, j), c in self.terms]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "IntPolynomial2":
-        return cls.of({(i, j): c for i, j, c in data})
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ the first monomial varies slowest, each coefficient runs from -B to B.
 The monomials split into a high and a low half, each half's residues are
 tabulated once, and a vector vanishes exactly when its halves satisfy
 L = -R (Horowitz-Sahni), so the cost is two half tables plus one match per
-pair.  The module also holds the seeded RNG and the H1/H2 grid shapes that
-both witness routes share.
+pair.  The module also holds the seeded RNG, the H1/H2 grid shapes and the
+retry count that both witness routes share.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 from typing import NamedTuple, Sequence
 
 __all__ = [
-    "BudgetExceeded", "SCAN_BUDGET", "Survival", "check_grid", "first_relation",
+    "BudgetExceeded", "RETRIES", "SCAN_BUDGET", "Survival", "check_grid", "first_relation",
     "grid_allows", "monomials", "search_space", "seeded_rng", "survival_scan",
 ]
 
@@ -29,6 +29,7 @@ Vector = tuple[int, ...]
 SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
 _BLOCK = 1 << 20  # elements per comparison buffer in a socle scan
 GRID_NAMES = ("H1", "H2")
+RETRIES = 8  # seeded draws a witness route tries before it gives up
 
 
 class BudgetExceeded(RuntimeError):

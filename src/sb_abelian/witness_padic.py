@@ -41,16 +41,16 @@ from .groupspec import (
 from .padic import (
     AtLeast,
     IndependenceCertificate,
-    MatrixModPk,
     NonUnitError,
     PAdicLazy,
     SingularModP,
     independence_certificate,
-    matrix_limit_inverse,
+    matrix_inverse_mod,
+    matrix_product_mod,
     valuation_at_least,
 )
 from .primes import ensure_prime, p_valuation
-from .relations import BudgetExceeded, check_grid, grid_allows
+from .relations import RETRIES, BudgetExceeded, check_grid, grid_allows
 
 __all__ = [
     "CertificateFailed",
@@ -235,23 +235,6 @@ class GridElement:
             return f"{self.p}^-{self.t} * ({body})"
         return body
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "t": self.t,
-            "terms": [
-                [m.i, m.j, m.s, c.numerator, c.denominator] for m, c in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GridElement":
-        coeffs = {
-            GridMonomial(i, j, s): Fraction(num, den)
-            for i, j, s, num, den in data["terms"]
-        }
-        return cls.of(data["p"], coeffs, data["t"])
-
 
 # ---------------------------------------------------------------------------
 # the witness pair
@@ -308,9 +291,9 @@ def build_padic_witness(
     max_exponent: int = 2,
     height_bound: int = 2,
     precision: int = 40,
-    retries: int = 8,
 ) -> PAdicWitnessPair:
-    """Draw and certify a unit pair, retrying with fresh seeds on failure.
+    """Draw and certify a unit pair, with up to :data:`~.relations.RETRIES`
+    fresh seeds.
 
     The returned descriptor fixes (p, k, units, precision, certificate);
     all membership probes are made against it.
@@ -318,10 +301,8 @@ def build_padic_witness(
     ensure_prime(p, "witness prime")
     if k < 1:
         raise ValueError("need at least one coordinate (k >= 1)")
-    if retries < 1:
-        raise ValueError("need at least one attempt")
     last = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         base = seed + 1_000_003 * attempt
         unit1 = PAdicLazy.from_seed(p, 2 * base)
         unit2 = PAdicLazy.from_seed(p, 2 * base + 1)
@@ -337,7 +318,7 @@ def build_padic_witness(
                 attempts=attempt + 1,
             )
         last = cert
-    raise CertificateFailed(retries, last)
+    raise CertificateFailed(RETRIES, last)
 
 
 def grid_membership(x: GridElement, which: str, w: PAdicWitnessPair) -> bool:
@@ -393,7 +374,7 @@ def apply_scalar(
 
 
 def random_member(
-    w: PAdicWitnessPair, rng: random.Random, which: str = "H1", max_t: int = 3
+    w: PAdicWitnessPair, rng: random.Random, which: str = "H1"
 ) -> GridElement:
     """A seeded random element of H1 or H2 (used by probe transcripts).
 
@@ -411,7 +392,7 @@ def random_member(
                 break
         coeffs[m] = coeffs.get(m, Fraction(0)) + rng.randint(-3, 3)
     y = GridElement.of(w.p, coeffs)
-    t = rng.randint(0, max_t)
+    t = rng.randint(0, 3)
     if t == 0 or y.is_zero:
         return y
     r = w.unit1.truncate(t).residue
@@ -420,36 +401,32 @@ def random_member(
 
 
 def elementary_matrix_probe(w: PAdicWitnessPair, seed: int = 0) -> dict:
-    """Sample an invertible k x k matrix and verify its inverse tower.
+    """Sample an invertible k x k matrix A mod p^N and verify its inverse B.
 
-    Any finite-precision record of an embedding between the pair is a
-    compatible matrix sequence; this probe checks the machinery on a seeded
-    sample: the tower of reductions A mod p^n must invert levelwise, with
-    A_n B_n = B_n A_n = I for every n up to the working precision.
+    Any finite-precision record of an embedding between the pair is such a
+    matrix; this probe checks the machinery on a seeded sample: A B and B A
+    must be the identity mod p^n for every n up to the working precision N.
     """
     rng = random.Random(f"matrix-probe:{w.p}:{w.k}:{seed}")
     n, p, k = w.precision, w.p, w.k
     while True:
-        top = MatrixModPk.of(
-            [[rng.randrange(p**n) for _ in range(k)] for _ in range(k)], p, n
-        )
+        a = [[rng.randrange(p**n) for _ in range(k)] for _ in range(k)]
         try:
-            tower = [top.reduce_to(level) for level in range(1, n + 1)]
-            inverse_tower = matrix_limit_inverse(tower)
+            b = matrix_inverse_mod(a, p, n)
             break
         except SingularModP:
             continue
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
     checked = all(
-        (tower[i] @ inverse_tower[i]).is_identity()
-        and (inverse_tower[i] @ tower[i]).is_identity()
-        for i in range(n)
+        matrix_product_mod(a, b, p**level) == identity == matrix_product_mod(b, a, p**level)
+        for level in range(1, n + 1)
     )
     return {
         "p": p,
         "k": k,
         "levels": n,
-        "matrix": [list(row) for row in top.rows],
-        "inverse": [list(row) for row in inverse_tower[-1].rows],
+        "matrix": a,
+        "inverse": b,
         "identity_at_all_levels": checked,
     }
 

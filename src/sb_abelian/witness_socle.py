@@ -54,7 +54,9 @@ from .groupspec import (
     split_reduced_divisible,
 )
 from .primes import ensure_prime, factorize
-from .relations import BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan
+from .relations import (
+    RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan,
+)
 
 __all__ = [
     "AutomorphismPair",
@@ -346,10 +348,10 @@ def choose_scalars(
     height_bound: int = 2,
     threshold: int = 5,
     seed: int = 0,
-    retries: int = 8,
     diagonal_only: bool = False,
 ) -> tuple[AutomorphismPair, AvoidanceCertificate]:
-    """Draw per-prime unit scalar pairs until the avoidance check passes.
+    """Draw per-prime unit scalar pairs until the avoidance check passes, at
+    most :data:`~.relations.RETRIES` times.
 
     The check is exhaustive: every nonzero q with exponents <= max_exponent
     and |coefficients| <= height_bound must evaluate to something nonzero at
@@ -363,8 +365,6 @@ def choose_scalars(
         raise ValueError("height_bound must be >= 1")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if retries < 1:
-        raise ValueError("need at least one attempt")
     if threshold > window.width:
         raise ScalarSearchFailed(
             0, None, f"threshold {threshold} exceeds the window width {window.width}"
@@ -373,7 +373,7 @@ def choose_scalars(
     # varies slowest, so the scan runs over the monomials in reverse.
     pairs = monomials(max_exponent)[::-1]
     best: tuple[AutomorphismPair, AvoidanceCertificate] | None = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         first, second = zip(
             *(_draw_scalars(seed, attempt, p, diagonal_only) for p in window.primes)
         )
@@ -396,7 +396,7 @@ def choose_scalars(
             return pair, cert
         if best is None or cert.min_count > best[1].min_count:
             best = (pair, cert)
-    raise ScalarSearchFailed(retries, best[1] if best else None)
+    raise ScalarSearchFailed(RETRIES, best[1] if best else None)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +515,6 @@ class ProductElement:
 
         return w._assemble(tail, divided, w._den_primes(self) | killed)
 
-    def to_json(self) -> dict:
-        return {
-            "tail": [[i, j, c.numerator, c.denominator] for (i, j), c in self.tail],
-            "exceptions": [[p, list(vec)] for p, vec in self.exceptions],
-        }
-
 
 def _vec_add(a: Vector, b: Vector, p: int) -> Vector:
     return tuple((x + y) % p for x, y in zip(a, b))
@@ -637,19 +631,6 @@ class SocleWitnessPair:
                 exceptions.append((p, vec))
         return ProductElement(self, (), tuple(exceptions))
 
-    def element_from_json(self, data: Mapping) -> ProductElement:
-        tail = tuple(
-            ((int(i), int(j)), Fraction(int(num), int(den)))
-            for i, j, num, den in data.get("tail", ())
-        )
-        exceptions = tuple(
-            (int(p), tuple(int(v) for v in vec)) for p, vec in data.get("exceptions", ())
-        )
-        x = ProductElement(self, tail, exceptions)
-        if not x.is_canonical():
-            raise NonCanonicalError("serialized element is not in canonical form")
-        return x
-
     # -- membership ----------------------------------------------------------
 
     def membership(self, x: ProductElement, which: str) -> bool:
@@ -702,7 +683,6 @@ def build_socle_witness(
     max_exponent: int = 2,
     height_bound: int = 2,
     threshold: int = 5,
-    retries: int = 8,
     base_overrides: Mapping[int, Sequence[int]] | None = None,
 ) -> SocleWitnessPair:
     """Choose certified scalars and assemble the witness pair descriptor.
@@ -728,13 +708,12 @@ def build_socle_witness(
         height_bound=height_bound,
         threshold=threshold,
         seed=seed,
-        retries=retries,
     )
     return SocleWitnessPair(window, pair, cert, tuple(checked))
 
 
 def random_socle_member(
-    w: SocleWitnessPair, rng: random.Random, which: str = "H1", max_power: int = 3
+    w: SocleWitnessPair, rng: random.Random, which: str = "H1"
 ) -> ProductElement:
     """A random element of the designated subgroup, built from public ops."""
     check_grid(which)
@@ -745,8 +724,8 @@ def random_socle_member(
         if which == "H2" and rng.random() < 0.25:
             i, j = 0, 0
         else:
-            i = rng.randrange(1 if which == "H2" else 0, max_power + 1)
-            j = rng.randrange(0, max_power + 1)
+            i = rng.randrange(1 if which == "H2" else 0, 4)
+            j = rng.randrange(0, 4)
         term = w.grid_point(i, j).scale(rng.choice([-3, -2, -1, 1, 2, 3]))
         acc = acc + term.pseudo_divide(rng.choice(dens))
     if rng.random() < 0.5:
@@ -847,7 +826,6 @@ def reduce_unbounded_torsion(
     max_exponent: int = 2,
     height_bound: int = 2,
     threshold: int = 5,
-    retries: int = 8,
 ) -> ReductionOutcome:
     """Reduce a superstable description with unbounded reduced torsion to a
     socle witness.
@@ -927,7 +905,6 @@ def reduce_unbounded_torsion(
         max_exponent=max_exponent,
         height_bound=height_bound,
         threshold=threshold,
-        retries=retries,
     )
     transcript.append(
         {

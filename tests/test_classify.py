@@ -215,6 +215,16 @@ def test_connected_component_index_brute_force():
         assert connected_component_index(spec) == _index_bruteforce(factors), factors
 
 
+def test_connected_component_index_digit_limit():
+    # 2^14000 has 4215 digits; 2^20000 has 6021, past the 4300-digit limit
+    assert connected_component_index(parse_spec("Z/2^14000")) == 2**14000
+    with pytest.raises(ValueError, match=r"2\^20000 has more than 4300 digits"):
+        connected_component_index(parse_spec("Z/2^20000"))
+    # 10^4300 has 4301 digits
+    with pytest.raises(ValueError, match=r"2\^4300 \* 5\^4300"):
+        connected_component_index(parse_spec("Z/2^4300 + Z/5^4300"))
+
+
 def test_continuum_is_not_an_int():
     assert CONTINUUM != 1
     assert CONTINUUM == Continuum()

@@ -362,6 +362,14 @@ def test_unprintable_output_exits_2(capsys):
     assert err.startswith("sb-abelian: ") and "Traceback" not in err
 
 
+def test_component_index_past_the_digit_limit_exits_2(capsys):
+    code, out, err = run(capsys, "classify", "Z/2^20000")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "sb-abelian: connected component index 2^20000 has more than 4300 digits\n"
+    index = run_json(capsys, "classify", "Z/2^14000")["connected_component_index"]
+    assert index == 2**14000
+
+
 def test_overlong_number_exits_2_with_position(capsys):
     code, out, err = run(capsys, "classify", "Z/" + "9" * 5000)
     assert code == EXIT_USAGE and out == ""

@@ -8,41 +8,36 @@ from sb_abelian.padic import (
     AtLeast,
     BudgetExceeded,
     IntPolynomial2,
-    MatrixModPk,
     NonUnitError,
     PAdicApprox,
     PAdicLazy,
     PrecisionMismatch,
     SingularModP,
     independence_certificate,
-    matrix_limit_inverse,
+    matrix_inverse_mod,
+    matrix_product_mod,
     valuation_at_least,
 )
-from sb_abelian.primes import p_valuation
 
 
 # ---------------------------------------------------------------------------
-# fixed-precision arithmetic
+# fixed-precision residues
 # ---------------------------------------------------------------------------
-
-
-def test_unit_inverse_example():
-    a = PAdicApprox.of(2, 5, 3)
-    inv = a.inverse()
-    assert inv.residue == 63
-    assert (a * inv).residue == 1
 
 
 def test_valuation_examples():
     assert PAdicApprox.of(50, 5, 5).valuation() == 2
     assert PAdicApprox.of(1, 5, 5).valuation() == 0
-    assert PAdicApprox.zero(5, 4).valuation() == AtLeast(4)
+    assert PAdicApprox.of(0, 5, 4).valuation() == AtLeast(4)
     assert str(AtLeast(4)) == ">=4"
+    assert str(PAdicApprox.of(-1, 5, 2)) == "24 (mod 5^2)"
 
 
 def test_wraparound():
-    s = PAdicApprox.of(124, 5, 3) + PAdicApprox.one(5, 3)
-    assert s.residue == 0
+    a = PAdicApprox.of(124, 5, 3)
+    assert PAdicApprox.of(a.residue + 1, 5, 3).residue == 0
+    with pytest.raises(ValueError):
+        PAdicApprox(5, 3, 125)
 
 
 def test_valuation_at_least_helper():
@@ -50,53 +45,6 @@ def test_valuation_at_least_helper():
     assert not valuation_at_least(1, 2)
     assert valuation_at_least(AtLeast(40), 39)
     assert not valuation_at_least(AtLeast(4), 5)
-
-
-def test_non_unit_inverse_rejected():
-    with pytest.raises(NonUnitError):
-        PAdicApprox.of(10, 5, 3).inverse()
-
-
-def test_precision_mismatch():
-    with pytest.raises(PrecisionMismatch):
-        PAdicApprox.of(1, 5, 3) + PAdicApprox.of(1, 5, 4)
-    with pytest.raises(PrecisionMismatch):
-        PAdicApprox.of(1, 5, 3) * PAdicApprox.of(1, 7, 3)
-
-
-@given(
-    st.integers(-1000, 1000),
-    st.integers(-1000, 1000),
-    st.integers(-1000, 1000),
-)
-def test_ring_laws(x, y, z):
-    p, n = 3, 6
-    a, b, c = (PAdicApprox.of(v, p, n) for v in (x, y, z))
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
-    assert a + (-a) == PAdicApprox.zero(p, n)
-    assert (a * b) * c == a * (b * c)
-    assert a - b == a + (-b)
-
-
-@given(st.integers(1, 10**6), st.integers(0, 8))
-def test_pow_matches_repeated_product(x, e):
-    a = PAdicApprox.of(x, 7, 5)
-    expected = PAdicApprox.one(7, 5)
-    for _ in range(e):
-        expected = expected * a
-    assert a**e == expected
-
-
-def test_negative_pow_of_unit():
-    a = PAdicApprox.of(3, 5, 4)
-    assert (a**-2) * (a**2) == PAdicApprox.one(5, 4)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(1, 6))
-def test_reduce_to_coherence(x, n):
-    full = PAdicApprox.of(x, 5, 7)
-    assert full.reduce_to(n).residue == full.residue % 5**n
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +80,12 @@ def test_from_int_digits():
     assert [g.digit(0), g.digit(1), g.digit(2)] == [2, 1, 0]
     minus_one = PAdicLazy.from_int(5, -1)
     assert [minus_one.digit(i) for i in range(6)] == [4] * 6
-    assert (minus_one.truncate(4) + PAdicApprox.one(5, 4)).residue == 0
+    assert (minus_one.truncate(4).residue + 1) % 5**4 == 0
 
 
 def test_from_rational():
     third = PAdicLazy.from_rational(5, 1, 3)
-    assert (third.truncate(6).scale(3)).residue == 1
+    assert third.truncate(6).residue * 3 % 5**6 == 1
     with pytest.raises(NonUnitError):
         PAdicLazy.from_rational(5, 1, 10)
 
@@ -148,7 +96,7 @@ def test_from_truncations_square_stream():
         5, lambda n: pow(g.truncate(n).residue, 2, 5**n), "square"
     )
     for n in (1, 3, 8):
-        assert sq.truncate(n) == g.truncate(n) ** 2
+        assert sq.truncate(n).residue == g.truncate(n).residue ** 2 % 5**n
 
 
 @given(st.integers(-500, 500), st.integers(1, 500))
@@ -175,75 +123,73 @@ def test_truncation_is_coherent_in_any_order():
 
 
 # ---------------------------------------------------------------------------
-# matrix inverse towers
+# matrix inverses mod p**N
 # ---------------------------------------------------------------------------
 
 
+def _is_identity(m):
+    return m == [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+
+
+def test_unit_inverse_example():
+    assert matrix_inverse_mod([[2]], 5, 3) == [[63]]
+    assert matrix_product_mod([[2]], [[63]], 5**3) == [[1]]
+
+
 def test_scalar_tower_example():
-    seq = [MatrixModPk.of([[2]], 5, n) for n in range(1, 4)]
-    b = matrix_limit_inverse(seq)
-    assert [m.rows[0][0] for m in b] == [3, 13, 63]
-    for n in range(3):
-        assert (seq[n] @ b[n]).is_identity()
-        assert (b[n] @ seq[n]).is_identity()
+    # the inverse mod 5^3 reduces to the inverses mod 5 and mod 5^2
+    assert [matrix_inverse_mod([[2]], 5, n)[0][0] for n in range(1, 4)] == [3, 13, 63]
+    assert [63 % 5**n for n in range(1, 4)] == [3, 13, 63]
 
 
 def test_identity_tower():
-    seq = [MatrixModPk.identity(3, 7, n) for n in range(1, 6)]
-    assert matrix_limit_inverse(seq) == seq
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    for n in range(1, 6):
+        assert matrix_inverse_mod(identity, 7, n) == identity
 
 
 def test_singular_rejected():
     with pytest.raises(SingularModP):
-        matrix_limit_inverse([MatrixModPk.of([[5]], 5, 1)])
+        matrix_inverse_mod([[5]], 5, 1)
     with pytest.raises(SingularModP):
-        matrix_limit_inverse(
-            [MatrixModPk.of([[1, 2], [2, 4]], 3, 1)]
-        )
+        matrix_inverse_mod([[1, 2], [2, 4]], 3, 1)
+    with pytest.raises(SingularModP):  # invertible over Q, not mod 3
+        matrix_inverse_mod([[1, 2], [2, 1]], 3, 4)
 
 
-def test_incompatible_sequence_rejected():
-    good = MatrixModPk.of([[2]], 5, 1)
+def test_non_unit_inverse_rejected():
+    # 10 is nonzero mod 5^3 but not a unit
+    with pytest.raises(SingularModP):
+        matrix_inverse_mod([[10]], 5, 3)
+
+
+def test_non_square_rejected():
+    with pytest.raises(ValueError, match="square"):
+        matrix_inverse_mod([[1, 2]], 5, 2)
+    with pytest.raises(ValueError, match="square"):
+        matrix_inverse_mod([], 5, 2)
     with pytest.raises(ValueError):
-        matrix_limit_inverse([good, MatrixModPk.of([[3]], 5, 2)])  # 3 != 2 mod 5
-    with pytest.raises(ValueError):
-        matrix_limit_inverse([MatrixModPk.of([[2]], 5, 2)])  # missing level 1
-    with pytest.raises(ValueError):
-        matrix_limit_inverse([])
+        matrix_inverse_mod([[1]], 5, 0)
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 10**9), st.integers(1, 3), st.sampled_from([2, 3, 5]))
 def test_random_invertible_towers(seed, k, p):
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     depth = 8
     while True:
-        top = MatrixModPk.of(
-            [[rng.randrange(p**depth) for _ in range(k)] for _ in range(k)],
-            p,
-            depth,
-        )
+        a = [[rng.randrange(p**depth) for _ in range(k)] for _ in range(k)]
         try:
-            seq = [top.reduce_to(n) for n in range(1, depth + 1)]
-            b = matrix_limit_inverse(seq)
+            b = matrix_inverse_mod(a, p, depth)
             break
         except SingularModP:
             continue
-    for n in range(depth):
-        assert (seq[n] @ b[n]).is_identity()
-        assert (b[n] @ seq[n]).is_identity()
-        # the inverse tower is itself reduction-compatible
-        assert b[depth - 1].reduce_to(n + 1) == b[n]
-
-
-def test_matrix_product_shape_checks():
-    a = MatrixModPk.identity(2, 5, 3)
-    with pytest.raises(PrecisionMismatch):
-        a @ MatrixModPk.identity(2, 5, 2)
-    with pytest.raises(ValueError):
-        a @ MatrixModPk.identity(3, 5, 3)
+    for n in range(1, depth + 1):
+        m = p**n
+        assert _is_identity(matrix_product_mod(a, b, m))
+        assert _is_identity(matrix_product_mod(b, a, m))
+        # the inverse at level n is the reduction of the one at the top
+        assert matrix_inverse_mod(a, p, n) == [[e % m for e in row] for row in b]
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +227,12 @@ def test_polynomial_evaluate():
     assert q.evaluate(y, x).residue == (81 - 3) % 5**4
 
 
-def test_polynomial_json_round_trip():
-    q = IntPolynomial2.of({(1, 2): -4, (0, 0): 7})
-    assert IntPolynomial2.from_json(q.to_json()) == q
+def test_precision_mismatch():
+    q = IntPolynomial2.of({(1, 0): 1})
+    with pytest.raises(PrecisionMismatch):
+        q.evaluate(PAdicApprox.of(1, 5, 3), PAdicApprox.of(1, 5, 4))
+    with pytest.raises(PrecisionMismatch):
+        q.evaluate(PAdicApprox.of(1, 5, 3), PAdicApprox.of(1, 7, 3))
 
 
 def test_polynomial_rejects_negative_exponents():

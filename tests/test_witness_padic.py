@@ -82,13 +82,11 @@ def test_element_arithmetic():
     assert y.coefficient(GridMonomial(0, 0, 1)) == 6
 
 
-def test_element_str_and_json():
+def test_element_str():
     x = GridElement.of(
         5, {GridMonomial(1, 0, 1): 1, GridMonomial(0, 0, 2): Fraction(-2, 3)}, t=1
     )
     assert str(x) == "5^-1 * (-2/3*e2 + u1*e1)"
-    assert GridElement.from_json(x.to_json()) == x
-    json.dumps(x.to_json())
 
 
 def test_mismatched_primes_cannot_add():
@@ -106,8 +104,6 @@ def test_build_validates_arguments():
         build_padic_witness(5, 0)
     with pytest.raises(ValueError):
         build_padic_witness(6, 1)
-    with pytest.raises(ValueError):
-        build_padic_witness(5, 1, retries=0)
 
 
 def test_build_certifies_first_seed(pair):
@@ -123,10 +119,9 @@ def test_build_certifies_first_seed(pair):
 def test_build_fails_when_precision_is_hopeless():
     # at precision 1 every unit satisfies some x - c with |c| <= 2, so no
     # seed can be certified and the retry loop must give up
-    with pytest.raises(CertificateFailed) as exc:
-        build_padic_witness(5, 1, seed=0, max_exponent=1, height_bound=2,
-                            precision=1, retries=3)
-    assert exc.value.attempts == 3
+    with pytest.raises(CertificateFailed, match="after 8 seed attempts") as exc:
+        build_padic_witness(5, 1, seed=0, max_exponent=1, height_bound=2, precision=1)
+    assert exc.value.attempts == 8
     assert exc.value.last.violation is not None
 
 

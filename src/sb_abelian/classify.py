@@ -228,7 +228,7 @@ def connected_component_index(spec: GroupSpec) -> int | Continuum:
     """
     if stability_class(spec) is not StabilityClass.OMEGA_STABLE:
         return CONTINUUM
-    exponents = {}
+    exponents: dict[int, int] = {}
     for p, rec in szmielew_invariants(spec).primes:
         top = max((k for k, u in rec.ulm if u == ALEPH0), default=0)
         exponents[p] = sum((k - top) * u.value for k, u in rec.ulm if k > top)

@@ -40,7 +40,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
+from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding, p_valuation
 
 __all__ = [
     "Cardinal",

@@ -46,7 +46,7 @@ __all__ = [
 
 
 class PrecisionMismatch(ValueError):
-    """Values live at different primes or precisions."""
+    """Operands live at different primes or precisions."""
 
 
 class NonUnitError(ArithmeticError):

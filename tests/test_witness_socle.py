@@ -397,7 +397,9 @@ def test_pseudo_divide_preserves_membership():
         assert WIT.membership(x.pseudo_divide(21), "H1")
 
 
-def test_membership_rejects_non_canonical_elements():
+def test_element_from_json_rejects_non_canonical():
+    # The three shapes a JSON element reader would have to reject; with no
+    # such reader, membership is the gate that refuses them.
     one = Fraction(1)
     for bad in (
         ProductElement(WIT, (((0, 0), Fraction(0)),), ()),  # zero coefficient
@@ -406,6 +408,12 @@ def test_membership_rejects_non_canonical_elements():
     ):
         with pytest.raises(NonCanonicalError):
             product_membership(bad, "H1")
+
+
+def test_membership_rejects_non_canonical_elements():
+    bad = ProductElement(WIT, (((0, 0), Fraction(0)),), ())
+    with pytest.raises(NonCanonicalError):
+        product_membership(bad, "H1")
     with pytest.raises(ValueError, match="one of"):
         product_membership(WIT.base_point(), "H3")
 

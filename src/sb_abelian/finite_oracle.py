@@ -385,11 +385,15 @@ def realize(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteAb
     >>> realize(normalize([(Cyclic(2, 2), Cardinal.of(1)), (Cyclic(3, 1), Cardinal.of(2))])).factors
     (3, 3, 4)
     """
-    factors: list[int] = []
     for fam, mult in spec.entries:
         if not isinstance(fam, Cyclic) or not mult.is_finite:
             raise ValueError(f"spec is not finite: entry {fam}^{mult}")
-        factors.extend([fam.modulus] * mult.value)
+    # each factor at least doubles the order: refuse a factor count past the
+    # bound's bit length before listing the factors
+    count = sum(mult.value for _, mult in spec.entries)
+    if count > order_bound.bit_length():
+        raise OrderBoundError(f"group order, at least 2^{count}, exceeds bound {order_bound}")
+    factors = [fam.modulus for fam, mult in spec.entries for _ in range(mult.value)]
     return FiniteAbelianGroup(tuple(sorted(factors)), order_bound=order_bound)
 
 

@@ -40,7 +40,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding, p_valuation
+from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
 
 __all__ = [
     "Cardinal",
@@ -685,14 +685,14 @@ class _Parser:
             return PrimeSet.explicit(members)
         raise self.error("expected a prime set")
 
-    def exponent(self, p: int) -> int:
+    def exponent(self, p: int, context: str = "sumK") -> int:
         """An exponent k with p**k below ``EXACT_BOUND``, the bound on a Z/ modulus."""
         self.skip_ws()
         at = self.pos
         k = self.nat()
         # p >= 2, so an exponent past the bound's bit length overshoots it
         if k >= EXACT_BOUND.bit_length() or p**k >= EXACT_BOUND:
-            raise SpecSyntaxError(f"sumK exponent: {p}^k must be below {EXACT_BOUND}", at)
+            raise SpecSyntaxError(f"{context} exponent: {p}^k must be below {EXACT_BOUND}", at)
         return k
 
     def expset(self, p: int) -> frozenset[int] | None:
@@ -737,7 +737,8 @@ class _Parser:
                 return [(PAdicPrimeFamily(ps), _ONE)]
             if self.accept("Z/p^"):
                 at = self.pos
-                k = self.nat()
+                # bounded at the largest listed prime, or the least prime of a cofinite set
+                k = self.exponent(max(ps.primes) if ps.is_finite else ps.first_n(1)[0], "sumP")
                 if k < 1:
                     raise SpecSyntaxError("exponent must be >= 1", at)
                 self.expect(")")

@@ -60,14 +60,17 @@ _FAMILIES = (CyclicPrimeFamily, PAdicPrimeFamily)
 class PrimeRecord(NamedTuple):
     """U, Tor and Exp at one prime, each capped at aleph_0.
 
-    U(p, k) is ``dict(ulm).get(k, tail)``: ``ulm`` lists, by increasing k, the
-    values that differ from ``tail``, which only ``sumK(p; all)`` makes nonzero.
+    U(p, k) is ``u(k)``: ``ulm`` lists, by increasing k, the values that
+    differ from ``tail``, which only ``sumK(p; all)`` makes nonzero.
     """
 
     ulm: tuple[tuple[int, Cardinal], ...]
     tail: Cardinal
     tor: Cardinal
     exp: Cardinal
+
+    def u(self, k: int) -> Cardinal:
+        return dict(self.ulm).get(k, self.tail)
 
     def to_json(self) -> dict:
         return {
@@ -93,8 +96,7 @@ class SzmielewInvariants(NamedTuple):
         return dict(self.primes).get(p, self.generic)
 
     def ulm(self, p: int, k: int) -> Cardinal:
-        rec = self.record(p)
-        return dict(rec.ulm).get(k, rec.tail)
+        return self.record(p).u(k)
 
     @property
     def exponent(self) -> int | None:

@@ -32,12 +32,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .classify import NotApplicableError
-from .groupspec import (
-    GroupSpec,
-    PAdicComplete,
-    PAdicPrimeFamily,
-    split_reduced_divisible,
-)
+from .groupspec import Cardinal, GroupSpec, split_reduced_divisible
+from .invariants import szmielew_invariants
 from .padic import (
     AtLeast,
     IndependenceCertificate,
@@ -546,27 +542,28 @@ def mixed_group_witness(
     """Split a spec into completion + torsion + divisible parts and build
     the witness on the completion part.
 
-    Requires at least one completion summand of finite multiplicity; prime
-    families and infinite powers have no finite componentwise descriptor and
-    are rejected.
+    The completion powers are the values Exp(p) of the completion part's
+    Szmielew key.  Requires at least one completion summand; a power at every
+    prime of a cofinite set (a prime family) or an infinite power has no
+    finite componentwise descriptor and is rejected.
     """
     k_part, c_part, d_part = split_reduced_divisible(spec)
     if k_part.is_trivial:
         raise NoKPartError(f"{spec} has no completion summand")
+    key = szmielew_invariants(k_part)
+    if key.generic.exp != Cardinal.of(0):
+        raise UnsupportedMultiplicityError(
+            "completion summands ranging over a prime family cannot be "
+            "assembled componentwise; pick finitely many primes"
+        )
     pairs = []
-    for fam, mult in k_part.entries:
-        if isinstance(fam, PAdicPrimeFamily):
+    for p, rec in key.primes:
+        if not rec.exp.is_finite:
             raise UnsupportedMultiplicityError(
-                "completion summands ranging over a prime family cannot be "
-                "assembled componentwise; pick finitely many primes"
-            )
-        assert isinstance(fam, PAdicComplete)
-        if not mult.is_finite:
-            raise UnsupportedMultiplicityError(
-                f"completion power at p={fam.p} has infinite multiplicity; "
+                f"completion power at p={p} has infinite multiplicity; "
                 "a concrete witness needs a finite power"
             )
-        pairs.append((fam.p, mult.value))
+        pairs.append((p, rec.exp.value))
     core = multi_prime_witness(
         pairs,
         seed=seed,

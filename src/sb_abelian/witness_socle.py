@@ -9,14 +9,15 @@ direct sum's purity structure, so iterating it from finite-support elements
 carves out dense pure subgroups of P.
 
 The pair itself is spanned by a two-parameter grid.  Pick per-prime unit
-scalars for two commuting automorphisms and a base point with nonzero
-projection everywhere; the grid consists of the images of the base point
-under monomials in the two automorphisms.  H1 uses the whole grid, H2 drops
-the column above the origin (keeping the base point itself), and applying
-the first automorphism shifts the grid one column right, carrying H1 into
-H2.  Both subgroups contain every finite-support element, so membership is
-decided by the *tail* of an element — which grid monomials it needs — never
-by its finitely many exceptional coordinates.
+scalars for two commuting automorphisms and the all-ones base point (any
+base point with nonzero projection everywhere gives an isomorphic pair); the
+grid consists of the images of the base point under monomials in the two
+automorphisms.  H1 uses the whole grid, H2 drops the column above the origin
+(keeping the base point itself), and applying the first automorphism shifts
+the grid one column right, carrying H1 into H2.  Both subgroups contain
+every finite-support element, so membership is decided by the *tail* of an
+element — which grid monomials it needs — never by its finitely many
+exceptional coordinates.
 
 The choice of scalars matters: the construction degenerates if some small
 integer polynomial relation q(s, t) = 0 holds at almost every prime.  An
@@ -31,28 +32,23 @@ relative to it.
 reduced part has torsion of unbounded order: reject non-superstable input,
 split off the finitely many bounded types of infinite multiplicity, take
 the socle of what remains, and build the witness pair over that socle.  The
+multiplicities it needs (the primes carrying a type of infinite multiplicity,
+the block ranks of the socle) are Ulm values read off the Szmielew key.  The
 lift back to the original group (the unique pure subgroup with the
 constructed socle) is recorded symbolically in the transcript.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .classify import NotApplicableError, StabilityClass, stability_class
-from .groupspec import (
-    Cyclic,
-    CyclicPrimeFamily,
-    GroupSpec,
-    PrimeSet,
-    m_split,
-    normalize,
-    socle,
-    split_reduced_divisible,
-)
+from .groupspec import GroupSpec, PrimeSet, m_split, normalize, socle, split_reduced_divisible
+from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize
 from .relations import (
     RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan,
@@ -61,7 +57,6 @@ from .relations import (
 __all__ = [
     "AutomorphismPair",
     "AvoidanceCertificate",
-    "BasePointError",
     "NonCanonicalError",
     "NotSuperstableError",
     "PrimeWindow",
@@ -98,10 +93,6 @@ class ScalarSearchFailed(BudgetExceeded):
 
 class NonCanonicalError(ValueError):
     """A product element was not in canonical (merged, reduced) form."""
-
-
-class BasePointError(NotApplicableError):
-    """A proposed base point fails the everywhere-nonzero projection rule."""
 
 
 class NotSuperstableError(NotApplicableError):
@@ -191,52 +182,29 @@ class PrimeWindow:
 def window_from_socle(spec: GroupSpec, width: int = 50) -> PrimeWindow:
     """Read a :class:`PrimeWindow` off an exponent-one (socle) description.
 
-    Families over infinite prime sets set the generic rank; explicit cyclic
-    summands and family exclusions become finite overrides.  Rejects
-    descriptions with exponents above one or infinite multiplicities — those
-    must be split off before the grid construction applies.
+    The block ranks are the Ulm values U(p, 1) of the Szmielew key: the
+    generic record sets the generic rank, the finitely many listed primes
+    become rank overrides, or leave the support where their rank is zero.
+    Rejects descriptions that are not their own socle or have an infinite
+    rank — bounded types of infinite multiplicity must be split off before
+    the grid construction applies.
     """
     spec = normalize(list(spec.entries))
-    families: list[tuple[PrimeSet, int]] = []
-    singles: dict[int, int] = {}
-    for fam, mult in spec.entries:
-        if not mult.is_finite:
-            raise ValueError(
-                "infinite multiplicity in the socle; split off bounded types first"
-            )
-        if isinstance(fam, Cyclic):
-            if fam.k != 1:
-                raise ValueError(f"not a socle description: Z/{fam.p}^{fam.k}")
-            singles[fam.p] = singles.get(fam.p, 0) + mult.value
-        elif isinstance(fam, CyclicPrimeFamily):
-            if fam.k != 1:
-                raise ValueError(f"not a socle description: {fam}")
-            families.append((fam.primes, mult.value))
-        else:
-            raise ValueError(f"not a socle description: {fam}")
-    if not families:
+    if socle(spec) != spec:
+        raise ValueError(f"not a socle description: {spec}")
+    key = szmielew_invariants(spec)
+    generic = key.generic.u(1)
+    ranks = [(p, rec.u(1)) for p, rec in key.primes]
+    if not generic.is_finite or not all(r.is_finite for _, r in ranks):
+        raise ValueError("infinite multiplicity in the socle; split off bounded types first")
+    if not generic.value:
         raise ValueError(
             "torsion at only finitely many primes; the grid construction "
             "needs an infinite support"
         )
-    support = families[0][0]
-    for ps, _ in families[1:]:
-        support = support.union(ps)
-    for p in singles:
-        support = support.union(PrimeSet(False, frozenset({p})))
-    generic = sum(m for _, m in families)
-    boundary = set(singles)
-    for ps, _ in families:
-        if ps.complement:
-            boundary.update(ps.primes)
-    overrides = []
-    for p in sorted(boundary):
-        if not support.contains(p):
-            continue
-        r = singles.get(p, 0) + sum(m for ps, m in families if ps.contains(p))
-        if r != generic:
-            overrides.append((p, r))
-    return PrimeWindow.over(support, width, generic, overrides)
+    support = PrimeSet.cofinite(p for p, r in ranks if not r.value)
+    overrides = [(p, r.value) for p, r in ranks if r.value]
+    return PrimeWindow.over(support, width, generic.value, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +223,6 @@ class AutomorphismPair:
     window: PrimeWindow
     seed: int
     attempt: int
-    diagonal: bool
     first: tuple[int, ...]
     second: tuple[int, ...]
 
@@ -273,24 +240,22 @@ class AutomorphismPair:
                 return s, t
         if not self.window.source.contains(p):
             raise ValueError(f"prime {p} outside the support")
-        return _draw_scalars(self.seed, self.attempt, p, self.diagonal)
+        return _draw_scalars(self.seed, self.attempt, p)
 
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
             "attempt": self.attempt,
-            "diagonal": self.diagonal,
+            "diagonal": False,
             "first": dict(zip(map(str, self.window.primes), self.first)),
             "second": dict(zip(map(str, self.window.primes), self.second)),
             "tail_rule": "seeded unit draw per prime (no finite guarantee)",
         }
 
 
-def _draw_scalars(seed: int, attempt: int, p: int, diagonal: bool) -> tuple[int, int]:
+def _draw_scalars(seed: int, attempt: int, p: int) -> tuple[int, int]:
     rng = seeded_rng(f"socle-scalars:{seed}:{attempt}:{p}")
-    s = rng.randrange(1, p)
-    t = s if diagonal else rng.randrange(1, p)
-    return s, t
+    return rng.randrange(1, p), rng.randrange(1, p)
 
 
 @dataclass(frozen=True)
@@ -348,16 +313,13 @@ def choose_scalars(
     height_bound: int = 2,
     threshold: int = 5,
     seed: int = 0,
-    diagonal_only: bool = False,
 ) -> tuple[AutomorphismPair, AvoidanceCertificate]:
     """Draw per-prime unit scalar pairs until the avoidance check passes, at
     most :data:`~.relations.RETRIES` times.
 
     The check is exhaustive: every nonzero q with exponents <= max_exponent
     and |coefficients| <= height_bound must evaluate to something nonzero at
-    at least ``threshold`` window primes.  ``diagonal_only`` restricts the
-    draw to equal pairs (useful to demonstrate failure: q = x - y then dies
-    everywhere).
+    at least ``threshold`` window primes.
     """
     if max_exponent < 0:
         raise ValueError("max_exponent must be >= 0")
@@ -374,10 +336,8 @@ def choose_scalars(
     pairs = monomials(max_exponent)[::-1]
     best: tuple[AutomorphismPair, AvoidanceCertificate] | None = None
     for attempt in range(RETRIES):
-        first, second = zip(
-            *(_draw_scalars(seed, attempt, p, diagonal_only) for p in window.primes)
-        )
-        pair = AutomorphismPair(window, seed, attempt, diagonal_only, first, second)
+        first, second = zip(*(_draw_scalars(seed, attempt, p) for p in window.primes))
+        pair = AutomorphismPair(window, seed, attempt, first, second)
         scan = survival_scan(_monomial_values(pairs, pair), window.primes, height_bound)
         cert = AvoidanceCertificate(
             width=window.width,
@@ -537,13 +497,6 @@ class SocleWitnessPair:
     window: PrimeWindow
     scalars: AutomorphismPair
     certificate: AvoidanceCertificate
-    base_overrides: tuple[tuple[int, Vector], ...] = ()
-
-    def base_vector(self, p: int) -> Vector:
-        for q, vec in self.base_overrides:
-            if q == p:
-                return vec
-        return (1,) * self.window.rank(p)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -557,7 +510,7 @@ class SocleWitnessPair:
                 continue
             scal = c.numerator * pow(c.denominator, -1, p) % p
             total = (total + scal * pow(s, i, p) * pow(t, j, p)) % p
-        return tuple(total * a % p for a in self.base_vector(p))
+        return (total,) * self.window.rank(p)
 
     def evaluate(self, x: ProductElement, p: int) -> Vector:
         if x.witness is not self:
@@ -642,7 +595,7 @@ class SocleWitnessPair:
             "window": self.window.to_json(),
             "scalars": self.scalars.to_json(),
             "certificate": self.certificate.to_json(),
-            "base_overrides": [[p, list(vec)] for p, vec in self.base_overrides],
+            "base_overrides": [],
             "grids": {
                 "H1": "all (i, j)",
                 "H2": "i >= 1, plus (0, 0)",
@@ -683,25 +636,14 @@ def build_socle_witness(
     max_exponent: int = 2,
     height_bound: int = 2,
     threshold: int = 5,
-    base_overrides: Mapping[int, Sequence[int]] | None = None,
 ) -> SocleWitnessPair:
     """Choose certified scalars and assemble the witness pair descriptor.
 
-    The base point defaults to all-ones; ``base_overrides`` replaces its
-    vector at chosen primes and must keep every coordinate nonzero.
+    The base point is all-ones.  Any base point with no zero coordinate gives
+    an isomorphic pair: scaling each coordinate by a unit is an automorphism
+    of the product that commutes with both scalars and carries the all-ones
+    grid onto the other one.
     """
-    checked: list[tuple[int, Vector]] = []
-    for p in sorted(base_overrides or {}):
-        if not window.source.contains(p):
-            raise BasePointError(f"base override at p={p} outside the support")
-        vec = tuple(int(c) % p for c in base_overrides[p])
-        if len(vec) != window.rank(p):
-            raise BasePointError(
-                f"base override at p={p} must have length {window.rank(p)}"
-            )
-        if any(c == 0 for c in vec):
-            raise BasePointError(f"base point has a zero projection at p={p}")
-        checked.append((p, vec))
     pair, cert = choose_scalars(
         window,
         max_exponent=max_exponent,
@@ -709,7 +651,7 @@ def build_socle_witness(
         threshold=threshold,
         seed=seed,
     )
-    return SocleWitnessPair(window, pair, cert, tuple(checked))
+    return SocleWitnessPair(window, pair, cert)
 
 
 def random_socle_member(
@@ -857,7 +799,8 @@ def reduce_unbounded_torsion(
         raise NotApplicableError(
             "completion summands present; use the completion-grid route"
         )
-    if not any(isinstance(fam, CyclicPrimeFamily) for fam, _ in c_part.entries):
+    key = szmielew_invariants(c_part)
+    if key.bounded:
         raise NotApplicableError(
             "reduced torsion has bounded exponent; nothing to reduce"
         )
@@ -872,19 +815,12 @@ def reduce_unbounded_torsion(
                 "element modulo divisible elements (recorded, not asserted)",
             }
         )
-    heavy: dict[int, int] = {}
-    for fam, mult in c_part.entries:
-        if isinstance(fam, Cyclic) and not mult.is_finite:
-            heavy[fam.p] = 0
-    for p in heavy:
-        for fam, _ in c_part.entries:
-            if isinstance(fam, Cyclic) and fam.p == p:
-                heavy[p] = max(heavy[p], fam.k)
-            elif isinstance(fam, CyclicPrimeFamily) and fam.primes.contains(p):
-                heavy[p] = max(heavy[p], fam.k)
-    modulus = 1
-    for p, k in sorted(heavy.items()):
-        modulus *= p**k
+    # past the stability gate only finitely many listed primes carry a type
+    # of infinite multiplicity; each is split off up to its largest exponent
+    modulus = math.prod(
+        p ** rec.ulm[-1][0] for p, rec in key.primes
+        if any(not u.is_finite for _, u in rec.ulm)
+    )
     split = m_split(c_part, modulus)
     transcript.append(
         {

@@ -11,7 +11,6 @@ from sb_abelian.classify import (
     NotApplicableError,
     StabilityClass,
     WitnessRoute,
-    basic_predicates,
     connected_component_index,
     divisible_plus_bounded,
     has_sb,

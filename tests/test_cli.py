@@ -12,6 +12,7 @@ from sb_abelian.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    MAX_PRECISION,
     MAX_WINDOW,
     main,
 )
@@ -196,10 +197,10 @@ def test_witness_errors_keep_their_exit_classes():
         NoKPartError,
         UnsupportedMultiplicityError,
     )
-    from sb_abelian.witness_socle import BasePointError, NotSuperstableError, ScalarSearchFailed
+    from sb_abelian.witness_socle import NotSuperstableError, ScalarSearchFailed
 
     for cls in (NoKPartError, DuplicatePrimeError, UnsupportedMultiplicityError,
-                BasePointError, NotSuperstableError):
+                NotSuperstableError):
         assert issubclass(cls, NotApplicableError) and issubclass(cls, ValueError)
     for cls in (CertificateFailed, ScalarSearchFailed):
         assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
@@ -338,6 +339,22 @@ def test_window_above_cap_exits_2(capsys):
                          "--window", str(MAX_WINDOW + 1))
     assert code == EXIT_USAGE and out == ""
     assert f"--window must be <= {MAX_WINDOW}" in err
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["oracle", "ulm", "Z/2^99999999999"], EXIT_BUDGET, "exceeds bound 65536"),
+    (["eq", "sumP({2}; Z/p^99999999999)", "Q"], EXIT_USAGE, f"must be below {EXACT_BOUND}"),
+    (["witness", "sumP(all; Z/p^99999999999) + Z/2^w"], EXIT_USAGE,
+     f"must be below {EXACT_BOUND}"),
+    (["invariants", "sumP({2}; Z/p^100000)"], EXIT_USAGE, f"must be below {EXACT_BOUND}"),
+    (["witness", "Zhat(5)", "--precision", str(MAX_PRECISION + 1)], EXIT_USAGE,
+     f"--precision must be <= {MAX_PRECISION}"),
+], ids=["oracle-multiplicity", "sumP-explicit", "sumP-cofinite", "sumP-digits", "precision"])
+def test_oversized_requests_exit_fast_naming_the_bound(capsys, argv, code, needle):
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert got == code and out == "" and needle in err
 
 
 def test_large_prime_modulus_is_fast(capsys):

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -6,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sb_abelian.finite_oracle import (
-    DEFAULT_ORDER_BOUND,
     FiniteAbelianGroup,
     NotAPGroupError,
     OrderBoundError,
@@ -230,3 +228,13 @@ def test_realize_rejects_infinite():
         realize(parse_spec("Q"))
     with pytest.raises(ValueError):
         realize(parse_spec("Z/2^w"))
+
+
+def test_realize_refuses_a_factor_count_past_the_bound_before_listing():
+    # 10**11 factors would not fit in memory; the count alone passes 2**16
+    with pytest.raises(OrderBoundError, match="at least 2\\^99999999999, exceeds bound 65536"):
+        realize(parse_spec("Z/2^99999999999"))
+    assert realize(parse_spec("Z/2^16")).order == 2**16
+    # an infinite entry is still reported as such, whatever the finite part's size
+    with pytest.raises(ValueError, match="not finite"):
+        realize(parse_spec("Z/2^99 + Q"))

@@ -29,7 +29,6 @@ from sb_abelian.finite_oracle import (
     iso_finite_bruteforce,
     realize,
     socle_multiplicities_bruteforce,
-    subgroup_closure,
 )
 from sb_abelian.primes import EXACT_BOUND
 
@@ -145,6 +144,18 @@ def test_sumK_exponent_is_bounded_like_a_modulus():
         with pytest.raises(SpecSyntaxError, match=f"must be below {EXACT_BOUND}") as exc:
             parse_spec(text)
         assert exc.value.position == at, text
+
+
+def test_sumP_exponent_is_bounded_like_a_modulus():
+    # the bound holds at each listed prime, and at the least prime of a cofinite set
+    assert str(parse_spec("sumP({2, 3}; Z/p^51)")) == f"Z/{2**51} + Z/{3**51}"
+    assert str(parse_spec("sumP(all\\{2}; Z/p^51)")) == "sumP(all\\{2}; Z/p^51)"
+    assert str(parse_spec("sumP(all; Z/p^81)")) == "sumP(all; Z/p^81)"
+    for text, p in [("sumP({2, 3}; Z/p^52)", 3), ("sumP(all\\{2}; Z/p^52)", 3),
+                    ("sumP(all; Z/p^82)", 2), ("sumP({2}; Z/p^99999999999)", 2)]:
+        with pytest.raises(SpecSyntaxError, match=f"sumP exponent: {p}\\^k must be below") as exc:
+            parse_spec(text)
+        assert exc.value.position == text.index("^") + 1, text
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from sb_abelian.groupspec import PrimeSet, parse_spec
 from sb_abelian.relations import grid_allows
 from sb_abelian.witness_socle import (
     AutomorphismPair,
-    BasePointError,
     NonCanonicalError,
     NotSuperstableError,
     PrimeWindow,
@@ -133,22 +132,16 @@ def test_choose_scalars_deterministic():
     assert a == b
 
 
-def test_choose_scalars_diagonal_always_fails():
-    # with sigma = tau everywhere, q = x - y vanishes at every window prime
+def test_choose_scalars_unmeetable_threshold_fails():
+    # the only units mod 3 are 1 and -1, so x - 1 or x + 1 vanishes at p = 3
+    # and no draw survives at all 8 window primes
     w = PrimeWindow.over(ODD_PRIMES, 8)
     with pytest.raises(ScalarSearchFailed) as info:
-        choose_scalars(
-            w,
-            max_exponent=1,
-            height_bound=1,
-            threshold=2,
-            seed=0,
-            diagonal_only=True,
-        )
+        choose_scalars(w, max_exponent=1, height_bound=1, threshold=8, seed=0)
     assert info.value.attempts == 8
     assert "after 8 attempt(s)" in str(info.value)
     assert info.value.best is not None
-    assert info.value.best.min_count == 0
+    assert info.value.best.min_count == 6
 
 
 def test_choose_scalars_constant_polynomials_trivially_pass():
@@ -199,9 +192,9 @@ def test_automorphism_pair_units_and_tail_rule():
 def test_automorphism_pair_validation():
     w = PrimeWindow.over(ODD_PRIMES, 2)
     with pytest.raises(ValueError):
-        AutomorphismPair(w, 0, 0, False, (1,), (1, 1))
+        AutomorphismPair(w, 0, 0, (1,), (1, 1))
     with pytest.raises(ValueError):
-        AutomorphismPair(w, 0, 0, False, (0, 1), (1, 1))
+        AutomorphismPair(w, 0, 0, (0, 1), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -432,48 +425,6 @@ def test_grid_contains_shapes():
 # ---------------------------------------------------------------------------
 # witness assembly
 # ---------------------------------------------------------------------------
-
-
-def test_base_overrides_change_the_base_point():
-    wit = build_socle_witness(
-        PrimeWindow.over(ODD_PRIMES, 6),
-        seed=0,
-        max_exponent=1,
-        height_bound=1,
-        threshold=2,
-        base_overrides={3: (2,)},
-    )
-    assert wit.base_vector(3) == (2,)
-    assert wit.base_point().evaluate(3) == (2,)
-    assert wit.base_vector(5) == (1,)
-
-
-def test_base_override_zero_projection_rejected():
-    window = PrimeWindow.over(ODD_PRIMES, 6)
-    with pytest.raises(BasePointError, match="zero projection"):
-        build_socle_witness(
-            window,
-            max_exponent=1,
-            height_bound=1,
-            threshold=2,
-            base_overrides={3: (0,)},
-        )
-    with pytest.raises(BasePointError, match="length"):
-        build_socle_witness(
-            window,
-            max_exponent=1,
-            height_bound=1,
-            threshold=2,
-            base_overrides={3: (1, 1)},
-        )
-    with pytest.raises(BasePointError, match="outside the support"):
-        build_socle_witness(
-            window,
-            max_exponent=1,
-            height_bound=1,
-            threshold=2,
-            base_overrides={2: (1,)},
-        )
 
 
 def test_witness_json_shape():

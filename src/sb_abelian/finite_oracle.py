@@ -388,11 +388,11 @@ def realize(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteAb
     for fam, mult in spec.entries:
         if not isinstance(fam, Cyclic) or not mult.is_finite:
             raise ValueError(f"spec is not finite: entry {fam}^{mult}")
-    # each factor at least doubles the order: refuse a factor count past the
-    # bound's bit length before listing the factors
-    count = sum(mult.value for _, mult in spec.entries)
-    if count > order_bound.bit_length():
-        raise OrderBoundError(f"group order, at least 2^{count}, exceeds bound {order_bound}")
+    # p**k >= 2**(k * (bit length of p - 1)): refuse an order past the bound
+    # from these lower bounds, before listing the factors or multiplying them
+    bits = sum(mult.value * fam.k * (fam.p.bit_length() - 1) for fam, mult in spec.entries)
+    if bits > order_bound.bit_length():
+        raise OrderBoundError(f"group order, at least 2^{bits}, exceeds bound {order_bound}")
     factors = [fam.modulus for fam, mult in spec.entries for _ in range(mult.value)]
     return FiniteAbelianGroup(tuple(sorted(factors)), order_bound=order_bound)
 

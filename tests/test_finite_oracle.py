@@ -230,11 +230,14 @@ def test_realize_rejects_infinite():
         realize(parse_spec("Z/2^w"))
 
 
-def test_realize_refuses_a_factor_count_past_the_bound_before_listing():
-    # 10**11 factors would not fit in memory; the count alone passes 2**16
+def test_realize_refuses_an_order_past_the_bound_before_listing():
+    # 10**11 factors would not fit in memory; their count alone passes 2**16
     with pytest.raises(OrderBoundError, match="at least 2\\^99999999999, exceeds bound 65536"):
         realize(parse_spec("Z/2^99999999999"))
     assert realize(parse_spec("Z/2^16")).order == 2**16
     # an infinite entry is still reported as such, whatever the finite part's size
     with pytest.raises(ValueError, match="not finite"):
         realize(parse_spec("Z/2^99 + Q"))
+    # 300 factors of 2^81: an order of 7316 digits, refused without printing it
+    with pytest.raises(OrderBoundError, match="at least 2\\^24300, exceeds bound 10"):
+        realize(parse_spec(f"Z/{2**81}^300"), order_bound=10**100)

@@ -433,6 +433,9 @@ def test_witness_json_shape():
     assert data["certificate"]["passed"] is True
     assert data["grids"]["H2"] == "i >= 1, plus (0, 0)"
     assert data["window"]["primes"] == list(WIT.window.primes)
+    # the base point is all-ones; the two knobs it once had print as constants
+    assert WIT.base_point().evaluate(3) == (1,) and WIT.base_point().evaluate(13) == (1,)
+    assert data["base_overrides"] == [] and data["scalars"]["diagonal"] is False
 
 
 def test_proper_inclusion_check_passes_at_test_scale():

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .groupspec import (
     _MAX_DIGITS,
@@ -37,6 +36,7 @@ from .groupspec import (
     PrimeSet,
     Prufer,
     Rationals,
+    Record,
     normalize,
 )
 from .invariants import szmielew_invariants
@@ -78,8 +78,7 @@ class NotApplicableError(ValueError):
     """The requested report is undefined for this stability class."""
 
 
-@dataclass(frozen=True)
-class BasicPredicates:
+class BasicPredicates(Record):
     divisible: bool
     reduced: bool
     exponent: int | None  # None when unbounded
@@ -138,8 +137,7 @@ def divisible_plus_bounded(spec: GroupSpec) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SbVerdict:
+class SbVerdict(Record):
     has_sb: bool
     route: WitnessRoute | None
     reason: str
@@ -240,8 +238,7 @@ def connected_component_index(spec: GroupSpec) -> int | Continuum:
     return math.prod(p**e for p, e in exponents.items())
 
 
-@dataclass(frozen=True)
-class NonUnipotentWitness:
+class NonUnipotentWitness(Record):
     """Description of an automorphism of infinite order modulo unipotents."""
 
     kind: str  # "padic_scalar" | "family_coordinate_scalars"
@@ -250,8 +247,7 @@ class NonUnipotentWitness:
     note: str
 
 
-@dataclass(frozen=True)
-class UnipotenceReport:
+class UnipotenceReport(Record):
     index: "int | Continuum"
     unipotent_all: bool
     witness: NonUnipotentWitness | None

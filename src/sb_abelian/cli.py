@@ -19,9 +19,9 @@ deterministic for a fixed argv: seeds default to 0 and all searches are
 exhaustive or seeded.  JSON output carries a top-level ``schema`` tag.
 
 Exit codes: 0 success, 2 argument/grammar errors (numeric flags below their
-lower bounds, moduli and primes from ``primes.EXACT_BOUND`` on, ``--window``
-above ``MAX_WINDOW``, ``--precision`` above ``MAX_PRECISION`` and an ``--out``
-file that cannot be written among them),
+lower bounds or above ``MAX_WINDOW``, ``MAX_PRECISION`` and ``MAX_ORDER_BOUND``,
+moduli and primes from ``primes.EXACT_BOUND`` on, and an ``--out`` file that
+cannot be written among them),
 3 precondition or route errors (e.g. asking for a witness of a theory that has
 none), 4 exhausted search budgets.
 """
@@ -77,6 +77,7 @@ _PRECONDITION_ERRORS = (NotApplicableError, MSplitPreconditionError)
 _BUDGET_ERRORS = (BudgetExceeded, OrderBoundError)
 MAX_WINDOW = 1000  # socle window primes; a scan's memory grows with the width
 MAX_PRECISION = 10_000  # p-adic digits; a certificate's time grows with them
+MAX_ORDER_BOUND = 2**20  # realized group order; the brute-force checks list every element
 
 # lower bounds of the numeric flags, checked after parsing like the window cap
 _LOWER_BOUNDS = (("precision", 1), ("degree", 0), ("height", 1), ("window", 1),
@@ -143,9 +144,10 @@ def _bound_error(args: argparse.Namespace) -> str | None:
     for name, low in _LOWER_BOUNDS:
         if getattr(args, name, low) < low:
             return f"--{name.replace('_', '-')} must be >= {low}"
-    for name, high in (("window", MAX_WINDOW), ("precision", MAX_PRECISION)):
+    for name, high in (("window", MAX_WINDOW), ("precision", MAX_PRECISION),
+                       ("order_bound", MAX_ORDER_BOUND)):
         if getattr(args, name, high) > high:
-            return f"--{name} must be <= {high}"
+            return f"--{name.replace('_', '-')} must be <= {high}"
     return None
 
 

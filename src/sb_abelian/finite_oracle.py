@@ -11,10 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .groupspec import Cardinal, Cyclic, GroupSpec, direct_sum, normalize
+from .groupspec import Cardinal, Cyclic, GroupSpec, Record, direct_sum, normalize
 from .primes import factorize, primes
 
 __all__ = [
@@ -114,8 +113,7 @@ class FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(Record):
     """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}.
 
     ``invariant_factors`` lists the diagonal entries > 1; ``free_rank`` is

@@ -37,12 +37,13 @@ sum), which the grammar above cannot spell.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
 from typing import Iterable, Iterator
 
 from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
 
 __all__ = [
+    "Record",
     "Cardinal",
     "ALEPH0",
     "PrimeSet",
@@ -69,14 +70,64 @@ __all__ = [
 ]
 
 
+class Record:
+    """Base of the package's immutable value classes, in place of frozen dataclasses.
+
+    Fields are the class's own annotations; omitted trailing ones default to
+    class attributes.  Equality, hash and order read the field tuple kept at
+    construction.  Class keywords: ``order`` and ``eq`` as for a dataclass,
+    and ``hidden`` fields, which equality, hash and ``repr`` skip.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, order: bool = False, hidden: tuple = ()):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        for name in ("__lt__", "__le__", "__gt__", "__ge__") if order else ():
+            op = getattr(operator, name)
+            setattr(cls, name, lambda a, b, op=op: NotImplemented if b.__class__ is not a.__class__
+                    else op(a._values, b._values))
+
+    def __init__(self, *args, **kwargs):
+        fields, d = self._fields, self.__dict__
+        if kwargs or len(args) != len(fields):
+            rest = {f: v for f, v in vars(type(self)).items() if f in fields[len(args):]} | kwargs
+            if len(args) > len(fields) or rest.keys() != set(fields[len(args):]):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            args += tuple(rest[f] for f in fields[len(args):])
+        d.update(zip(fields, args))
+        d["_values"] = args if len(self._shown) == len(fields) else tuple(d[f] for f in self._shown)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
 # ---------------------------------------------------------------------------
 # Cardinals
 # ---------------------------------------------------------------------------
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Cardinal:
+class Cardinal(Record):
     """A multiplicity: either a natural number or an aleph.
 
     ``Cardinal.of(3)`` is the natural number 3, ``Cardinal.aleph(i)`` the
@@ -149,8 +200,7 @@ _ONE = Cardinal.of(1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Record):
     """A decidable set of primes: an explicit finite set or a cofinite one.
 
     ``PrimeSet.explicit({3, 5})`` and ``PrimeSet.cofinite({2})`` (all primes
@@ -224,16 +274,18 @@ ALL_PRIMES = PrimeSet.cofinite()
 # ---------------------------------------------------------------------------
 
 
-class Summand:
+class Summand(Record):
     """Base class for the summand constructors; instances are immutable."""
 
-    _rank: int = -1
+    _rank = -1
 
     def sort_key(self) -> tuple:
-        raise NotImplementedError
+        """(rank, p, k, prime set): the order of the entries of a normal form."""
+        primes = getattr(self, "primes", None)
+        return (self._rank, getattr(self, "p", 0), getattr(self, "k", 0),
+                "" if primes is None else primes.fingerprint())
 
 
-@dataclass(frozen=True)
 class Cyclic(Summand):
     """Z/p**k for a prime p and k >= 1."""
 
@@ -250,14 +302,10 @@ class Cyclic(Summand):
     def modulus(self) -> int:
         return self.p**self.k
 
-    def sort_key(self) -> tuple:
-        return (self._rank, self.p, self.k, "")
-
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
 
 
-@dataclass(frozen=True)
 class Prufer(Summand):
     """The p-quasicyclic group: the p-power-torsion part of Q/Z."""
 
@@ -267,27 +315,19 @@ class Prufer(Summand):
     def __post_init__(self) -> None:
         ensure_prime(self.p, "Prufer prime")
 
-    def sort_key(self) -> tuple:
-        return (self._rank, self.p, 0, "")
-
     def __str__(self) -> str:
         return f"Prufer({self.p})"
 
 
-@dataclass(frozen=True)
 class Rationals(Summand):
     """The additive rationals."""
 
     _rank = 2
 
-    def sort_key(self) -> tuple:
-        return (self._rank, 0, 0, "")
-
     def __str__(self) -> str:
         return "Q"
 
 
-@dataclass(frozen=True)
 class PAdicComplete(Summand):
     """The additive group of p-adic integers (the completion of Z at p)."""
 
@@ -297,14 +337,10 @@ class PAdicComplete(Summand):
     def __post_init__(self) -> None:
         ensure_prime(self.p, "PAdicComplete prime")
 
-    def sort_key(self) -> tuple:
-        return (self._rank, self.p, 0, "")
-
     def __str__(self) -> str:
         return f"Zhat({self.p})"
 
 
-@dataclass(frozen=True)
 class CyclicPrimeFamily(Summand):
     """Direct sum of Z/p**k over all p in a prime set, fixed exponent k."""
 
@@ -316,28 +352,20 @@ class CyclicPrimeFamily(Summand):
         if self.k < 1:
             raise ValueError(f"family exponent must be >= 1, got {self.k}")
 
-    def sort_key(self) -> tuple:
-        return (self._rank, 0, self.k, self.primes.fingerprint())
-
     def __str__(self) -> str:
         return f"sumP({self.primes}; Z/p^{self.k})"
 
 
-@dataclass(frozen=True)
 class PAdicPrimeFamily(Summand):
     """Direct sum of the p-adic integer groups over all p in a prime set."""
 
     primes: PrimeSet
     _rank = 5
 
-    def sort_key(self) -> tuple:
-        return (self._rank, 0, 0, self.primes.fingerprint())
-
     def __str__(self) -> str:
         return f"sumP({self.primes}; Zhat)"
 
 
-@dataclass(frozen=True)
 class CyclicExponentFamily(Summand):
     """Direct sum of Z/p**k over a set of exponents k at a single prime.
 
@@ -376,8 +404,7 @@ Entry = tuple[Summand, Cardinal]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A formal direct sum of summand families in normal form.
 
     Construct via :func:`normalize` (or :func:`parse_spec`); the raw
@@ -500,8 +527,7 @@ class MSplitPreconditionError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class MSplitResult:
+class MSplitResult(Record):
     """Outcome of :func:`m_split`.
 
     ``torsion`` is the m-torsion part, ``complement`` the part isomorphic to

@@ -21,9 +21,9 @@ never guessed past the precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .groupspec import Record
 from .primes import ensure_prime, p_valuation
 from .relations import BudgetExceeded, first_relation, monomials, search_space, seeded_rng
 
@@ -57,8 +57,7 @@ class SingularModP(ArithmeticError):
     """Matrix is not invertible modulo p."""
 
 
-@dataclass(frozen=True, order=True)
-class AtLeast:
+class AtLeast(Record, order=True):
     """A valuation known only to be >= ``bound`` (the element vanished
     to the full working precision)."""
 
@@ -84,8 +83,7 @@ def valuation_at_least(v: "int | AtLeast", k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PAdicApprox:
+class PAdicApprox(Record):
     """A p-adic integer truncated to ``residue`` mod p**precision."""
 
     p: int
@@ -268,8 +266,7 @@ def matrix_inverse_mod(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial2:
+class IntPolynomial2(Record):
     """An integer polynomial in x and y with finite support.
 
     Terms are kept sorted by (x-exponent, y-exponent) with zero coefficients
@@ -344,8 +341,7 @@ class IntPolynomial2:
 DEFAULT_INDEPENDENCE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Record):
     """Outcome of the exhaustive search for a small vanishing relation.
 
     ``passed`` means: no nonzero integer polynomial with exponents at most

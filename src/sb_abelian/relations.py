@@ -15,7 +15,6 @@ retry count that both witness routes share.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import NamedTuple, Sequence
 
@@ -38,6 +37,7 @@ class BudgetExceeded(RuntimeError):
 
 def seeded_rng(label: str) -> random.Random:
     """An RNG seeded by a hash of ``label``, independent of hash randomization."""
+    import hashlib  # loaded here: only the witness routes draw seeded values
     digest = hashlib.sha256(label.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

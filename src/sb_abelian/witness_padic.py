@@ -27,12 +27,11 @@ divisible parts along.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .classify import NotApplicableError
-from .groupspec import Cardinal, GroupSpec, split_reduced_divisible
+from .groupspec import Cardinal, GroupSpec, Record, split_reduced_divisible
 from .invariants import szmielew_invariants
 from .padic import (
     AtLeast,
@@ -103,8 +102,7 @@ class UnsupportedMultiplicityError(NotApplicableError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class GridMonomial:
+class GridMonomial(Record, order=True):
     """u1^i * u2^j * e_s."""
 
     i: int
@@ -136,8 +134,7 @@ def _fraction_p_valuation(q: Fraction, p: int) -> int:
     return p_valuation(q.numerator, p) - p_valuation(q.denominator, p)
 
 
-@dataclass(frozen=True)
-class GridElement:
+class GridElement(Record):
     """p**-t times an exact rational combination of grid monomials.
 
     Canonical form: denominators of the coefficients are p-free (p-powers
@@ -236,8 +233,7 @@ class GridElement:
 # the witness pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PAdicWitnessPair:
+class PAdicWitnessPair(Record):
     """Everything needed to probe the pair (H1, H2) at finite precision."""
 
     p: int
@@ -432,8 +428,7 @@ def elementary_matrix_probe(w: PAdicWitnessPair, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiPrimeWitness:
+class MultiPrimeWitness(Record):
     """Componentwise witness pairs for a direct sum over distinct primes.
 
     Any group map between such sums is componentwise: a cross-prime image
@@ -505,8 +500,7 @@ def multi_prime_witness(
     return MultiPrimeWitness(tuple(components), tuple(probes))
 
 
-@dataclass(frozen=True)
-class MixedGroupWitness:
+class MixedGroupWitness(Record):
     """A completion-part witness carried through fixed torsion/divisible parts.
 
     For a spec K + C + D (completions, reduced torsion, divisible), the two

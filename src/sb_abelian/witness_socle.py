@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .classify import NotApplicableError, StabilityClass, stability_class
-from .groupspec import GroupSpec, PrimeSet, m_split, normalize, socle, split_reduced_divisible
+from .groupspec import (
+    GroupSpec, PrimeSet, Record, m_split, normalize, socle, split_reduced_divisible,
+)
 from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize
 from .relations import (
@@ -103,8 +104,7 @@ class NotSuperstableError(NotApplicableError):
 # Prime windows
 
 
-@dataclass(frozen=True)
-class PrimeWindow:
+class PrimeWindow(Record):
     """The finite face of an infinite prime support.
 
     ``source`` is the (infinite) set of primes carrying a block, ``primes``
@@ -211,8 +211,7 @@ def window_from_socle(spec: GroupSpec, width: int = 50) -> PrimeWindow:
 # Scalar choice and the avoidance certificate
 
 
-@dataclass(frozen=True)
-class AutomorphismPair:
+class AutomorphismPair(Record):
     """Two coordinatewise unit scalars, explicit on the window, seeded beyond.
 
     ``first[w]`` and ``second[w]`` are the scalars at ``window.primes[w]``.
@@ -258,8 +257,7 @@ def _draw_scalars(seed: int, attempt: int, p: int) -> tuple[int, int]:
     return rng.randrange(1, p), rng.randrange(1, p)
 
 
-@dataclass(frozen=True)
-class AvoidanceCertificate:
+class AvoidanceCertificate(Record):
     """Exhaustive small-relation survival counts over the window.
 
     For every nonzero integer polynomial q(x, y) with both exponents at most
@@ -363,8 +361,7 @@ def choose_scalars(
 # Product elements
 
 
-@dataclass(frozen=True)
-class ProductElement:
+class ProductElement(Record, hidden=("witness",)):
     """A product element: a grid tail plus finitely many explicit coordinates.
 
     ``tail`` maps grid monomials (i, j) to rational coefficients; the term
@@ -378,7 +375,7 @@ class ProductElement:
     vanishing relation, which the certificate rules out within its bounds.
     """
 
-    witness: "SocleWitnessPair" = field(repr=False, compare=False)
+    witness: "SocleWitnessPair"
     tail: tuple[tuple[tuple[int, int], Fraction], ...] = ()
     exceptions: tuple[tuple[int, Vector], ...] = ()
 
@@ -490,8 +487,7 @@ def _common_witness(a: ProductElement, b: ProductElement) -> "SocleWitnessPair":
 # The witness pair
 
 
-@dataclass(frozen=True, eq=False)
-class SocleWitnessPair:
+class SocleWitnessPair(Record, eq=False):
     """Descriptors for the pair (H1, H2) plus the data to evaluate elements."""
 
     window: PrimeWindow
@@ -681,8 +677,7 @@ def random_socle_member(
 # Proper inclusion: the shifted column is not spanned by earlier columns
 
 
-@dataclass(frozen=True)
-class ProperInclusionCheck:
+class ProperInclusionCheck(Record):
     """Certified failure of bounded rewrites of the (1, m+1) grid monomial.
 
     For each shift m up to ``max_shift``, every integer polynomial q within
@@ -735,8 +730,7 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
 # The reduction pipeline for unbounded reduced torsion
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionOutcome:
+class ReductionOutcome(Record, eq=False):
     """Transcript and witness from the unbounded-torsion reduction."""
 
     spec: GroupSpec

@@ -12,6 +12,7 @@ from sb_abelian.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    MAX_ORDER_BOUND,
     MAX_PRECISION,
     MAX_WINDOW,
     main,
@@ -174,18 +175,31 @@ def test_witness_socle_over_budget_exits_4(capsys):
     assert "387420489 candidate polynomials exceed the budget" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # decide calls and --help start without numpy and without the witness
-    # modules, which load only when ``witness`` runs
+def loaded_after(imports: str, modules: list[str]) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after ``imports``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    unloaded = ["numpy", "sb_abelian.witness_padic", "sb_abelian.witness_socle",
-                "sb_abelian.padic", "fractions"]
-    probe = f"import sys, sb_abelian.cli; print([m for m in {unloaded!r} if m in sys.modules])"
+    probe = f"import sys, {imports}; print([m for m in {modules!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # decide calls and --help start without numpy and without the witness
+    # modules, which load only when ``witness`` runs; the value classes need
+    # no dataclasses (and so no inspect, ast, dis or tokenize), and hashlib
+    # loads only when a witness route draws a seeded value
+    unloaded = ["numpy", "sb_abelian.witness_padic", "sb_abelian.witness_socle",
+                "sb_abelian.padic", "fractions", "dataclasses", "inspect", "ast", "dis",
+                "tokenize", "hashlib"]
+    assert loaded_after("sb_abelian.cli", unloaded) == "[]"
+
+
+def test_witness_import_leaves_dataclasses_unloaded():
+    imports = "sb_abelian.witness_padic, sb_abelian.witness_socle"
+    assert loaded_after(imports, ["dataclasses", "inspect"]) == "[]"
 
 
 def test_witness_errors_keep_their_exit_classes():
@@ -349,12 +363,55 @@ def test_window_above_cap_exits_2(capsys):
     (["invariants", "sumP({2}; Z/p^100000)"], EXIT_USAGE, f"must be below {EXACT_BOUND}"),
     (["witness", "Zhat(5)", "--precision", str(MAX_PRECISION + 1)], EXIT_USAGE,
      f"--precision must be <= {MAX_PRECISION}"),
-], ids=["oracle-multiplicity", "sumP-explicit", "sumP-cofinite", "sumP-digits", "precision"])
+    (["oracle", "ulm", "Z/3^9966", "--order-bound", "1" + "0" * 3000], EXIT_USAGE,
+     "--order-bound must be <= 1048576"),
+], ids=["oracle-multiplicity", "sumP-explicit", "sumP-cofinite", "sumP-digits", "precision",
+        "order-bound"])
 def test_oversized_requests_exit_fast_naming_the_bound(capsys, argv, code, needle):
     start = time.perf_counter()
     got, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert got == code and out == "" and needle in err
+
+
+def test_order_bound_cap(capsys):
+    assert MAX_ORDER_BOUND == 2**20
+    for check, specs in (("ulm", ["Z/4"]), ("iso", ["Z/4", "Z/2^2"]), ("purity", ["Z/4"])):
+        code, out, err = run(capsys, "oracle", check, *specs,
+                             "--order-bound", str(MAX_ORDER_BOUND + 1))
+        assert code == EXIT_USAGE and out == ""
+        assert err.strip().endswith("--order-bound must be <= 1048576")
+        body = run_json(capsys, "oracle", check, *specs, "--order-bound", str(MAX_ORDER_BOUND))
+        assert body["check"] == check
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "Z/2^99999999999999"],
+    ["eq", "Z/2^100000000000000", "Z/2^100000000000000 + Z/2"],
+    ["iso", "Z/2^100000000000000", "Z/2^99999999999999"],
+    ["witness", "sumP(all; Z/p^1)^99999999999999"],
+    ["classify", "Q^" + "9" * 29],
+], ids=["invariants", "eq", "iso", "witness", "classify"])
+def test_huge_finite_multiplicities_exit_0_fast(capsys, argv):
+    # a finite multiplicity is only ever added and compared, never expanded
+    start = time.perf_counter()
+    body = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert body["command"] == argv[0]
+
+
+def test_sumK_set_size_is_bounded_by_the_exact_bound(capsys):
+    # every exponent k needs 2^k below EXACT_BOUND, so at p = 2 a set lists at
+    # most 81 exponents
+    largest = (EXACT_BOUND - 1).bit_length() - 1
+    assert largest == 81
+    listed = ",".join(map(str, range(1, largest + 1)))
+    start = time.perf_counter()
+    body = run_json(capsys, "invariants", f"sumK(2; {{{listed}}})")
+    assert time.perf_counter() - start < 2.0
+    assert body["spec"].count("+") == largest - 1
+    code, out, err = run(capsys, "invariants", f"sumK(2; {{{listed},{largest + 1}}})")
+    assert code == EXIT_USAGE and out == "" and f"must be below {EXACT_BOUND}" in err
 
 
 def test_large_prime_modulus_is_fast(capsys):

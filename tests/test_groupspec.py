@@ -198,6 +198,17 @@ def test_normalize_idempotent_and_order_insensitive(seed):
     assert normalize(entries) == spec
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 10**9))
+def test_str_reparses_to_the_same_normal_form(seed):
+    import random
+
+    spec = random_spec(random.Random(seed))
+    again = parse_spec(str(spec))
+    assert again == spec and hash(again) == hash(spec)
+    assert str(again) == str(spec)
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 10**9))
 def test_direct_sum_commutative_and_adds(seed):

@@ -37,7 +37,7 @@ sum), which the grammar above cannot spell.
 from __future__ import annotations
 
 import functools
-import operator
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
@@ -82,22 +82,23 @@ class Record:
     def __init_subclass__(cls, eq: bool = True, order: bool = False, hidden: tuple = ()):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        cls._mask = tuple(f not in hidden for f in cls._fields) if hidden else None
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         for name in ("__lt__", "__le__", "__gt__", "__ge__") if order else ():
-            op = getattr(operator, name)
+            op = getattr(tuple, name)
             setattr(cls, name, lambda a, b, op=op: NotImplemented if b.__class__ is not a.__class__
                     else op(a._values, b._values))
 
     def __init__(self, *args, **kwargs):
-        fields, d = self._fields, self.__dict__
+        cls, fields = self.__class__, self._fields
         if kwargs or len(args) != len(fields):
-            rest = {f: v for f, v in vars(type(self)).items() if f in fields[len(args):]} | kwargs
+            rest = {f: vars(cls)[f] for f in fields[len(args):] if f in vars(cls)} | kwargs
             if len(args) > len(fields) or rest.keys() != set(fields[len(args):]):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
             args += tuple(rest[f] for f in fields[len(args):])
-        d.update(zip(fields, args))
-        d["_values"] = args if len(self._shown) == len(fields) else tuple(d[f] for f in self._shown)
+        self.__dict__.update(zip(fields, args))
+        self.__dict__["_values"] = args if cls._mask is None else tuple(compress(args, cls._mask))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -1,7 +1,9 @@
 """The ``Record`` base keeps the semantics of the frozen dataclasses it replaced."""
 
+import copy
 import itertools
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -140,3 +142,9 @@ def test_fields_are_the_own_annotations():
 
     assert Pair(1) == Pair(1, 0) and Pair(1) != Pair(1, 1)
     assert parse_spec("Z/8") == GroupSpec(((Cyclic(2, 3), Cardinal.of(1)),))
+
+
+def test_pickle_and_copy_round_trip():
+    spec = parse_spec("Z/4 + sumP(all\\{3}; Z/p^2)^w + Q + sumK(2; all)")
+    for again in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert again == spec and hash(again) == hash(spec) and str(again) == str(spec)

@@ -11,7 +11,6 @@ from sb_abelian.finite_oracle import (
     is_pure_subgroup_bruteforce,
     iso_finite_bruteforce,
     realize,
-    smith_normal_form,
     socle_multiplicities_bruteforce,
     subgroup_closure,
     ulm_bruteforce,
@@ -33,13 +32,14 @@ print(f"  pure in G? {is_pure_subgroup_bruteforce(G, [(0, 4)])}")
 print(f"  the summand generated by (1,0): pure? "
       f"{is_pure_subgroup_bruteforce(G, [(1, 0)])}")
 
-# Smith normal form turns any integer relation matrix into invariant factors
-snf = smith_normal_form([[2, 4], [6, 8]])
-print(f"\nSmith normal form of [[2,4],[6,8]]: diagonal {snf.diagonal}")
-
+# isomorphism by counting: finite abelian groups are isomorphic exactly when
+# they have as many elements of each order (the counts fix every |G[d]|)
 a = realize(parse_spec("Z/4 + Z/3"))
 b = realize(parse_spec("Z/12"))
 c = realize(parse_spec("Z/2 + Z/6"))
+for name, group in (("Z/4 + Z/3", a), ("Z/12", b), ("Z/2 + Z/6", c)):
+    counts = ", ".join(f"{count} of order {order}" for order, count in group.order_histogram())
+    print(f"\n{name}: {counts}")
 print(f"\nZ/4 + Z/3 ~ Z/12?  {iso_finite_bruteforce(a, b)}")
 print(f"Z/12 ~ Z/2 + Z/6?  {iso_finite_bruteforce(b, c)}")
 

@@ -78,6 +78,7 @@ _BUDGET_ERRORS = (BudgetExceeded, OrderBoundError)
 MAX_WINDOW = 1000  # socle window primes; a scan's memory grows with the width
 MAX_PRECISION = 10_000  # p-adic digits; a certificate's time grows with them
 MAX_ORDER_BOUND = 2**20  # realized group order; the brute-force checks list every element
+PURITY_ORDER_BOUND = 512  # purity closes every element's subgroup; this holds a call near 1 s
 
 # lower bounds of the numeric flags, checked after parsing like the window cap
 _LOWER_BOUNDS = (("precision", 1), ("degree", 0), ("height", 1), ("window", 1),
@@ -134,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
          ["spec"]),
     ):
         q = _leaf(checks, name, handler, summary, *positionals)
+        cap = f"; purity stops at {PURITY_ORDER_BOUND} whatever it says" if name == "purity" else ""
         q.add_argument("--order-bound", type=int, default=2**16, dest="order_bound",
-                       help="largest finite group the oracle will realize (default 65536)")
+                       help=f"largest finite group the oracle will realize (default 65536{cap})")
     return parser
 
 
@@ -299,7 +301,13 @@ def _oracle_iso(args: argparse.Namespace) -> dict:
 
 def _oracle_purity(args: argparse.Namespace) -> dict:
     spec = parse_spec(args.spec)
-    group = realize(spec, order_bound=min(args.order_bound, 512))
+    try:
+        group = realize(spec, order_bound=min(args.order_bound, PURITY_ORDER_BOUND))
+    except OrderBoundError as big:
+        if args.order_bound <= PURITY_ORDER_BOUND:
+            raise
+        raise OrderBoundError(f"{big}, oracle purity's own limit whatever --order-bound says") \
+            from None
     pure, impure, samples = 0, 0, []
     seen: set[frozenset] = set()
     for g in group.elements():

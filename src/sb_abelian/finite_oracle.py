@@ -1,25 +1,23 @@
 """Brute-force ground truth on finite abelian groups.
 
-Everything in this module works by exhaustive enumeration or exact integer
-linear algebra, deliberately independent of the symbolic layer, so it can
-serve as an oracle for it.  Groups are products of cyclic groups given by a
-tuple of factor moduli; elements are coordinate tuples.
+Everything in this module works by enumerating elements, deliberately
+independent of the symbolic layer, so it can serve as an oracle for it.
+Groups are products of cyclic groups given by a tuple of factor moduli;
+elements are coordinate tuples.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .groupspec import Cardinal, Cyclic, GroupSpec, Record, direct_sum, normalize
+from .groupspec import Cardinal, Cyclic, GroupSpec, direct_sum, normalize
 from .primes import factorize, primes
 
 __all__ = [
     "FiniteAbelianGroup",
-    "SmithNormalForm",
-    "smith_normal_form",
     "is_pure_subgroup_bruteforce",
     "subgroup_closure",
     "ulm_bruteforce",
@@ -58,7 +56,7 @@ class FiniteAbelianGroup:
     (0, 1)
     """
 
-    __slots__ = ("factors", "order")
+    __slots__ = ("factors", "order", "_scaled", "_histogram")
 
     def __init__(self, factors: Sequence[int], order_bound: int = DEFAULT_ORDER_BOUND):
         factors = tuple(int(n) for n in factors)
@@ -68,6 +66,9 @@ class FiniteAbelianGroup:
         self.order = math.prod(factors)
         if self.order > order_bound:
             raise OrderBoundError(f"group order {self.order} exceeds bound {order_bound}")
+        # per-instance memos: a module-level cache would keep every group alive
+        self._scaled: dict[int, frozenset[Element]] = {}
+        self._histogram: tuple[tuple[int, int], ...] | None = None
 
     @property
     def exponent(self) -> int:
@@ -83,20 +84,40 @@ class FiniteAbelianGroup:
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
 
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.factors))
-
     def smul(self, c: int, a: Element) -> Element:
         return tuple((c * x) % n for x, n in zip(a, self.factors))
 
     def scaled_set(self, c: int) -> frozenset[Element]:
-        """The image c*G."""
-        return frozenset(self.smul(c, g) for g in self.elements())
+        """The image c*G, memoized per group."""
+        if c not in self._scaled:
+            self._scaled[c] = frozenset(self.smul(c, g) for g in self.elements())
+        return self._scaled[c]
 
     def torsion_set(self, c: int) -> frozenset[Element]:
         """The kernel of multiplication by c."""
         zero = self.zero
         return frozenset(g for g in self.elements() if self.smul(c, g) == zero)
+
+    def order_histogram(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (order, count) pairs over all elements, memoized per group.
+
+        An element's order is the lcm of its coordinate orders n // gcd(a, n).
+        The counts are folded in one factor at a time, so the work grows with
+        the sum of the factors rather than with their product.
+
+        >>> FiniteAbelianGroup((2, 4)).order_histogram()
+        ((1, 1), (2, 3), (4, 4))
+        """
+        if self._histogram is None:
+            counts = Counter({1: 1})
+            for n in self.factors:
+                step: Counter[int] = Counter()
+                for a in range(n):
+                    for order, count in counts.items():
+                        step[math.lcm(order, n // math.gcd(a, n))] += count
+                counts = step
+            self._histogram = tuple(sorted(counts.items()))
+        return self._histogram
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
@@ -106,156 +127,6 @@ class FiniteAbelianGroup:
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({self.factors})"
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-class SmithNormalForm(Record):
-    """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}.
-
-    ``invariant_factors`` lists the diagonal entries > 1; ``free_rank`` is
-    the number of zero diagonal entries padded to the row count (the rank of
-    the free part of the cokernel when A presents relations on row
-    generators).
-    """
-
-    diagonal: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
-    rows: int
-    cols: int
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d > 1)
-
-    @property
-    def free_rank(self) -> int:
-        return self.rows - sum(1 for d in self.diagonal if d != 0)
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithNormalForm:
-    """Exact Smith normal form over Z with transform tracking.
-
-    >>> smith_normal_form([[2, 0], [0, 3]]).invariant_factors
-    (6,)
-    >>> smith_normal_form([[4, 2], [0, 2]]).invariant_factors
-    (2, 4)
-    >>> smith_normal_form([[1, 0], [0, 1]]).invariant_factors
-    ()
-    """
-    a = [list(map(int, row)) for row in matrix]
-    if not a or not a[0]:
-        raise ValueError("matrix must be nonempty")
-    rows, cols = len(a), len(a[0])
-    if any(len(row) != cols for row in a):
-        raise ValueError("ragged matrix")
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t then row t; restart if a remainder pops up
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder smaller than pivot: promote it
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every entry of the trailing block
-            stray = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
-                break
-            # fold the offending row into row t and keep reducing
-            a[t] = [x + y for x, y in zip(a[t], a[stray])]
-            u[t] = [x + y for x, y in zip(u[t], u[stray])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(rows, cols)))
-    snf = SmithNormalForm(
-        diagonal=diag,
-        u=tuple(tuple(r) for r in u),
-        v=tuple(tuple(r) for r in v),
-        rows=rows,
-        cols=cols,
-    )
-    # sanity: U A V must reproduce the diagonal
-    check = _mat_mul(_mat_mul([list(r) for r in snf.u], [list(map(int, r)) for r in matrix]),
-                     [list(r) for r in snf.v])
-    for i in range(rows):
-        for j in range(cols):
-            expect = diag[i] if i == j and i < len(diag) else 0
-            if check[i][j] != expect:
-                raise AssertionError("Smith reduction produced inconsistent transforms")
-    return snf
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +157,9 @@ def subgroup_closure(group: FiniteAbelianGroup, generators: Iterable[Element]) -
 def is_pure_subgroup_bruteforce(
     group: FiniteAbelianGroup, generators: Iterable[Element]
 ) -> bool:
-    """Exhaustive purity test: nG  intersect  H == nH for every 1 <= n <= exponent.
+    """Exhaustive purity test: nG  intersect  H == nH for every n dividing e = exponent.
+
+    Divisors suffice: eG = 0, so nG = gcd(n, e)G and nH = gcd(n, e)H for every n.
 
     >>> is_pure_subgroup_bruteforce(FiniteAbelianGroup((4,)), [(2,)])
     False
@@ -294,7 +167,8 @@ def is_pure_subgroup_bruteforce(
     True
     """
     members = subgroup_closure(group, generators)
-    for n in range(1, group.exponent + 1):
+    e = group.exponent
+    for n in (d for d in range(1, e + 1) if e % d == 0):
         in_big = group.scaled_set(n)
         in_sub = frozenset(group.smul(n, h) for h in members)
         for h in members:
@@ -332,19 +206,10 @@ def ulm_bruteforce(group: FiniteAbelianGroup, p: int, i: int) -> int:
     return dim
 
 
-@functools.lru_cache(maxsize=None)
-def _invariant_factors_cached(group: FiniteAbelianGroup) -> tuple[int, ...]:
-    if not group.factors:
-        return ()
-    n = len(group.factors)
-    diag = [[group.factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return smith_normal_form(diag).invariant_factors
-
-
 def iso_finite_bruteforce(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
-    """Isomorphism of finite abelian groups via Smith normal form.
+    """Isomorphism of finite abelian groups by counting elements of each order.
 
-    The invariant factors of the diagonal presentation matrix classify the
+    The counts fix |G[d]| for every d, which classifies a finite abelian
     group up to isomorphism.
 
     >>> iso_finite_bruteforce(FiniteAbelianGroup((6,)), FiniteAbelianGroup((2, 3)))
@@ -352,7 +217,7 @@ def iso_finite_bruteforce(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
     >>> iso_finite_bruteforce(FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2)))
     False
     """
-    return _invariant_factors_cached(g) == _invariant_factors_cached(h)
+    return g.order_histogram() == h.order_histogram()
 
 
 def socle_multiplicities_bruteforce(group: FiniteAbelianGroup) -> dict[int, int]:

@@ -241,15 +241,6 @@ class PrimeSet(Record):
             return PrimeSet(True, self.primes | ps)
         return PrimeSet(False, self.primes - ps)
 
-    def union(self, other: "PrimeSet") -> "PrimeSet":
-        if self.complement and other.complement:
-            return PrimeSet(True, self.primes & other.primes)
-        if self.complement:
-            return PrimeSet(True, self.primes - other.primes)
-        if other.complement:
-            return PrimeSet(True, other.primes - self.primes)
-        return PrimeSet(False, self.primes | other.primes)
-
     def first_n(self, n: int) -> tuple[int, ...]:
         """The n smallest members (all members if the set is smaller)."""
         if self.complement:

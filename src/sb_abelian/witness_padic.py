@@ -170,10 +170,6 @@ class GridElement(Record):
             cleaned = {m: c / p**drop for m, c in cleaned.items()}
         return cls(p, t, tuple(sorted(cleaned.items())))
 
-    @classmethod
-    def basis_vector(cls, p: int, s: int) -> "GridElement":
-        return cls.of(p, {GridMonomial(0, 0, s): 1})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

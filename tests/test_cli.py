@@ -292,6 +292,18 @@ def test_oracle_order_bound(capsys):
     assert "exceeds bound" in err
 
 
+def test_oracle_purity_names_its_own_order_cap(capsys):
+    # purity realizes at most 512 elements whatever --order-bound allows
+    code, out, err = run(capsys, "oracle", "purity", "Z/1024", "--order-bound", "4096")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("sb-abelian: group order 1024 exceeds bound 512, oracle purity's own "
+                   "limit whatever --order-bound says\n")
+    # below the cap the flag's own bound is the one named
+    code, _, err = run(capsys, "oracle", "purity", "Z/8", "--order-bound", "4")
+    assert code == EXIT_BUDGET and err == "sb-abelian: group order 8 exceeds bound 4\n"
+    assert run_json(capsys, "oracle", "purity", "Z/2^9", "--order-bound", "4096")["order"] == 512
+
+
 def test_oracle_flags_belong_to_the_check(capsys):
     # the oracle level takes no flags; the check's own flags take effect
     code, out, _ = run(capsys, "oracle", "--order-bound", "4", "ulm", "Z/8")

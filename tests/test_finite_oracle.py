@@ -1,8 +1,7 @@
-import random
+import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sb_abelian.finite_oracle import (
     FiniteAbelianGroup,
@@ -13,11 +12,11 @@ from sb_abelian.finite_oracle import (
     iso_finite_bruteforce,
     partitions,
     realize,
-    smith_normal_form,
     subgroup_closure,
     ulm_bruteforce,
 )
 from sb_abelian.groupspec import parse_spec
+from sb_abelian.primes import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +30,6 @@ def test_group_basics():
     assert g.exponent == 4
     assert len(list(g.elements())) == 8
     assert g.add((1, 3), (1, 2)) == (0, 1)
-    assert g.neg((1, 3)) == (1, 1)
     assert g.smul(3, (1, 3)) == (1, 1)
 
 
@@ -51,64 +49,6 @@ def test_order_bound_enforced():
 def test_factor_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]).invariant_factors == (6,)
-    assert smith_normal_form([[4, 2], [0, 2]]).invariant_factors == (2, 4)
-    assert smith_normal_form([[1, 0], [0, 1]]).invariant_factors == ()
-
-
-def test_snf_rank_deficient():
-    snf = smith_normal_form([[2, 4]])
-    assert snf.invariant_factors == (2,)
-    assert snf.free_rank == 0
-    snf = smith_normal_form([[0, 0], [0, 0]])
-    assert snf.diagonal == (0, 0)
-    assert snf.free_rank == 2
-
-
-def test_snf_rejects_empty():
-    with pytest.raises(ValueError):
-        smith_normal_form([])
-
-
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j in range(len(m)):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
-@settings(max_examples=150)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(0, 10**9),
-)
-def test_snf_properties(rows, cols, seed):
-    rng = random.Random(seed)
-    matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-    snf = smith_normal_form(matrix)
-    # diagonal, nonnegative, divisibility chain
-    diag = snf.diagonal
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
-    # transforms are unimodular (construction already checked U A V = D)
-    assert abs(_det([list(r) for r in snf.u])) == 1
-    assert abs(_det([list(r) for r in snf.v])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +82,27 @@ def test_purity_summands_small_sweep():
                 if mask >> i & 1
             ]
             assert is_pure_subgroup_bruteforce(group, gens), (spec, mask)
+
+
+def test_purity_over_divisors_matches_every_n():
+    # reference: the definition, with n running over all of 1..exponent
+    def pure_for_every_n(group, members, n_big):
+        for n in range(1, group.exponent + 1):
+            n_sub = {group.smul(n, h) for h in members}
+            if any(h in n_big[n] and h not in n_sub for h in members):
+                return False
+        return True
+
+    impure = 0
+    for spec in finite_abelian_specs(64):
+        group = realize(spec)
+        n_big = {n: {group.smul(n, g) for g in group.elements()}
+                 for n in range(1, group.exponent + 1)}
+        for sub in {subgroup_closure(group, [g]) for g in group.elements()}:
+            expected = pure_for_every_n(group, sub, n_big)
+            impure += not expected
+            assert is_pure_subgroup_bruteforce(group, sub) == expected, (spec, sorted(sub))
+    assert impure > 0  # the sweep exercises both verdicts
 
 
 def test_subgroup_closure():
@@ -186,6 +147,29 @@ def test_iso_examples():
     assert iso_finite_bruteforce(FiniteAbelianGroup((6,)), FiniteAbelianGroup((2, 3)))
     assert not iso_finite_bruteforce(FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2)))
     assert iso_finite_bruteforce(FiniteAbelianGroup(()), FiniteAbelianGroup(()))
+
+
+def test_iso_matches_elementary_divisors():
+    # reference: the multiset of prime powers p^k obtained by factoring each modulus
+    def elementary_divisors(group):
+        return sorted(p**k for n in group.factors for p, k in factorize(n).items())
+
+    # each group also appears with its i-th largest p-powers multiplied together,
+    # so isomorphic pairs with different factor lists are checked too
+    def invariant_factor_form(group):
+        powers = {}
+        for q in elementary_divisors(group):
+            powers.setdefault(min(factorize(q)), []).insert(0, q)
+        columns = itertools.zip_longest(*powers.values(), fillvalue=1)
+        return FiniteAbelianGroup(sorted(math.prod(c) for c in columns))
+
+    groups = [realize(spec) for spec in finite_abelian_specs(256)]
+    groups += [invariant_factor_form(g) for g in groups]
+    assert FiniteAbelianGroup((2, 12)) in groups
+    divisors = [elementary_divisors(g) for g in groups]
+    for i, j in itertools.combinations_with_replacement(range(len(groups)), 2):
+        expected = divisors[i] == divisors[j]
+        assert iso_finite_bruteforce(groups[i], groups[j]) == expected, (groups[i], groups[j])
 
 
 def test_iso_reorders_factors():

@@ -70,8 +70,8 @@ def test_zero_element():
 
 
 def test_element_arithmetic():
-    e1 = GridElement.basis_vector(5, 1)
-    e2 = GridElement.basis_vector(5, 2)
+    e1 = GridElement.of(5, {GridMonomial(0, 0, 1): 1})
+    e2 = GridElement.of(5, {GridMonomial(0, 0, 2): 1})
     x = e1.scale(3) + e2.scale(Fraction(1, 2))
     assert x.coefficient(GridMonomial(0, 0, 1)) == 3
     assert (x - x).is_zero
@@ -90,8 +90,9 @@ def test_element_str():
 
 
 def test_mismatched_primes_cannot_add():
+    e1 = GridMonomial(0, 0, 1)
     with pytest.raises(ValueError):
-        GridElement.basis_vector(5, 1) + GridElement.basis_vector(7, 1)
+        GridElement.of(5, {e1: 1}) + GridElement.of(7, {e1: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +148,19 @@ def test_grid_shapes():
 
 def test_basis_vectors_in_both(pair):
     for s in (1, 2):
-        e = GridElement.basis_vector(5, s)
+        e = GridElement.of(5, {GridMonomial(0, 0, s): 1})
         assert grid_membership(e, "H1", pair)
         assert grid_membership(e, "H2", pair)
 
 
 def test_unit2_times_e1_not_in_h2(pair):
-    x = GridElement.basis_vector(5, 1).shift(0, 1)
+    x = GridElement.of(5, {GridMonomial(0, 0, 1): 1}).shift(0, 1)
     assert not grid_membership(x, "H2", pair)
     assert grid_membership(x, "H1", pair)
 
 
 def test_exact_division_membership(pair):
-    e1 = GridElement.basis_vector(5, 1)
+    e1 = GridElement.of(5, {GridMonomial(0, 0, 1): 1})
     c = (-pair.unit1.truncate(1).residue) % 5
     good = (e1.shift(1, 0) + e1.scale(c)).scale(Fraction(1, 5))
     assert good.t == 1
@@ -170,7 +171,7 @@ def test_exact_division_membership(pair):
 
 def test_deeper_exact_division(pair):
     # (u1 - r) y is divisible by 5^3 when r is u1's three-digit truncation
-    e2 = GridElement.basis_vector(5, 2)
+    e2 = GridElement.of(5, {GridMonomial(0, 0, 2): 1})
     y = e2.scale(7) + e2.shift(2, 1).scale(-2)
     r = pair.unit1.truncate(3).residue
     member = (y.shift(1, 0) - y.scale(r)).scale(Fraction(1, 125))
@@ -179,13 +180,13 @@ def test_deeper_exact_division(pair):
 
 
 def test_membership_guards(pair):
-    e1 = GridElement.basis_vector(5, 1)
+    e1 = GridElement.of(5, {GridMonomial(0, 0, 1): 1})
     with pytest.raises(PrecisionInsufficient):
         grid_membership(e1.scale(Fraction(1, 5**40)), "H1", pair)
     with pytest.raises(ValueError):
-        grid_membership(GridElement.basis_vector(7, 1), "H1", pair)
+        grid_membership(GridElement.of(7, {GridMonomial(0, 0, 1): 1}), "H1", pair)
     with pytest.raises(ValueError):
-        grid_membership(GridElement.basis_vector(5, 3), "H1", pair)  # k = 2
+        grid_membership(GridElement.of(5, {GridMonomial(0, 0, 3): 1}), "H1", pair)  # k = 2
     with pytest.raises(ValueError):
         grid_membership(e1, "Hx", pair)
 
@@ -193,7 +194,7 @@ def test_membership_guards(pair):
 def test_purity_closure(pair):
     # whenever a member's coordinate sums are divisible by p^e, dividing by
     # p^e stays inside the pure closure
-    e1 = GridElement.basis_vector(5, 1)
+    e1 = GridElement.of(5, {GridMonomial(0, 0, 1): 1})
     r = pair.unit1.truncate(2).residue
     x = e1.shift(1, 0) - e1.scale(r)  # divisible by 25, still t = 0
     assert grid_membership(x, "H1", pair)
@@ -212,7 +213,7 @@ def test_zero_is_member_everywhere(pair):
 
 
 def test_sigma_shifts(pair):
-    x = GridElement.basis_vector(5, 2).shift(0, 3)  # u2^3 e2, in H1 only
+    x = GridElement.of(5, {GridMonomial(0, 0, 2): 1}).shift(0, 3)  # u2^3 e2, in H1 only
     assert grid_membership(x, "H1", pair)
     assert not grid_membership(x, "H2", pair)
     shifted = apply_scalar(pair, "unit1", x)
@@ -227,7 +228,7 @@ def test_scalar_one_is_identity(pair):
 
 
 def test_rational_unit_scalars(pair):
-    x = GridElement.basis_vector(5, 1)
+    x = GridElement.of(5, {GridMonomial(0, 0, 1): 1})
     y = apply_scalar(pair, Fraction(3, 2), x)
     assert y.coefficient(GridMonomial(0, 0, 1)) == Fraction(3, 2)
     for bad in (5, Fraction(1, 5), 0, "unit3"):

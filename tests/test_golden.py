@@ -94,6 +94,14 @@ ARGVS = [
     ["witness", "Zhat(5)^w", "--route", "padic"],
     ["witness", "sumP(all; Zhat)"],
     ["classify", "sumK(2; {100})"],
+    # the finite oracle on groups whose layers and cyclic subgroups repeat:
+    # one cyclic factor, equal factors, mixed exponents, odd primes
+    ["oracle", "purity", "Z/512"],
+    ["oracle", "purity", "Z/8^3"],
+    ["oracle", "purity", "Z/16 + Z/4 + Z/2 + Z/2"],
+    ["oracle", "purity", "Z/3 + Z/3 + Z/3 + Z/3"],
+    ["oracle", "ulm", "Z/64^2 + Z/8 + Z/2"],
+    ["oracle", "ulm", "Z/27 + Z/9^2 + Z/3"],
 ]
 
 

@@ -83,10 +83,6 @@ class BasicPredicates(Record):
     reduced: bool
     exponent: int | None  # None when unbounded
 
-    @property
-    def bounded(self) -> bool:
-        return self.exponent is not None
-
 
 def basic_predicates(spec: GroupSpec) -> BasicPredicates:
     """Divisibility and reducedness read off the entry list, the exponent off the key.

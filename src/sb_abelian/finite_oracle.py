@@ -4,6 +4,11 @@ Everything in this module works by enumerating elements, deliberately
 independent of the symbolic layer, so it can serve as an oracle for it.
 Groups are products of cyclic groups given by a tuple of factor moduli;
 elements are coordinate tuples.
+
+No check lists the whole group: for G = Z/n_1 x ... x Z/n_r, G[p] and cG are
+the products of the Z/n_j[p] and of the gcd(c, n_j)Z/n_j, so a layer size
+|G[p] & cG| is a product of per-factor counts, and h lies in nG exactly when
+gcd(n, n_j) divides each coordinate h_j.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .groupspec import Cardinal, Cyclic, GroupSpec, direct_sum, normalize
-from .primes import factorize, primes
+from .primes import factorize, p_valuation, primes
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -23,7 +28,6 @@ __all__ = [
     "ulm_bruteforce",
     "iso_finite_bruteforce",
     "socle_multiplicities_bruteforce",
-    "NotAPGroupError",
     "OrderBoundError",
     "realize",
     "finite_abelian_specs",
@@ -39,10 +43,6 @@ class OrderBoundError(ValueError):
     """The requested group is larger than the enumeration bound."""
 
 
-class NotAPGroupError(ValueError):
-    """An element of order not a power of p exists."""
-
-
 class FiniteAbelianGroup:
     """Z/n_1 x ... x Z/n_r with coordinatewise arithmetic.
 
@@ -56,7 +56,7 @@ class FiniteAbelianGroup:
     (0, 1)
     """
 
-    __slots__ = ("factors", "order", "_scaled", "_histogram")
+    __slots__ = ("factors", "order", "_histogram")
 
     def __init__(self, factors: Sequence[int], order_bound: int = DEFAULT_ORDER_BOUND):
         factors = tuple(int(n) for n in factors)
@@ -66,8 +66,7 @@ class FiniteAbelianGroup:
         self.order = math.prod(factors)
         if self.order > order_bound:
             raise OrderBoundError(f"group order {self.order} exceeds bound {order_bound}")
-        # per-instance memos: a module-level cache would keep every group alive
-        self._scaled: dict[int, frozenset[Element]] = {}
+        # a per-instance memo: a module-level cache would keep every group alive
         self._histogram: tuple[tuple[int, int], ...] | None = None
 
     @property
@@ -88,10 +87,8 @@ class FiniteAbelianGroup:
         return tuple((c * x) % n for x, n in zip(a, self.factors))
 
     def scaled_set(self, c: int) -> frozenset[Element]:
-        """The image c*G, memoized per group."""
-        if c not in self._scaled:
-            self._scaled[c] = frozenset(self.smul(c, g) for g in self.elements())
-        return self._scaled[c]
+        """The image c*G."""
+        return frozenset(self.smul(c, g) for g in self.elements())
 
     def torsion_set(self, c: int) -> frozenset[Element]:
         """The kernel of multiplication by c."""
@@ -160,6 +157,7 @@ def is_pure_subgroup_bruteforce(
     """Exhaustive purity test: nG  intersect  H == nH for every n dividing e = exponent.
 
     Divisors suffice: eG = 0, so nG = gcd(n, e)G and nH = gcd(n, e)H for every n.
+    h lies in nG when gcd(n, n_j) divides each coordinate h_j.
 
     >>> is_pure_subgroup_bruteforce(FiniteAbelianGroup((4,)), [(2,)])
     False
@@ -169,41 +167,39 @@ def is_pure_subgroup_bruteforce(
     members = subgroup_closure(group, generators)
     e = group.exponent
     for n in (d for d in range(1, e + 1) if e % d == 0):
-        in_big = group.scaled_set(n)
+        steps = [math.gcd(n, m) for m in group.factors]
         in_sub = frozenset(group.smul(n, h) for h in members)
         for h in members:
-            if h in in_big and h not in in_sub:
+            if h not in in_sub and all(x % d == 0 for x, d in zip(h, steps)):
                 return False
     return True
 
 
-def ulm_bruteforce(group: FiniteAbelianGroup, p: int, i: int) -> int:
-    """The i-th Ulm value of a finite abelian p-group at p.
+def _socle_layer_size(group: FiniteAbelianGroup, p: int, c: int) -> int:
+    """|G[p] & cG|: Z/n[p] is the multiples of n // gcd(p, n), cZ/n those of gcd(c, n)."""
+    size = 1
+    for n in group.factors:
+        d = math.gcd(c, n)
+        size *= sum(1 for x in range(0, n, n // math.gcd(p, n)) if x % d == 0)
+    return size
 
-    Computes heights exhaustively: with P_i the set of order-p elements of
-    height >= i, the value is dim_{F_p}(P_i / P_{i+1}).  For a direct sum of
-    cyclic p-groups this counts the Z/p**(i+1) summands.
+
+def ulm_bruteforce(group: FiniteAbelianGroup, p: int, i: int) -> int:
+    """The i-th Ulm value of a finite abelian group at p.
+
+    With P_i = (p**i G)[p], the elements of order dividing p and height >= i,
+    the value is dim_{F_p}(P_i / P_{i+1}).  It counts the Z/p**(i+1) summands
+    of the p-part; the other primes' parts meet G[p] only in 0.
 
     >>> ulm_bruteforce(FiniteAbelianGroup((2, 8)), 2, 0)
     1
     >>> ulm_bruteforce(FiniteAbelianGroup((8,)), 2, 2)
     1
     """
-    if i < 0:
-        raise ValueError(f"Ulm index must be >= 0, got {i}")
-    for n in group.factors:
-        fact = factorize(n)
-        if any(q != p for q in fact):
-            raise NotAPGroupError(f"factor {n} is not a power of {p}")
-    order_p = group.torsion_set(p)
-    layer = order_p & group.scaled_set(p**i)
-    next_layer = order_p & group.scaled_set(p ** (i + 1))
-    ratio = len(layer) // len(next_layer)
-    dim = 0
-    while ratio > 1:
-        ratio //= p
-        dim += 1
-    return dim
+    if i < 0 or p < 2:
+        raise ValueError(f"need a prime p and an Ulm index >= 0, got p={p}, i={i}")
+    layer = _socle_layer_size(group, p, p**i)
+    return p_valuation(layer // _socle_layer_size(group, p, p ** (i + 1)), p)
 
 
 def iso_finite_bruteforce(g: FiniteAbelianGroup, h: FiniteAbelianGroup) -> bool:
@@ -226,15 +222,8 @@ def socle_multiplicities_bruteforce(group: FiniteAbelianGroup) -> dict[int, int]
     The socle of a finite abelian group is elementary abelian; its p-part
     has dimension log_p |G[p]|.
     """
-    out: dict[int, int] = {}
-    for p in sorted(factorize(group.order)) if group.order > 1 else []:
-        size = len(group.torsion_set(p))
-        dim = 0
-        while size > 1:
-            size //= p
-            dim += 1
-        out[p] = dim
-    return out
+    divisors = sorted(factorize(group.order)) if group.order > 1 else []
+    return {p: p_valuation(_socle_layer_size(group, p, 1), p) for p in divisors}
 
 
 # ---------------------------------------------------------------------------

@@ -405,9 +405,6 @@ class GroupSpec(Record):
 
     entries: tuple[Entry, ...]
 
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self.entries)
-
     @property
     def is_trivial(self) -> bool:
         return not self.entries
@@ -417,9 +414,6 @@ class GroupSpec(Record):
             if fam == family:
                 return mult
         return _ZERO
-
-    def __add__(self, other: "GroupSpec") -> "GroupSpec":
-        return direct_sum(self, other)
 
     def __str__(self) -> str:
         if not self.entries:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from sb_abelian.cli import (
     MAX_WINDOW,
     main,
 )
+from sb_abelian.finite_oracle import finite_abelian_specs, realize, subgroup_closure
 from sb_abelian.primes import EXACT_BOUND
 
 
@@ -175,13 +177,17 @@ def test_witness_socle_over_budget_exits_4(capsys):
     assert "387420489 candidate polynomials exceed the budget" in err
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter, with this checkout's ``src`` first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def loaded_after(imports: str, modules: list[str]) -> str:
     """Which of ``modules`` a fresh interpreter has loaded after ``imports``."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     probe = f"import sys, {imports}; print([m for m in {modules!r} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     return done.stdout.strip()
 
@@ -290,6 +296,31 @@ def test_oracle_order_bound(capsys):
     code, _, err = run(capsys, "oracle", "ulm", "Z/1024^2", "--order-bound", "1000")
     assert code == EXIT_BUDGET
     assert "exceeds bound" in err
+
+
+def test_oracle_purity_matches_one_closure_per_element(capsys):
+    # reference: close every element's subgroup, deduplicate the subgroups by
+    # their member sets, and test nG & H == nH from the element sets
+    def reference(group):
+        e = group.exponent
+        divisors = [n for n in range(1, e + 1) if e % n == 0]
+        big = {n: group.scaled_set(n) for n in divisors}
+        pure, impure, samples, seen = 0, 0, [], set()
+        for g in group.elements():
+            sub = subgroup_closure(group, [g])
+            if sub in seen:
+                continue
+            seen.add(sub)
+            ok = all(sub & big[n] == {group.smul(n, h) for h in sub} for n in divisors)
+            pure, impure = pure + ok, impure + (not ok)
+            if not ok and len(samples) < 3:
+                samples.append({"generator": list(g), "order": len(sub)})
+        return pure, impure, samples
+
+    for spec in finite_abelian_specs(64):
+        body = run_json(capsys, "oracle", "purity", str(spec))
+        got = body["pure"], body["impure"], body["impure_examples"]
+        assert got == reference(realize(spec)), spec
 
 
 def test_oracle_purity_names_its_own_order_cap(capsys):
@@ -403,13 +434,32 @@ def test_order_bound_cap(capsys):
     ["iso", "Z/2^100000000000000", "Z/2^99999999999999"],
     ["witness", "sumP(all; Z/p^1)^99999999999999"],
     ["classify", "Q^" + "9" * 29],
-], ids=["invariants", "eq", "iso", "witness", "classify"])
+    ["oracle", "ulm", "Z/2^20", "--order-bound", "1048576"],
+    ["oracle", "ulm", "Z/1024^2", "--order-bound", "1048576"],
+    ["oracle", "ulm", "Z/12 + Z/18"],
+], ids=["invariants", "eq", "iso", "witness", "classify", "oracle-ulm-2^20",
+        "oracle-ulm-1024^2", "oracle-ulm-mixed"])
 def test_huge_finite_multiplicities_exit_0_fast(capsys, argv):
-    # a finite multiplicity is only ever added and compared, never expanded
+    # a finite multiplicity is only ever added and compared, never expanded;
+    # the oracle counts layer sizes per cyclic factor, never listing the group
     start = time.perf_counter()
     body = run_json(capsys, *argv)
     assert time.perf_counter() - start < 2.0
-    assert body["command"] == argv[0]
+    assert body["command"] == argv[0] and body.get("agree", True) is True
+
+
+def test_oracle_ulm_at_the_order_cap_stays_small():
+    # one child process with its address space capped at 256 MB
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "sb_abelian", "oracle", "ulm", "Z/2^20",
+         "--order-bound", str(MAX_ORDER_BOUND)],
+        env=child_env(), capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert done.returncode == EXIT_OK, done.stderr
+    body = json.loads(done.stdout)
+    assert body["agree"] is True and body["order"] == MAX_ORDER_BOUND
 
 
 def test_sumK_set_size_is_bounded_by_the_exact_bound(capsys):

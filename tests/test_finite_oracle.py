@@ -5,13 +5,13 @@ import pytest
 
 from sb_abelian.finite_oracle import (
     FiniteAbelianGroup,
-    NotAPGroupError,
     OrderBoundError,
     finite_abelian_specs,
     is_pure_subgroup_bruteforce,
     iso_finite_bruteforce,
     partitions,
     realize,
+    socle_multiplicities_bruteforce,
     subgroup_closure,
     ulm_bruteforce,
 )
@@ -133,9 +133,35 @@ def test_ulm_counts_summand_multiplicity():
     assert ulm_bruteforce(g, 3, 2) == 0
 
 
-def test_ulm_rejects_mixed_group():
-    with pytest.raises(NotAPGroupError):
-        ulm_bruteforce(FiniteAbelianGroup((6,)), 2, 0)
+def test_ulm_reads_the_p_part_of_a_mixed_group():
+    # Z/6 = Z/2 + Z/3: one Z/p summand at each of its primes
+    assert ulm_bruteforce(FiniteAbelianGroup((6,)), 2, 0) == 1
+    assert ulm_bruteforce(FiniteAbelianGroup((6,)), 3, 0) == 1
+    with pytest.raises(ValueError):
+        ulm_bruteforce(FiniteAbelianGroup((6,)), 1, 0)
+
+
+def test_layer_sizes_match_the_element_sets():
+    # reference: |G[p] & p^i G| from the sets of all elements, mixed groups included
+    def dim(size, p):
+        return next(d for d in itertools.count() if p**d == size)
+
+    checks = 0
+    for spec in finite_abelian_specs(128):
+        group = realize(spec)
+        primes_here = sorted(factorize(group.order)) if group.order > 1 else []
+        socle = {}
+        for p in primes_here:
+            kernel = group.torsion_set(p)
+            sizes = [len(kernel & group.scaled_set(p**i))
+                     for i in range(math.ceil(math.log(group.order, p)) + 2)]
+            socle[p] = dim(sizes[0], p)
+            for i in range(len(sizes) - 1):
+                expected = dim(sizes[i] // sizes[i + 1], p)
+                assert ulm_bruteforce(group, p, i) == expected, (spec, p, i)
+                checks += 1
+        assert socle_multiplicities_bruteforce(group) == socle, spec
+    assert checks > 1000
 
 
 # ---------------------------------------------------------------------------

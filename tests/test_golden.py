@@ -83,6 +83,13 @@ ARGVS = [
      "--seed", "5"],
     ["witness", "sumP(all; Z/p^1)", "--window", "30", "--degree", "0"],
     ["witness", "sumP(all; Z/p^1)", "--window", "30", "--threshold", "30"],
+    # socle scans at the edges: primes past 256 and survival counts up to 300,
+    # and a scan of 7^9 = 40,353,607 vectors
+    ["witness", "sumP(all; Z/p^1)", "--window", "300", "--height", "1", "--threshold", "3"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "300", "--height", "1", "--threshold", "3",
+     "--seed", "2"],
+    ["witness", "sumP(all; Z/p^1)", "--window", "50", "--height", "3", "--threshold", "3",
+     "--seed", "1"],
     # refusals
     ["witness", "Z/2^w"],
     ["witness", "sumK(2; all)"],

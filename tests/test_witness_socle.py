@@ -448,6 +448,23 @@ def test_proper_inclusion_check_passes_at_test_scale():
     assert len(data["rows"]) == 4
 
 
+@pytest.mark.parametrize("text,seed,counts", [
+    ("sumP(all; Z/p^1)", 7, [10, 8, 7, 6, 7, 8]),
+    ("sumP(all\\{2}; Z/p^1)", 41, [10, 9, 8, 7, 7, 8]),
+])
+def test_proper_inclusion_check_at_the_certify_bounds(text, seed, counts):
+    # window 16, degree 2, height 2 and shifts 0-5: shifts 2-5 scan all nine
+    # monomials, against a different target each
+    window = window_from_socle(parse_spec(text), 16)
+    w = build_socle_witness(window, seed=seed, max_exponent=2, height_bound=2, threshold=3)
+    assert proper_inclusion_check(w, max_shift=5).to_json() == {
+        "max_shift": 5, "threshold": 3, "max_exponent": 2, "height_bound": 2,
+        "rows": [{"shift": m, "min_count": c, "candidates": 5 ** min(9, 5 + 2 * m)}
+                 for m, c in enumerate(counts)],
+        "passed": True,
+    }
+
+
 # ---------------------------------------------------------------------------
 # the reduction pipeline
 # ---------------------------------------------------------------------------

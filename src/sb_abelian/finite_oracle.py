@@ -99,8 +99,8 @@ class FiniteAbelianGroup:
         """Sorted (order, count) pairs over all elements, memoized per group.
 
         An element's order is the lcm of its coordinate orders n // gcd(a, n).
-        The counts are folded in one factor at a time, so the work grows with
-        the sum of the factors rather than with their product.
+        The counts are folded in one factor at a time, over its distinct gcds,
+        so the work grows with the sum of the factors, not with their product.
 
         >>> FiniteAbelianGroup((2, 4)).order_histogram()
         ((1, 1), (2, 3), (4, 4))
@@ -108,10 +108,11 @@ class FiniteAbelianGroup:
         if self._histogram is None:
             counts = Counter({1: 1})
             for n in self.factors:
+                gcds = Counter(map(math.gcd, range(n), itertools.repeat(n)))
                 step: Counter[int] = Counter()
-                for a in range(n):
-                    for order, count in counts.items():
-                        step[math.lcm(order, n // math.gcd(a, n))] += count
+                for order, count in counts.items():
+                    for g, k in gcds.items():
+                        step[math.lcm(order, n // g)] += count * k
                 counts = step
             self._histogram = tuple(sorted(counts.items()))
         return self._histogram

@@ -8,25 +8,28 @@ the first monomial varies slowest, each coefficient runs from -B to B.
 
 The monomials split into a high and a low half, each half's residues are
 tabulated once, and a vector vanishes exactly when its halves satisfy
-L = -R (Horowitz-Sahni), so the cost is two half tables plus one match per
-pair.  The module also holds the seeded RNG, the H1/H2 grid shapes and the
-retry count that both witness routes share.
+L = -R (Horowitz-Sahni).  The socle scan counts this for every vector, per
+prime joining row masks of the low halves along the high halves into one int
+for bit-sliced counters.  The module also holds the seeded RNG, the H1/H2
+grid shapes and the retry count that both witness routes share.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 __all__ = [
     "BudgetExceeded", "RETRIES", "SCAN_BUDGET", "Survival", "check_grid", "first_relation",
-    "grid_allows", "monomials", "search_space", "seeded_rng", "survival_scan",
+    "grid_allows", "monomials", "search_space", "seeded_rng", "survival_scan", "survival_scans",
 ]
 
 Vector = tuple[int, ...]
 
 SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
-_BLOCK = 1 << 20  # elements per comparison buffer in a socle scan
+_BLOCK_BITS = 1 << 20  # lanes of one counter int: ops on larger ints leave the cache
+_HELD_BITS = 1 << 28  # counter bits held at once (32 MB): two masks per bit of a count
 GRID_NAMES = ("H1", "H2")
 RETRIES = 8  # seeded draws a witness route tries before it gives up
 
@@ -82,6 +85,15 @@ def _decode(index: int, positions: int, height: int) -> Vector:
     return tuple(reversed(digits))
 
 
+def _residues(values: Sequence[int], modulus: int, coeffs: range, out: list[int]) -> list[int]:
+    """(r + sum c_k values_k) % modulus for r in ``out`` and c_k in ``coeffs``, in order:
+    r varies slowest, then c_1, c_2, ..."""
+    for v in values:
+        steps = [c * v % modulus for c in coeffs]
+        out = [(r + s) % modulus for r in out for s in steps]
+    return out
+
+
 def first_relation(values: Sequence[int], height: int, modulus: int) -> Vector | None:
     """The first nonzero c in [-height, height]^n with sum c_k values_k = 0
     mod ``modulus``, or None.  The caller checks the budget first.
@@ -89,15 +101,8 @@ def first_relation(values: Sequence[int], height: int, modulus: int) -> Vector |
     >>> first_relation([1, 1], 1, 7)
     (-1, 1)
     """
-    n, split = len(values), len(values) // 2
-
-    def residues(part: Sequence[int]) -> list[int]:
-        out = [0]
-        for v in part:
-            out = [(r + c * v) % modulus for r in out for c in range(-height, height + 1)]
-        return out
-
-    high, low = residues(values[:split]), residues(values[split:])
+    n, split, coeffs = len(values), len(values) // 2, range(-height, height + 1)
+    high, low = (_residues(part, modulus, coeffs, [0]) for part in (values[:split], values[split:]))
     high_zero, low_zero = len(high) // 2, len(low) // 2  # the zero vectors
     first: dict[int, int] = {}
     for index, r in enumerate(low):
@@ -129,54 +134,96 @@ def survival_scan(
     """For every c in [-height, height]^n, count the window primes p_w where
     sum_k c_k values[k][w] - target[w] is nonzero mod p_w.
 
-    Without a target the zero vector is left out.  Residues are compared as
-    unsigned ints wide enough for the largest prime, and the pairs of half
-    vectors are taken in blocks, so memory grows with the half tables only.
+    Without a target the zero vector is left out; c and -c vanish at the same
+    primes, so only the vectors before it are scanned, each counted twice.
     Over :data:`SCAN_BUDGET` vectors raises :class:`BudgetExceeded`.
     """
-    import numpy as np
+    return survival_scans(values, primes, height, None if target is None else [target])[0]
 
-    n, split, width = len(values), len(values) // 2, len(primes)
+
+def _add(levels: list[list[int]], mask: int) -> None:
+    """Add a 0/1 mask into carry-save counters: ``levels[j]`` holds at most two masks
+    of weight 2^j, and a full adder folds a third into one and a carry (5 ops)."""
+    for level in levels:
+        if len(level) < 2:
+            level.append(mask)
+            return
+        a, b = level
+        level[:] = [a ^ b ^ mask]
+        mask = a & b | (a ^ b) & mask
+    levels.append([mask])
+
+
+def _tally(levels: list[list[int]], lanes: int) -> dict[int, int]:
+    """{count: mask of its lanes} within ``lanes``: the levels are added into bit
+    planes, split from the top plane down, so only counts that occur form."""
+    planes, carry = [], 0
+    for level in levels:
+        a, b, c = (*level, carry, 0, 0)[:3]
+        planes.append(a ^ b ^ c)
+        carry = a & b | (a ^ b) & c
+    masks = {0: lanes}
+    for j, plane in reversed(list(enumerate(planes + [carry]))):
+        split = {}
+        for count, mask in masks.items():
+            one = mask & plane
+            split[count | 1 << j], split[count] = one, mask ^ one
+        masks = {count: mask for count, mask in split.items() if mask}
+    return masks
+
+
+def survival_scans(
+    values: Sequence[Sequence[int]], primes: Sequence[int], height: int,
+    targets: Sequence[Sequence[int]] | None,
+) -> list[Survival]:
+    """:func:`survival_scan` for each target over one value table, sharing
+    each prime's residues and row masks; None scans once without a target."""
+    # A vector is a (row, lane) pair of its high and smaller low half; residues
+    # and row masks are built once per stretch of rows whose counters are held.
+    n, width, half = len(values), len(primes), targets is None
+    targets = [[0] * width] if half else targets
     candidates = search_space(n, height, SCAN_BUDGET)
-    pvec = np.asarray(primes, dtype=np.int64)[:, None, None]
-    coeffs = np.arange(-height, height + 1, dtype=np.int64)
-
-    def residues(part: Sequence[Sequence[int]], offset: Sequence[int]) -> "np.ndarray":
-        # one row per prime, one column per half vector
-        out = np.asarray(offset, dtype=np.int64).reshape(width, 1)
-        for row in part:
-            v = np.asarray(row, dtype=np.int64)[:, None, None]
-            out = ((out[:, :, None] + coeffs * v) % pvec).reshape(width, -1)
-        return (out % pvec[:, :, 0]).astype(np.min_scalar_type(max(primes)))
-
-    # c survives at p_w unless its high residue equals target - low residue
-    high = residues(values[:split], [0] * width)
-    need = residues([[-x for x in row] for row in values[split:]],
-                    [0] * width if target is None else target)
-    n_high, n_low = high.shape[1], need.shape[1]
-    skip = n_high // 2 * n_low + n_low // 2 if target is None else -1
-    rows = max(1, min(n_high, _BLOCK // n_low))
-    equal = np.empty((rows, n_low), dtype=bool)
-    matches = np.empty((rows, n_low), dtype=np.min_scalar_type(width + 1))
-    hist = np.zeros(width + 2, dtype=np.int64)
-    min_count, argmin = width + 1, -1
-    for lo in range(0, n_high, rows):
-        hi = min(lo + rows, n_high)
-        eq, m = equal[: hi - lo], matches[: hi - lo]
-        m[:] = 0
-        for w in range(width):
-            np.equal(high[w, lo:hi, None], need[w, None, :], out=eq)
-            m += eq
-        counts = (width - m).ravel()
-        if lo * n_low <= skip < hi * n_low:
-            counts[skip - lo * n_low] = width + 1  # a bin that is dropped
-        hist += np.bincount(counts, minlength=width + 2)
-        pos = int(counts.argmin())
-        if counts[pos] < min_count:
-            min_count, argmin = int(counts[pos]), lo * n_low + pos
-    high_index, low_index = divmod(argmin, n_low)
-    return Survival(
-        candidates - (target is None), min_count,
-        _decode(high_index, split, height) + _decode(low_index, n - split, height),
-        tuple((c, k) for c, k in enumerate(hist[: width + 1].tolist()) if k),
-    )
+    split, coeffs = n - n // 2, range(-height, height + 1)
+    n_high, n_low = (2 * height + 1) ** split, (2 * height + 1) ** (n - split)
+    size, bits = (n_low + 7) // 8, [(lane >> 3, 1 << (lane & 7)) for lane in range(n_low)]
+    rows, last = (n_high // 2 + 1, n_low // 2) if half else (n_high, n_low)
+    full, tail = (((1 << k) - 1).to_bytes(size, "little") for k in (n_low, last))
+    block = max(1, _BLOCK_BITS // (8 * size))  # rows per counter int
+    held = block * max(1, _HELD_BITS // (2 * _BLOCK_BITS * (width + 1).bit_length() * len(targets)))
+    hist, best = [Counter() for _ in targets], [(-1, 0)] * len(targets)
+    for stretch in range(0, rows, held):
+        starts = range(stretch, min(rows, stretch + held), block)
+        levels = [[[] for _ in starts] for _ in targets]
+        for w, p in enumerate(primes):
+            # -residue per row (without a target, none past the zero vector)
+            first = [-c * values[0][w] % p for c in (range(-height, 1) if half else coeffs)]
+            high = _residues([-row[w] for row in values[1:split]], p, coeffs, first)
+            low = _residues([row[w] for row in values[split:]], p, coeffs, [0])
+            table = bytearray(p * size)
+            for r, (at, bit) in zip(low, bits):
+                table[r * size + at] |= bit
+            masks = [bytes(size)] * p
+            for r in set(low):
+                masks[r] = table[r * size:(r + 1) * size]
+            for target, counters in zip(targets, levels):
+                t = target[w] % p  # lanes whose low residue is t - high residue
+                rotated = masks[t:] + masks[:t]
+                for lo, block_levels in zip(starts, counters):
+                    keys = map(rotated.__getitem__, high[lo:min(rows, lo + block)])
+                    _add(block_levels, int.from_bytes(b"".join(keys), "little"))
+        for c, lo in enumerate(starts):
+            hi = min(rows, lo + block)
+            lanes = int.from_bytes(full * (hi - lo - 1) + (tail if hi == rows else full), "little")
+            for k, counters in enumerate(levels):
+                groups = _tally(counters[c], lanes)
+                for count, mask in groups.items():
+                    hist[k][count] += mask.bit_count()
+                top = max(groups, default=-1)
+                if top > best[k][0]:
+                    best[k] = (top, lo * 8 * size + (groups[top] & -groups[top]).bit_length() - 1)
+    return [
+        Survival(candidates - half, width - top,
+                 _decode(lane // (8 * size) * n_low + lane % (8 * size), n, height),
+                 tuple(sorted((width - v, k * (1 + half)) for v, k in counts.items())))
+        for counts, (top, lane) in zip(hist, best)
+    ]

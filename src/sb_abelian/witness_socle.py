@@ -53,6 +53,7 @@ from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize
 from .relations import (
     RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan,
+    survival_scans,
 )
 
 __all__ = [
@@ -713,16 +714,17 @@ class ProperInclusionCheck(Record):
 def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInclusionCheck:
     cert = w.certificate
     d, height = cert.max_exponent, cert.height_bound
-    rows = []
+    shifts: dict[tuple, list[int]] = {}  # shifts m >= d all allow every monomial
     for m in range(max_shift + 1):
-        allowed = [(i, j) for i, j in monomials(d) if j <= m or i >= 2]
-        target = _monomial_values([(1, m + 1)], w.scalars)[0]
-        scan = survival_scan(_monomial_values(allowed, w.scalars), w.window.primes, height,
-                             target)
-        rows.append((m, scan.min_count, scan.candidates))
+        shifts.setdefault(tuple((i, j) for i, j in monomials(d) if j <= m or i >= 2), []).append(m)
+    rows = []
+    for allowed, ms in shifts.items():
+        scans = survival_scans(_monomial_values(allowed, w.scalars), w.window.primes, height,
+                               _monomial_values([(1, m + 1) for m in ms], w.scalars))
+        rows += [(m, scan.min_count, scan.candidates) for m, scan in zip(ms, scans)]
     passed = all(c >= cert.threshold for _, c, _ in rows)
     return ProperInclusionCheck(
-        max_shift, cert.threshold, d, height, tuple(rows), passed
+        max_shift, cert.threshold, d, height, tuple(sorted(rows)), passed
     )
 
 

@@ -201,6 +201,14 @@ def test_cli_import_leaves_numpy_unloaded():
                 "sb_abelian.padic", "fractions", "dataclasses", "inspect", "ast", "dis",
                 "tokenize", "hashlib"]
     assert loaded_after("sb_abelian.cli", unloaded) == "[]"
+    # the socle scan itself runs on Python ints
+    probe = ("import os, sys; from sb_abelian.cli import run_cli; "
+             "code = run_cli(['witness', 'sumP(all; Z/p^1)', '--window', '30', "
+             "'--out', os.devnull]); "
+             "print(code, 'sb_abelian.witness_socle' in sys.modules, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == [str(EXIT_OK), "True", "False"]
 
 
 def test_witness_import_leaves_dataclasses_unloaded():
@@ -437,11 +445,13 @@ def test_order_bound_cap(capsys):
     ["oracle", "ulm", "Z/2^20", "--order-bound", "1048576"],
     ["oracle", "ulm", "Z/1024^2", "--order-bound", "1048576"],
     ["oracle", "ulm", "Z/12 + Z/18"],
+    ["oracle", "iso", "Z/1048576", "Z/1048576", "--order-bound", "1048576"],
 ], ids=["invariants", "eq", "iso", "witness", "classify", "oracle-ulm-2^20",
-        "oracle-ulm-1024^2", "oracle-ulm-mixed"])
+        "oracle-ulm-1024^2", "oracle-ulm-mixed", "oracle-iso-cyclic-2^20"])
 def test_huge_finite_multiplicities_exit_0_fast(capsys, argv):
     # a finite multiplicity is only ever added and compared, never expanded;
-    # the oracle counts layer sizes per cyclic factor, never listing the group
+    # the oracle counts layer sizes per cyclic factor, never listing the group,
+    # and folds element orders over the distinct orders of a factor
     start = time.perf_counter()
     body = run_json(capsys, *argv)
     assert time.perf_counter() - start < 2.0
@@ -460,6 +470,20 @@ def test_oracle_ulm_at_the_order_cap_stays_small():
     assert done.returncode == EXIT_OK, done.stderr
     body = json.loads(done.stdout)
     assert body["agree"] is True and body["order"] == MAX_ORDER_BOUND
+
+
+def test_socle_witness_runs_in_a_small_address_space():
+    # one child process with its address space capped at 128 MB: the scan
+    # needs no native library that reserves memory at import
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "sb_abelian", "witness", "sumP(all; Z/p^1)", "--window", "80",
+         "--seed", "1"],
+        env=child_env(), capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["route"] == "SocleWitness"
 
 
 def test_sumK_set_size_is_bounded_by_the_exact_bound(capsys):

@@ -1,6 +1,8 @@
-"""Every name a module imports is used: in code, in a quoted annotation or in ``__all__``."""
+"""Every name a module imports is used: in code, in a quoted annotation or in ``__all__``;
+the package imports nothing beyond the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,29 @@ def test_scan_catches_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported from outside the standard library and the package."""
+    return [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and not node.level)
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
+        if name.split(".")[0] not in sys.stdlib_module_names | {"sb_abelian"}
+    ]
+
+
+def test_scan_catches_a_foreign_import():
+    assert foreign_imports("import os, numpy as np\nfrom . import cli\n") == ["line 1: numpy"]
+    assert foreign_imports("from scipy.linalg import solve\nfrom sb_abelian import cli\n") == [
+        "line 1: scipy.linalg"]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_the_standard_library(path):
+    # the package has no runtime dependency
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

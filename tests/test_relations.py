@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sb_abelian import relations
 from sb_abelian.padic import IntPolynomial2, PAdicLazy, independence_certificate
@@ -15,6 +17,7 @@ from sb_abelian.relations import (
     monomials,
     search_space,
     survival_scan,
+    survival_scans,
 )
 
 
@@ -122,12 +125,15 @@ def test_survival_scan_matches_brute_force(n, height, primes):
 
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
-    # small comparison buffers split the pairs over many blocks: the zero
-    # vector and the first minimizer then sit in some later block
-    monkeypatch.setattr(relations, "_BLOCK", block)
+    # small counter ints split the rows over many blocks (a row is 8 or 16
+    # lanes here), held two at a time (counts below 8 take 3 bits, two masks
+    # each): the zero vector and the first minimizer then sit in some later
+    # block of some later stretch
+    monkeypatch.setattr(relations, "_BLOCK_BITS", block)
+    monkeypatch.setattr(relations, "_HELD_BITS", 12 * block)
     primes = (2, 3, 5, 7)
     rng = random.Random(f"block:{block}")
-    for n in (3, 4):
+    for n in (3, 4, 5):
         values = random_values(rng, n, primes)
         assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
         target = [rng.randrange(p) for p in primes]
@@ -161,6 +167,46 @@ def test_survival_scan_with_target():
     # a target equal to one monomial is hit exactly by that monomial
     scan = survival_scan([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], primes, 1, [2, 3, 4, 5, 6])
     assert (scan.min_count, scan.argmin) == (0, (0, 1))
+
+
+def test_survival_scans_equal_one_scan_per_target():
+    # one value table, several targets: shared residues and row masks must
+    # give each target the scan it would get alone
+    primes = (2, 3, 5, 7, 11, 257, 263)
+    rng = random.Random("targets")
+    for n, height in [(1, 2), (3, 1), (4, 1), (5, 1), (3, 2)]:
+        values = random_values(rng, n, primes)
+        targets = [[rng.randrange(p) for p in primes] for _ in range(4)]
+        targets.append([0] * len(primes))  # the zero target counts the zero vector
+        scans = survival_scans(values, primes, height, targets)
+        assert scans == [survival_scan(values, primes, height, t) for t in targets]
+        assert [tuple(s) for s in scans] == [
+            brute_scan(values, primes, height, t) for t in targets]
+
+
+# past 256: primes wider than a byte, and windows whose counts need 9 bits
+# (the zero target puts the zero vector at every prime of the window)
+@st.composite
+def scan_cases(draw):
+    n, height = draw(st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]))
+    width = draw(st.one_of(st.integers(1, 6), st.integers(250, 262)))
+    if width > 6:
+        n, height = min(n, 3), 1
+    pool = draw(st.sampled_from([(2,), (2, 3, 5, 7), (251, 257, 263, 409, 2)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # entries from a drawn seed: fast draws
+    primes = [rng.choice(pool) for _ in range(width)]
+    values = random_values(rng, n, primes)
+    kind = draw(st.sampled_from([None, "random", "zero"]))
+    target = None if kind is None else [rng.randrange(p) if kind == "random" else 0 for p in primes]
+    return values, primes, height, target
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cases())
+def test_survival_scan_matches_brute_force_on_random_tables(case):
+    values, primes, height, target = case
+    assert tuple(survival_scan(values, primes, height, target)) == brute_scan(
+        values, primes, height, target)
 
 
 def test_survival_scan_excludes_only_the_zero_vector():

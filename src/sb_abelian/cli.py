@@ -7,8 +7,8 @@ Subcommands, with the flags each one reads:
 * ``invariants SPEC``    — the cardinal invariant table behind equivalence.
 * ``eq SPEC SPEC``       — elementary equivalence of two descriptions.
 * ``iso SPEC SPEC``      — isomorphism of the standard forms.
-* ``witness SPEC``       — construct the bi-embeddable non-isomorphic pair,
-  certificates embedded: ``--route auto|padic|socle``, ``--precision``,
+* ``witness SPEC``       — construct the bi-embeddable non-isomorphic pair on
+  the route the classifier names, certificates embedded: ``--precision``,
   ``--degree``, ``--height``, ``--window``, ``--threshold``, ``--seed``.
 * ``oracle ulm|iso|purity ...`` — cross-checks against the brute-force finite
   oracle: ``--order-bound``.
@@ -76,7 +76,7 @@ EXIT_BUDGET = 4
 # errors subclass NotApplicableError and their search failures BudgetExceeded.
 _PRECONDITION_ERRORS = (NotApplicableError, MSplitPreconditionError)
 _BUDGET_ERRORS = (BudgetExceeded, OrderBoundError)
-MAX_WINDOW = 1000  # socle window primes; a scan's memory grows with the width
+MAX_WINDOW = 1000  # socle window primes; a scan's time grows with the width
 MAX_PRECISION = 10_000  # p-adic digits; a certificate's time grows with them
 MAX_ORDER_BOUND = 2**20  # realized group order; the oracle checks' work grows with it
 PURITY_ORDER_BOUND = 512  # purity tests each cyclic subgroup at each divisor of the exponent
@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _leaf(sub, "iso", _iso, "isomorphism of standard forms", "left", "right")
 
     p = _leaf(sub, "witness", _witness, "construct a bi-embeddable non-isomorphic pair", "spec")
-    p.add_argument("--route", choices=("auto", "padic", "socle"), default="auto")
     p.add_argument("--precision", type=int, default=40, metavar="N",
                    help="digits kept for completion arithmetic (default 40)")
     p.add_argument("--degree", type=int, default=2, metavar="D",
@@ -231,18 +230,12 @@ def _witness(args: argparse.Namespace) -> dict:
             "omega-stable); bi-embeddable models are isomorphic, so no "
             "witness pair exists"
         )
-    # checked before the route: a forced --route must not reach a builder
-    # that would blame a narrower precondition
     if verdict.route is WitnessRoute.EXTERNAL_NON_SUPERSTABLE:
         raise NotApplicableError(verdict.reason)
-    if args.route == "auto":
-        route = verdict.route
-    else:
-        route = WitnessRoute.PADIC_WITNESS if args.route == "padic" else WitnessRoute.SOCLE_WITNESS
     # imported here so that every other command starts without them; the
     # builder is looked up on its module at call time, so that a wrapper
     # installed on the module (a tracer, a test double) applies
-    if route is WitnessRoute.PADIC_WITNESS:
+    if verdict.route is WitnessRoute.PADIC_WITNESS:
         from . import witness_padic
 
         built = witness_padic.mixed_group_witness(
@@ -263,7 +256,7 @@ def _witness(args: argparse.Namespace) -> dict:
             height_bound=args.height,
             threshold=args.threshold,
         ).to_json()
-    return {"spec": str(spec), "route": route.value, "witness": built}
+    return {"spec": str(spec), "route": verdict.route.value, "witness": built}
 
 
 def _oracle_ulm(args: argparse.Namespace) -> dict:

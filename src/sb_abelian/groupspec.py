@@ -680,13 +680,10 @@ class _Parser:
         self.skip_ws()
         if self.accept("all"):
             if self.accept("\\{"):
-                at = self.pos
                 excluded = [self.prime("excluded prime")]
                 while self.accept(","):
                     excluded.append(self.prime("excluded prime"))
                 self.expect("}")
-                if not excluded:  # unreachable: grammar demands one prime
-                    raise SpecSyntaxError("empty cofinite complement", at)
                 return PrimeSet.cofinite(excluded)
             return ALL_PRIMES
         if self.accept("{"):

@@ -10,9 +10,9 @@ multiplicatively independent units u1, u2 span a monomial grid
 
 H2 is contained in H1 on the nose, and multiplication by u1 carries H1 into
 H2 (its grid shifts one column to the right), so the pair is bi-embeddable.
-Elements are kept in exact form — a power of p in the denominator plus
-rational coefficients with p-free denominators — because truncated residues
-cannot express "lies in the pure closure" at all.
+Elements are kept in exact form — rational coefficients in lowest terms,
+whose denominators may carry powers of p — because truncated residues cannot
+express "lies in the pure closure" at all.
 
 Membership answers are certificate-relative: a support check plus an exact
 valuation check decide membership *given* that no small polynomial relation
@@ -34,7 +34,6 @@ from .classify import NotApplicableError
 from .groupspec import Cardinal, GroupSpec, Record, split_reduced_divisible
 from .invariants import szmielew_invariants
 from .padic import (
-    AtLeast,
     IndependenceCertificate,
     NonUnitError,
     PAdicLazy,
@@ -42,7 +41,6 @@ from .padic import (
     independence_certificate,
     matrix_inverse_mod,
     matrix_product_mod,
-    valuation_at_least,
 )
 from .primes import ensure_prime, p_valuation
 from .relations import RETRIES, BudgetExceeded, check_grid, grid_allows
@@ -128,47 +126,31 @@ class GridMonomial(Record, order=True):
         return "*".join(parts)
 
 
-def _fraction_p_valuation(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise ValueError("valuation of 0 is unbounded")
-    return p_valuation(q.numerator, p) - p_valuation(q.denominator, p)
-
-
 class GridElement(Record):
-    """p**-t times an exact rational combination of grid monomials.
+    """An exact rational combination of grid monomials.
 
-    Canonical form: denominators of the coefficients are p-free (p-powers
-    are absorbed into t), and when t > 0 at least one coefficient is a
-    p-adic unit (common p-factors are cancelled against the denominator).
+    Coefficients are fractions in lowest terms, so their denominators may
+    carry powers of p; ``t`` reads the least power of p that clears them.
     """
 
     p: int
-    t: int
     terms: tuple[tuple[GridMonomial, Fraction], ...]
 
     @classmethod
     def of(
         cls, p: int, coeffs: Mapping[GridMonomial, "Fraction | int"], t: int = 0
     ) -> "GridElement":
+        """p**-t times the combination ``coeffs``."""
         ensure_prime(p, "grid element base")
         if t < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        cleaned = {m: Fraction(c) for m, c in coeffs.items() if c != 0}
-        if not cleaned:
-            return cls(p, 0, ())
-        # absorb p-powers hiding in denominators into the global exponent
-        lift = max(p_valuation(c.denominator, p) for c in cleaned.values())
-        if lift:
-            t += lift
-            cleaned = {m: c * p**lift for m, c in cleaned.items()}
-        # cancel common p-factors of the numerators against p**-t
-        drop = min(
-            min((_fraction_p_valuation(c, p) for c in cleaned.values()), default=0), t
-        )
-        if drop:
-            t -= drop
-            cleaned = {m: c / p**drop for m, c in cleaned.items()}
-        return cls(p, t, tuple(sorted(cleaned.items())))
+        scaled = ((m, Fraction(c) / p**t) for m, c in coeffs.items() if c != 0)
+        return cls(p, tuple(sorted(scaled)))
+
+    @property
+    def t(self) -> int:
+        """The least t >= 0 such that p**t * x has p-free denominators."""
+        return max((p_valuation(c.denominator, self.p) for _, c in self.terms), default=0)
 
     @property
     def is_zero(self) -> bool:
@@ -179,21 +161,19 @@ class GridElement(Record):
         return tuple(m for m, _ in self.terms)
 
     def coefficient(self, m: GridMonomial) -> Fraction:
-        return dict(self.terms).get(m, Fraction(0))
+        """The coefficient of m in p**t * x."""
+        return dict(self.terms).get(m, Fraction(0)) * self.p**self.t
 
     def __add__(self, other: "GridElement") -> "GridElement":
         if self.p != other.p:
             raise ValueError("cannot add elements at different primes")
-        t = max(self.t, other.t)
-        total: dict[GridMonomial, Fraction] = {}
-        for element in (self, other):
-            scale = Fraction(self.p) ** (t - element.t)
-            for m, c in element.terms:
-                total[m] = total.get(m, Fraction(0)) + c * scale
-        return GridElement.of(self.p, total, t)
+        total = dict(self.terms)
+        for m, c in other.terms:
+            total[m] = total.get(m, Fraction(0)) + c
+        return GridElement.of(self.p, total)
 
     def __neg__(self) -> "GridElement":
-        return GridElement.of(self.p, {m: -c for m, c in self.terms}, self.t)
+        return GridElement.of(self.p, {m: -c for m, c in self.terms})
 
     def __sub__(self, other: "GridElement") -> "GridElement":
         return self + (-other)
@@ -201,15 +181,10 @@ class GridElement(Record):
     def scale(self, q: "Fraction | int") -> "GridElement":
         """Multiply by an exact rational (p in the denominator is fine:
         it raises t)."""
-        q = Fraction(q)
-        if q == 0:
-            return GridElement.of(self.p, {})
-        return GridElement.of(self.p, {m: c * q for m, c in self.terms}, self.t)
+        return GridElement.of(self.p, {m: c * q for m, c in self.terms})
 
     def shift(self, di: int, dj: int) -> "GridElement":
-        return GridElement.of(
-            self.p, {m.shift(di, dj): c for m, c in self.terms}, self.t
-        )
+        return GridElement.of(self.p, {m.shift(di, dj): c for m, c in self.terms})
 
     def coordinates(self) -> tuple[int, ...]:
         return tuple(sorted({m.s for m, _ in self.terms}))
@@ -217,11 +192,13 @@ class GridElement(Record):
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        t = self.t
         body = " + ".join(
-            (f"{c}*{m}" if c != 1 else str(m)) for m, c in self.terms
+            (f"{c}*{m}" if c != 1 else str(m))
+            for m, c in ((m, c * self.p**t) for m, c in self.terms)
         ).replace("+ -", "- ")
-        if self.t:
-            return f"{self.p}^-{self.t} * ({body})"
+        if t:
+            return f"{self.p}^-{t} * ({body})"
         return body
 
 
@@ -248,11 +225,13 @@ class PAdicWitnessPair(Record):
         modulus = self.p**self.precision
         u1 = self.unit1.truncate(self.precision).residue
         u2 = self.unit2.truncate(self.precision).residue
+        lift = self.p**x.t
         total = 0
         for m, c in x.terms:
             if m.s != s:
                 continue
             value = pow(u1, m.i, modulus) * pow(u2, m.j, modulus) % modulus
+            c *= lift
             total += c.numerator * pow(c.denominator, -1, modulus) * value
         return total % modulus
 
@@ -329,15 +308,7 @@ def grid_membership(x: GridElement, which: str, w: PAdicWitnessPair) -> bool:
             raise ValueError(f"coordinate {m.s} exceeds k={w.k}")
         if not grid_allows(which, m.i, m.j):
             return False
-    if x.t == 0:
-        return True
-    for s in x.coordinates():
-        residue = w.coordinate_sum(x, s)
-        v: "int | AtLeast"
-        v = AtLeast(w.precision) if residue == 0 else p_valuation(residue, w.p)
-        if not valuation_at_least(v, x.t):
-            return False
-    return True
+    return all(w.coordinate_sum(x, s) % w.p**x.t == 0 for s in x.coordinates())
 
 
 def apply_scalar(
@@ -356,7 +327,7 @@ def apply_scalar(
     if isinstance(alpha, str):
         raise ValueError(f"unknown symbolic scalar {alpha!r}")
     q = Fraction(alpha)
-    if q == 0 or _fraction_p_valuation(q, w.p) != 0:
+    if q == 0 or q.numerator % w.p == 0 or q.denominator % w.p == 0:
         raise NonUnitError(f"{alpha} is not a unit at p={w.p}")
     return x.scale(q)
 

@@ -409,17 +409,25 @@ class ProductElement(Record, hidden=("witness",)):
         return Fraction(0)
 
     def evaluate(self, p: int) -> Vector:
-        return self.witness.evaluate(self, p)
+        if not self.witness.window.source.contains(p):
+            raise ValueError(f"prime {p} outside the support")
+        vec = _tail_value(self.witness, self.tail, p)
+        for q, extra in self.exceptions:
+            if q == p:
+                vec = _vec_add(vec, extra, p)
+        return vec
 
     def __add__(self, other: "ProductElement") -> "ProductElement":
-        w = _common_witness(self, other)
+        if self.witness is not other.witness:
+            raise ValueError("elements belong to different witnesses")
         tail = dict(self.tail)
         for m, c in other.tail:
             tail[m] = tail.get(m, Fraction(0)) + c
-        return w._assemble(
+        return _assemble(
+            self.witness,
             tail,
             lambda p: _vec_add(self.evaluate(p), other.evaluate(p), p),
-            w._den_primes(self, other),
+            _den_primes(self, other),
         )
 
     def __sub__(self, other: "ProductElement") -> "ProductElement":
@@ -429,28 +437,16 @@ class ProductElement(Record, hidden=("witness",)):
         return self.scale(-1)
 
     def scale(self, n: int) -> "ProductElement":
-        w = self.witness
-        tail = {m: c * n for m, c in self.tail}
-        return w._assemble(
-            tail,
-            lambda p: tuple(n * v % p for v in self.evaluate(p)),
-            w._den_primes(self),
-        )
+        return self._linear({m: c * n for m, c in self.tail}, lambda p: n)
 
     def apply_scalar(self, which: int) -> "ProductElement":
         """Apply the first (which=1) or second (which=2) automorphism."""
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
-        w = self.witness
         tail = {
             ((i + 1, j) if which == 1 else (i, j + 1)): c for (i, j), c in self.tail
         }
-
-        def moved(p: int) -> Vector:
-            u = w.scalars.at(p)[which - 1]
-            return tuple(u * v % p for v in self.evaluate(p))
-
-        return w._assemble(tail, moved, w._den_primes(self))
+        return self._linear(tail, lambda p: self.witness.scalars.at(p)[which - 1])
 
     def pseudo_divide(self, n: int) -> "ProductElement":
         """Divide by n, zeroing the components at support primes dividing n.
@@ -461,27 +457,75 @@ class ProductElement(Record, hidden=("witness",)):
         """
         if not isinstance(n, int) or n < 1:
             raise ValueError("pseudo-division wants an integer n >= 1")
-        w = self.witness
-        tail = {m: c / n for m, c in self.tail}
-        killed = set(factorize(n)) if n > 1 else set()
+        killed = frozenset(factorize(n)) if n > 1 else frozenset()
+        return self._linear({m: c / n for m, c in self.tail}, lambda p: pow(n, -1, p), killed)
 
-        def divided(p: int) -> Vector:
+    def _linear(
+        self, tail: Mapping[tuple[int, int], Fraction], factor: Callable[[int], int],
+        killed: frozenset[int] = frozenset(),
+    ) -> "ProductElement":
+        """The element with ``tail`` whose value at p is ``factor(p)`` times
+        this one's, or zero at the ``killed`` primes."""
+
+        def value(p: int) -> Vector:
             if p in killed:
-                return (0,) * w.window.rank(p)
-            inv = pow(n, -1, p)
-            return tuple(inv * v % p for v in self.evaluate(p))
+                return (0,) * self.witness.window.rank(p)
+            lam = factor(p)
+            return tuple(lam * v % p for v in self.evaluate(p))
 
-        return w._assemble(tail, divided, w._den_primes(self) | killed)
+        return _assemble(self.witness, tail, value, _den_primes(self) | killed)
 
 
 def _vec_add(a: Vector, b: Vector, p: int) -> Vector:
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def _common_witness(a: ProductElement, b: ProductElement) -> "SocleWitnessPair":
-    if a.witness is not b.witness:
-        raise ValueError("elements belong to different witnesses")
-    return a.witness
+def _tail_value(
+    w: "SocleWitnessPair", tail: Iterable[tuple[tuple[int, int], Fraction]], p: int
+) -> Vector:
+    s, t = w.scalars.at(p)
+    total = 0
+    for (i, j), c in tail:
+        if c.denominator % p == 0:
+            continue
+        scal = c.numerator * pow(c.denominator, -1, p) % p
+        total = (total + scal * pow(s, i, p) * pow(t, j, p)) % p
+    return (total,) * w.window.rank(p)
+
+
+def _den_primes(*elements: ProductElement) -> set[int]:
+    out: set[int] = set()
+    for x in elements:
+        out.update(p for p, _ in x.exceptions)
+        for _, c in x.tail:
+            out.update(factorize(c.denominator))
+    return out
+
+
+def _assemble(
+    w: "SocleWitnessPair",
+    tail_map: Mapping[tuple[int, int], Fraction],
+    true_value: Callable[[int], Vector],
+    probe_primes: Iterable[int],
+) -> ProductElement:
+    """Build the canonical element with the given tail and exact values.
+
+    Wherever the tail's face value disagrees with ``true_value`` (which can
+    only happen at the finitely many ``probe_primes`` — denominator support,
+    zeroed components, old exceptions), the difference is folded into the
+    exception map.
+    """
+    tail = tuple(sorted((m, c) for m, c in tail_map.items() if c != 0))
+    exceptions: list[tuple[int, Vector]] = []
+    for p in sorted(set(probe_primes)):
+        if not w.window.source.contains(p):
+            continue
+        want = true_value(p)
+        have = _tail_value(w, tail, p)
+        diff = tuple((a - b) % p for a, b in zip(want, have))
+        if any(diff):
+            exceptions.append((p, diff))
+    return ProductElement(w, tail, tuple(exceptions))
 
 
 # ---------------------------------------------------------------------------
@@ -489,69 +533,11 @@ def _common_witness(a: ProductElement, b: ProductElement) -> "SocleWitnessPair":
 
 
 class SocleWitnessPair(Record, eq=False):
-    """Descriptors for the pair (H1, H2) plus the data to evaluate elements."""
+    """Descriptors for the pair (H1, H2) plus the data its elements evaluate with."""
 
     window: PrimeWindow
     scalars: AutomorphismPair
     certificate: AvoidanceCertificate
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _tail_value(
-        self, tail: Iterable[tuple[tuple[int, int], Fraction]], p: int
-    ) -> Vector:
-        s, t = self.scalars.at(p)
-        total = 0
-        for (i, j), c in tail:
-            if c.denominator % p == 0:
-                continue
-            scal = c.numerator * pow(c.denominator, -1, p) % p
-            total = (total + scal * pow(s, i, p) * pow(t, j, p)) % p
-        return (total,) * self.window.rank(p)
-
-    def evaluate(self, x: ProductElement, p: int) -> Vector:
-        if x.witness is not self:
-            raise ValueError("element belongs to a different witness")
-        if not self.window.source.contains(p):
-            raise ValueError(f"prime {p} outside the support")
-        vec = self._tail_value(x.tail, p)
-        for q, extra in x.exceptions:
-            if q == p:
-                vec = _vec_add(vec, extra, p)
-        return vec
-
-    def _den_primes(self, *elements: ProductElement) -> set[int]:
-        out: set[int] = set()
-        for x in elements:
-            out.update(p for p, _ in x.exceptions)
-            for _, c in x.tail:
-                out.update(factorize(c.denominator))
-        return out
-
-    def _assemble(
-        self,
-        tail_map: Mapping[tuple[int, int], Fraction],
-        true_value: Callable[[int], Vector],
-        probe_primes: Iterable[int],
-    ) -> ProductElement:
-        """Build the canonical element with the given tail and exact values.
-
-        Wherever the tail's face value disagrees with ``true_value`` (which
-        can only happen at the finitely many ``probe_primes`` — denominator
-        support, zeroed components, old exceptions), the difference is folded
-        into the exception map.
-        """
-        tail = tuple(sorted((m, c) for m, c in tail_map.items() if c != 0))
-        exceptions: list[tuple[int, Vector]] = []
-        for p in sorted(set(probe_primes)):
-            if not self.window.source.contains(p):
-                continue
-            want = true_value(p)
-            have = self._tail_value(tail, p)
-            diff = tuple((w - h) % p for w, h in zip(want, have))
-            if any(diff):
-                exceptions.append((p, diff))
-        return ProductElement(self, tail, tuple(exceptions))
 
     # -- element constructors ------------------------------------------------
 

@@ -137,13 +137,10 @@ def test_witness_socle_route(capsys):
 
 
 def test_witness_forced_route_flag(capsys):
-    # Zhat(3) + unbounded family: auto picks the completion route; --route
-    # socle is rejected because a completion summand is present
-    code, _, err = run(
-        capsys, "witness", "Zhat(3) + sumP(all\\{3}; Z/p^1)", "--route", "socle",
-    )
-    assert code == EXIT_PRECONDITION
-    assert "completion" in err
+    # the route comes only from the classifier: there is no flag to force one
+    code, out, err = run(capsys, "witness", "Zhat(5)", "--route", "padic")
+    assert code == EXIT_USAGE and out == ""
+    assert "--route" in err
 
 
 def test_witness_refused_when_sb_holds(capsys):
@@ -235,23 +232,21 @@ def test_witness_errors_keep_their_exit_classes():
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["witness", "sumP(all; Z/p^1)", "--route", "padic"], "no completion summand"),
     (["witness", "sumP(all; Zhat)"], "ranging over a prime family"),
-], ids=["NoKPartError", "UnsupportedMultiplicityError"])
+], ids=["UnsupportedMultiplicityError"])
 def test_witness_precondition_errors_exit_3(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PRECONDITION and out == ""
     assert needle in err
 
 
-@pytest.mark.parametrize("route", ["auto", "padic", "socle"])
 @pytest.mark.parametrize("spec", ["Zhat(5)^w", "sumK(2; all)"])
-def test_witness_refuses_non_superstable_theory_on_every_route(capsys, spec, route):
-    # the classifier's verdict is checked before the route, so a forced route
-    # cannot blame the multiplicity (Zhat(5)^w) or reach the socle builder's
-    # own stability gate (sumK(2; all), whose NotSuperstableError stays
-    # library-only)
-    code, out, err = run(capsys, "witness", spec, "--route", route)
+def test_witness_refuses_non_superstable_theory_on_every_route(capsys, spec):
+    # the classifier's verdict is checked before any builder runs, so the
+    # refusal does not blame the multiplicity (Zhat(5)^w) or come from the
+    # socle builder's own stability gate (sumK(2; all), whose
+    # NotSuperstableError stays library-only)
+    code, out, err = run(capsys, "witness", spec)
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("sb-abelian: the theory is not superstable")
 

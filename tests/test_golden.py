@@ -15,8 +15,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -71,8 +73,7 @@ ARGVS = [
     # socle route: avoidance scans over windows of 30-80 primes
     ["witness", "sumP(all; Z/p^1)", "--window", "30", "--height", "1"],
     ["witness", "sumP(all; Z/p^1)", "--window", "30", "--seed", "4", "--threshold", "3"],
-    ["witness", "sumP(all\\{2}; Z/p^1)", "--route", "socle", "--window", "50",
-     "--seed", "2"],
+    ["witness", "sumP(all\\{2}; Z/p^1)", "--window", "50", "--seed", "2"],
     ["witness", "sumP(all\\{2,5}; Z/p^2)^2 + Z/3^w + Z/9 + Q", "--window", "50",
      "--height", "1", "--seed", "7"],
     ["witness", "sumP(all; Z/p^2) + Z/2^w", "--window", "80", "--seed", "1"],
@@ -93,12 +94,12 @@ ARGVS = [
     # refusals
     ["witness", "Z/2^w"],
     ["witness", "sumK(2; all)"],
-    # flags on the commands that read them, forced routes, large sumK exponents
+    # flags on the commands that read them, large sumK exponents
     ["oracle", "ulm", "Z/8", "--order-bound", "64"],
     ["oracle", "purity", "Z/4 + Z/2", "--format", "text"],
     ["oracle", "iso", "Z/4", "Z/2 + Z/2"],
     ["classify", "Q", "--seed", "3"],
-    ["witness", "Zhat(5)^w", "--route", "padic"],
+    ["witness", "Zhat(5)^w"],
     ["witness", "sumP(all; Zhat)"],
     ["classify", "sumK(2; {100})"],
     # the finite oracle on groups whose layers and cyclic subgroups repeat:
@@ -109,15 +110,21 @@ ARGVS = [
     ["oracle", "purity", "Z/3 + Z/3 + Z/3 + Z/3"],
     ["oracle", "ulm", "Z/64^2 + Z/8 + Z/2"],
     ["oracle", "ulm", "Z/27 + Z/9^2 + Z/3"],
+    # the witness route comes only from the classifier: no flag forces one
+    ["witness", "Zhat(5)", "--route", "padic"],
 ]
 
 
 def replay(argv: list[str]) -> dict:
-    """Run one argv in-process; returns its exit code, stdout and stderr."""
+    """Run one argv in-process; returns its exit code, stdout and stderr.
+
+    Usage messages are wrapped at 80 columns whatever the terminal's width.
+    """
     from sb_abelian.cli import run_cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = run_cli(list(argv))
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

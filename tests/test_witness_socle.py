@@ -335,7 +335,7 @@ def test_cross_witness_arithmetic_rejected():
     with pytest.raises(ValueError, match="different witness"):
         WIT.base_point() + other.base_point()
     with pytest.raises(ValueError, match="different witness"):
-        other.evaluate(WIT.base_point(), 3)
+        other.membership(WIT.base_point(), "H1")
 
 
 def test_evaluate_outside_support_rejected():

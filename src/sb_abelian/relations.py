@@ -40,8 +40,11 @@ class BudgetExceeded(RuntimeError):
 
 def seeded_rng(label: str) -> random.Random:
     """An RNG seeded by a hash of ``label``, independent of hash randomization."""
-    import hashlib  # loaded here: only the witness routes draw seeded values
-    digest = hashlib.sha256(label.encode()).digest()
+    try:  # the interpreter's own SHA-256, as ``random`` does for SHA-512: hashlib loads OpenSSL
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    digest = sha256(label.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -154,22 +157,37 @@ def _add(levels: list[list[int]], mask: int) -> None:
     levels.append([mask])
 
 
-def _tally(levels: list[list[int]], lanes: int) -> dict[int, int]:
-    """{count: mask of its lanes} within ``lanes``: the levels are added into bit
-    planes, split from the top plane down, so only counts that occur form."""
+def _tally(levels: list[list[int]], lanes: int) -> tuple[dict[int, int], tuple[int, int]]:
+    """({count: number of its lanes} within ``lanes``, (largest count, its first lane)).
+
+    The levels are emptied into bit planes as they are added, and the planes
+    are walked depth first from the top plane down, the higher count first: at
+    most one mask per plane is held, only counts that occur form, and the first
+    leaf has the largest count.
+    """
     planes, carry = [], 0
     for level in levels:
         a, b, c = (*level, carry, 0, 0)[:3]
+        level.clear()
         planes.append(a ^ b ^ c)
         carry = a & b | (a ^ b) & c
-    masks = {0: lanes}
-    for j, plane in reversed(list(enumerate(planes + [carry]))):
-        split = {}
-        for count, mask in masks.items():
-            one = mask & plane
-            split[count | 1 << j], split[count] = one, mask ^ one
-        masks = {count: mask for count, mask in split.items() if mask}
-    return masks
+    planes.append(carry)
+    totals: dict[int, int] = {}
+    first = (-1, -1)
+    stack = [(len(planes), 0, lanes)] if lanes else []
+    while stack:
+        j, count, mask = stack.pop()
+        if not j:
+            if not totals:
+                first = (count, (mask & -mask).bit_length() - 1)
+            totals[count] = mask.bit_count()
+            continue
+        one = mask & planes[j - 1]
+        if one != mask:
+            stack.append((j - 1, count, mask ^ one))
+        if one:
+            stack.append((j - 1, count | 1 << j - 1, one))
+    return totals, first
 
 
 def survival_scans(
@@ -215,12 +233,10 @@ def survival_scans(
             hi = min(rows, lo + block)
             lanes = int.from_bytes(full * (hi - lo - 1) + (tail if hi == rows else full), "little")
             for k, counters in enumerate(levels):
-                groups = _tally(counters[c], lanes)
-                for count, mask in groups.items():
-                    hist[k][count] += mask.bit_count()
-                top = max(groups, default=-1)
+                totals, (top, lane) = _tally(counters[c], lanes)
+                hist[k].update(totals)
                 if top > best[k][0]:
-                    best[k] = (top, lo * 8 * size + (groups[top] & -groups[top]).bit_length() - 1)
+                    best[k] = (top, lo * 8 * size + lane)
     return [
         Survival(candidates - half, width - top,
                  _decode(lane // (8 * size) * n_low + lane % (8 * size), n, height),

@@ -400,42 +400,19 @@ class MultiPrimeWitness(Record):
 
     Any group map between such sums is componentwise: a cross-prime image
     would be an element of a reduced group with infinite height at its own
-    prime, which only 0 has.  The finite-height probes document that the
-    sampled nonzero elements indeed have small height.
+    prime, which only 0 has.
     """
 
     components: tuple[PAdicWitnessPair, ...]
-    height_probes: tuple[dict, ...]
 
     def to_json(self) -> dict:
         return {
             "components": [c.to_json() for c in self.components],
-            "height_probes": list(self.height_probes),
             "rationale": (
                 "maps between the sums act componentwise: nonzero elements "
                 "of a reduced group have finite height at its prime"
             ),
         }
-
-
-def _height_probe(w: PAdicWitnessPair, seed: int) -> dict:
-    rng = random.Random(f"height-probe:{w.p}:{seed}")
-    observed = []
-    for _ in range(10):
-        x = random_member(w, rng)
-        if x.is_zero:
-            continue
-        for s in x.coordinates():
-            residue = w.coordinate_sum(x, s)
-            if residue:
-                observed.append(p_valuation(residue, w.p) - x.t)
-    return {
-        "p": w.p,
-        "max_valuation_seen": max(observed, default=0),
-        "bound": w.precision,
-        "finite": bool(observed)
-        and max(observed) < w.precision,
-    }
 
 
 def multi_prime_witness(
@@ -451,10 +428,8 @@ def multi_prime_witness(
     primes = [p for p, _ in pairs]
     if len(set(primes)) != len(primes):
         raise DuplicatePrimeError(f"repeated primes in {primes}")
-    components = []
-    probes = []
-    for idx, (p, k) in enumerate(pairs):
-        w = build_padic_witness(
+    components = tuple(
+        build_padic_witness(
             p,
             k,
             seed=seed + idx,
@@ -462,9 +437,9 @@ def multi_prime_witness(
             height_bound=height_bound,
             precision=precision,
         )
-        components.append(w)
-        probes.append(_height_probe(w, seed))
-    return MultiPrimeWitness(tuple(components), tuple(probes))
+        for idx, (p, k) in enumerate(pairs)
+    )
+    return MultiPrimeWitness(components)
 
 
 class MixedGroupWitness(Record):

@@ -40,6 +40,7 @@ constructed socle) is recorded symbolically in the transcript.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -232,12 +233,14 @@ class AutomorphismPair(Record):
         for p, s, t in zip(self.window.primes, self.first, self.second):
             if not (0 < s < p and 0 < t < p):
                 raise ValueError(f"scalars at p={p} must be units")
+        self.__dict__["_explicit"] = dict(
+            zip(self.window.primes, zip(self.first, self.second)))
 
     def at(self, p: int) -> tuple[int, int]:
         """The (first, second) scalar pair at any prime of the support."""
-        for q, s, t in zip(self.window.primes, self.first, self.second):
-            if q == p:
-                return s, t
+        pair = self._explicit.get(p)
+        if pair is not None:
+            return pair
         if not self.window.source.contains(p):
             raise ValueError(f"prime {p} outside the support")
         return _draw_scalars(self.seed, self.attempt, p)
@@ -457,8 +460,8 @@ class ProductElement(Record, hidden=("witness",)):
         """
         if not isinstance(n, int) or n < 1:
             raise ValueError("pseudo-division wants an integer n >= 1")
-        killed = frozenset(factorize(n)) if n > 1 else frozenset()
-        return self._linear({m: c / n for m, c in self.tail}, lambda p: pow(n, -1, p), killed)
+        return self._linear(
+            {m: c / n for m, c in self.tail}, lambda p: pow(n, -1, p), _prime_factors(n))
 
     def _linear(
         self, tail: Mapping[tuple[int, int], Fraction], factor: Callable[[int], int],
@@ -498,8 +501,13 @@ def _den_primes(*elements: ProductElement) -> set[int]:
     for x in elements:
         out.update(p for p, _ in x.exceptions)
         for _, c in x.tail:
-            out.update(factorize(c.denominator))
+            out.update(_prime_factors(c.denominator))
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _prime_factors(n: int) -> frozenset[int]:
+    return frozenset(factorize(n))
 
 
 def _assemble(

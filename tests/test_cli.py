@@ -192,20 +192,22 @@ def loaded_after(imports: str, modules: list[str]) -> str:
 def test_cli_import_leaves_numpy_unloaded():
     # decide calls and --help start without numpy and without the witness
     # modules, which load only when ``witness`` runs; the value classes need
-    # no dataclasses (and so no inspect, ast, dis or tokenize), and hashlib
-    # loads only when a witness route draws a seeded value
+    # no dataclasses (and so no inspect, ast, dis or tokenize)
     unloaded = ["numpy", "sb_abelian.witness_padic", "sb_abelian.witness_socle",
                 "sb_abelian.padic", "fractions", "dataclasses", "inspect", "ast", "dis",
                 "tokenize", "hashlib"]
     assert loaded_after("sb_abelian.cli", unloaded) == "[]"
-    # the socle scan itself runs on Python ints
-    probe = ("import os, sys; from sb_abelian.cli import run_cli; "
-             "code = run_cli(['witness', 'sumP(all; Z/p^1)', '--window', '30', "
-             "'--out', os.devnull]); "
-             "print(code, 'sb_abelian.witness_socle' in sys.modules, 'numpy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.split() == [str(EXIT_OK), "True", "False"]
+    # the socle scan runs on Python ints, and seeded draws on either route hash
+    # their labels without hashlib, which would load OpenSSL
+    for argv, module in [(["sumP(all; Z/p^1)", "--window", "30"], "witness_socle"),
+                         (["Zhat(5)"], "witness_padic")]:
+        probe = ("import os, sys; from sb_abelian.cli import run_cli; "
+                 f"code = run_cli(['witness', *{argv!r}, '--out', os.devnull]); "
+                 f"print(code, 'sb_abelian.{module}' in sys.modules, "
+                 "*(name in sys.modules for name in ('numpy', 'hashlib', '_hashlib')))")
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == [str(EXIT_OK), "True", "False", "False", "False"]
 
 
 def test_witness_import_leaves_dataclasses_unloaded():

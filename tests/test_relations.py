@@ -1,8 +1,10 @@
 """The relation engine against a brute-force enumeration of every coefficient vector."""
 
+import hashlib
 import random
+import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 
 from sb_abelian import relations
 from sb_abelian.padic import IntPolynomial2, PAdicLazy, independence_certificate
+from sb_abelian.primes import primes as all_primes
 from sb_abelian.relations import (
     SCAN_BUDGET,
     BudgetExceeded,
     first_relation,
     monomials,
     search_space,
+    seeded_rng,
     survival_scan,
     survival_scans,
 )
@@ -225,3 +229,58 @@ def test_budgets():
     assert search_space(4, 1, 81) == 81
     with pytest.raises(BudgetExceeded, match=f"budget of {SCAN_BUDGET}"):
         survival_scan([[1]] * 12, (5,), 4)
+
+
+# ---------------------------------------------------------------------------
+# seeded_rng: the same draws whichever SHA-256 implementation hashes the label
+
+
+def test_seeded_rng_matches_hashlib_sha256():
+    labels = [f"socle-scalars:{seed}:{attempt}:{p}"
+              for seed in (0, 7, 99) for attempt in range(3) for p in (3, 101, 7919)]
+    labels += [f"padic-digits:{p}:{seed}" for p in (2, 5, 101) for seed in range(4)]
+    for label in labels:
+        digest = hashlib.sha256(label.encode()).digest()
+        expected = random.Random(int.from_bytes(digest[:8], "big"))
+        assert seeded_rng(label).getstate() == expected.getstate()
+
+
+# ---------------------------------------------------------------------------
+# _tally: counts and the first lane of the largest count, read off the
+# carry-save levels, against a per-lane sum
+
+
+@st.composite
+def carry_save_levels(draw):
+    width = draw(st.integers(0, 70))
+    masks = st.integers(0, (1 << width) - 1)
+    levels = draw(st.lists(st.lists(masks, min_size=0, max_size=2), max_size=6))
+    lanes = draw(st.one_of(st.just((1 << width) - 1), masks))
+    return width, levels, lanes
+
+
+@settings(max_examples=200, deadline=None)
+@given(carry_save_levels())
+def test_tally_matches_per_lane_counts(case):
+    width, levels, lanes = case
+    counts = {lane: sum((m >> lane & 1) << j for j, level in enumerate(levels) for m in level)
+              for lane in range(width) if lanes >> lane & 1}
+    totals, first = relations._tally(levels, lanes)
+    assert totals == Counter(counts.values())
+    top = max(counts.values(), default=-1)
+    assert first == (top, min((lane for lane, c in counts.items() if c == top), default=-1))
+
+
+def test_survival_scan_memory_is_bounded():
+    # a W=80, B=2 scan of nine monomials: tallying its counters holds at most
+    # one mask per bit plane, not one per distinct survival count
+    primes = list(islice(all_primes(), 80))
+    rng = random.Random("memory")
+    values = random_values(rng, 9, primes)
+    tracemalloc.start()
+    try:
+        survival_scan(values, primes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20

@@ -305,7 +305,6 @@ def test_elementary_matrix_probe_output_is_pinned():
 def test_multi_prime_witness():
     mp = multi_prime_witness([(5, 2), (7, 1)], seed=0, precision=20)
     assert [(c.p, c.k) for c in mp.components] == [(5, 2), (7, 1)]
-    assert all(probe["finite"] for probe in mp.height_probes)
     json.dumps(mp.to_json())
 
 

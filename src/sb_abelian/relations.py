@@ -8,16 +8,19 @@ the first monomial varies slowest, each coefficient runs from -B to B.
 
 The monomials split into a high and a low half, each half's residues are
 tabulated once, and a vector vanishes exactly when its halves satisfy
-L = -R (Horowitz-Sahni).  The socle scan counts this for every vector, per
-prime joining row masks of the low halves along the high halves into one int
-for bit-sliced counters.  The module also holds the seeded RNG, the H1/H2
-grid shapes and the retry count that both witness routes share.
+L = -R (Horowitz-Sahni).  The socle scan counts this for every vector.  It
+walks the high halves (rows) in blocks: per prime it joins the low halves' row
+masks along a block's rows into one int for bit-sliced counters, and it tallies
+and drops a block's counters before the next block starts, so a scan of any
+size holds one block's counters.  The module also holds the seeded RNG, the
+H1/H2 grid shapes and the retry count that both witness routes share.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -28,8 +31,9 @@ __all__ = [
 Vector = tuple[int, ...]
 
 SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
-_BLOCK_BITS = 1 << 20  # lanes of one counter int: ops on larger ints leave the cache
-_HELD_BITS = 1 << 28  # counter bits held at once (32 MB): two masks per bit of a count
+_BLOCK_BITS = 1 << 20  # lanes of a block's counter int: ops on larger ints leave the cache
+_COUNTER_BITS = 1 << 25  # counters of one block, all targets (4 MB): two masks per bit of a count
+_MEMO_BYTES = 1 << 23  # row masks kept across blocks (8 MB); past it a prime rebuilds its own
 GRID_NAMES = ("H1", "H2")
 RETRIES = 8  # seeded draws a witness route tries before it gives up
 
@@ -38,13 +42,23 @@ class BudgetExceeded(RuntimeError):
     """A search space exceeds the configured candidate budget."""
 
 
+@lru_cache(maxsize=None)
+def _sha256():
+    """The interpreter's own SHA-256, as ``random`` uses its own SHA-512: hashlib loads
+    OpenSSL.  Found once, so no draw pays for a failed import."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def seeded_rng(label: str) -> random.Random:
     """An RNG seeded by a hash of ``label``, independent of hash randomization."""
-    try:  # the interpreter's own SHA-256, as ``random`` does for SHA-512: hashlib loads OpenSSL
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-    digest = sha256(label.encode()).digest()
+    digest = _sha256()(label.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -196,47 +210,63 @@ def survival_scans(
 ) -> list[Survival]:
     """:func:`survival_scan` for each target over one value table, sharing
     each prime's residues and row masks; None scans once without a target."""
-    # A vector is a (row, lane) pair of its high and smaller low half; residues
-    # and row masks are built once per stretch of rows whose counters are held.
+    # A vector is a (row, lane) pair of its high and smaller low half.  A row's
+    # residue is its prefix's plus its suffix's, so a block computes only its own.
     n, width, half = len(values), len(primes), targets is None
     targets = [[0] * width] if half else targets
     candidates = search_space(n, height, SCAN_BUDGET)
     split, coeffs = n - n // 2, range(-height, height + 1)
+    cut = split - split // 2  # the prefix's monomials
     n_high, n_low = (2 * height + 1) ** split, (2 * height + 1) ** (n - split)
+    n_suffix = (2 * height + 1) ** (split - cut)
     size, bits = (n_low + 7) // 8, [(lane >> 3, 1 << (lane & 7)) for lane in range(n_low)]
+    empty, units = bytes(size), [(1 << lane).to_bytes(size, "little") for lane in range(n_low)]
     rows, last = (n_high // 2 + 1, n_low // 2) if half else (n_high, n_low)
     full, tail = (((1 << k) - 1).to_bytes(size, "little") for k in (n_low, last))
-    block = max(1, _BLOCK_BITS // (8 * size))  # rows per counter int
-    held = block * max(1, _HELD_BITS // (2 * _BLOCK_BITS * (width + 1).bit_length() * len(targets)))
+    block_bits = min(_BLOCK_BITS, _COUNTER_BITS // (2 * (width + 1).bit_length() * len(targets)))
+    block = max(1, block_bits // (8 * size))  # rows of one block
+    memo: dict[int, tuple[list[int], list[int], list]] = {}
+    room = _MEMO_BYTES if rows > block else 0
     hist, best = [Counter() for _ in targets], [(-1, 0)] * len(targets)
-    for stretch in range(0, rows, held):
-        starts = range(stretch, min(rows, stretch + held), block)
-        levels = [[[] for _ in starts] for _ in targets]
+    for lo in range(0, rows, block):
+        hi = min(rows, lo + block)
+        start, stop = lo // n_suffix, (hi - 1) // n_suffix + 1
+        levels: list[list[list[int]]] = [[] for _ in targets]
         for w, p in enumerate(primes):
-            # -residue per row (without a target, none past the zero vector)
-            first = [-c * values[0][w] % p for c in (range(-height, 1) if half else coeffs)]
-            high = _residues([-row[w] for row in values[1:split]], p, coeffs, first)
-            low = _residues([row[w] for row in values[split:]], p, coeffs, [0])
-            table = bytearray(p * size)
-            for r, (at, bit) in zip(low, bits):
-                table[r * size + at] |= bit
-            masks = [bytes(size)] * p
-            for r in set(low):
-                masks[r] = table[r * size:(r + 1) * size]
+            if w in memo:
+                prefix, suffix, masks = memo[w]
+            else:
+                # -residues of the row prefixes (without a target, none past the
+                # zero vector) and suffixes, and the low half's mask per residue
+                first = [-c * values[0][w] % p for c in (range(-height, 1) if half else coeffs)]
+                prefix = _residues([-row[w] for row in values[1:cut]], p, coeffs, first)
+                suffix = _residues([-row[w] for row in values[cut:split]], p, coeffs, [0])
+                low = _residues([row[w] for row in values[split:]], p, coeffs, [0])
+                masks, owned = [empty] * p, 0
+                for r, unit, (at, bit) in zip(low, units, bits):
+                    mask = masks[r]
+                    if mask is empty:  # a residue's first lane shares its unit mask
+                        masks[r] = unit
+                    else:
+                        if mask.__class__ is bytes:
+                            mask, owned = bytearray(mask), owned + 1
+                            masks[r] = mask
+                        mask[at] |= bit
+                cost = 8 * p + size * owned
+                if cost <= room:
+                    memo[w], room = (prefix, suffix, masks), room - cost
+            high = [(a + b) % p for a in prefix[start:stop] for b in suffix]
+            high = high[lo - start * n_suffix:hi - start * n_suffix]
             for target, counters in zip(targets, levels):
                 t = target[w] % p  # lanes whose low residue is t - high residue
                 rotated = masks[t:] + masks[:t]
-                for lo, block_levels in zip(starts, counters):
-                    keys = map(rotated.__getitem__, high[lo:min(rows, lo + block)])
-                    _add(block_levels, int.from_bytes(b"".join(keys), "little"))
-        for c, lo in enumerate(starts):
-            hi = min(rows, lo + block)
-            lanes = int.from_bytes(full * (hi - lo - 1) + (tail if hi == rows else full), "little")
-            for k, counters in enumerate(levels):
-                totals, (top, lane) = _tally(counters[c], lanes)
-                hist[k].update(totals)
-                if top > best[k][0]:
-                    best[k] = (top, lo * 8 * size + lane)
+                _add(counters, int.from_bytes(b"".join(map(rotated.__getitem__, high)), "little"))
+        lanes = int.from_bytes(full * (hi - lo - 1) + (tail if hi == rows else full), "little")
+        for k, counters in enumerate(levels):
+            totals, (top, lane) = _tally(counters, lanes)
+            hist[k].update(totals)
+            if top > best[k][0]:
+                best[k] = (top, lo * 8 * size + lane)
     return [
         Survival(candidates - half, width - top,
                  _decode(lane // (8 * size) * n_low + lane % (8 * size), n, height),

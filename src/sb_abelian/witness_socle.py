@@ -706,6 +706,13 @@ class ProperInclusionCheck(Record):
 
 
 def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInclusionCheck:
+    """Check the shifts m = 0 .. ``max_shift`` within ``w``'s certificate bounds.
+
+    Shifts that allow the same monomials share one :func:`survival_scans` call,
+    one target each.  Every shift from d on allows them all, so this runs at
+    most d + 1 scans: three at d = 2.  A scan holds the counters of one block
+    of rows per target at a time.
+    """
     cert = w.certificate
     d, height = cert.max_exponent, cert.height_bound
     shifts: dict[tuple, list[int]] = {}  # shifts m >= d all allow every monomial

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# the built-in SHA-256 is one CPython module, named _sha256 up to 3.11 and _sha2
+# from 3.12: each interpreter lists only its own name
+STDLIB = sys.stdlib_module_names | {"_sha2", "_sha256"}
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
 
 
@@ -52,7 +55,7 @@ def foreign_imports(source: str) -> list[str]:
         or (isinstance(node, ast.ImportFrom) and not node.level)
         for name in (
             [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
-        if name.split(".")[0] not in sys.stdlib_module_names | {"sb_abelian"}
+        if name.split(".")[0] not in STDLIB | {"sb_abelian"}
     ]
 
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import sys
 import tracemalloc
+import types
 from collections import Counter
 from itertools import islice, product
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sb_abelian import relations
+from sb_abelian.groupspec import parse_spec
 from sb_abelian.padic import IntPolynomial2, PAdicLazy, independence_certificate
 from sb_abelian.primes import primes as all_primes
 from sb_abelian.relations import (
@@ -23,6 +26,7 @@ from sb_abelian.relations import (
     survival_scan,
     survival_scans,
 )
+from sb_abelian.witness_socle import build_socle_witness, proper_inclusion_check, window_from_socle
 
 
 def vectors(n, height):
@@ -129,20 +133,33 @@ def test_survival_scan_matches_brute_force(n, height, primes):
 
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
-    # small counter ints split the rows over many blocks (a row is 8 or 16
-    # lanes here), held two at a time (counts below 8 take 3 bits, two masks
-    # each): the zero vector and the first minimizer then sit in some later
-    # block of some later stretch
-    monkeypatch.setattr(relations, "_BLOCK_BITS", block)
-    monkeypatch.setattr(relations, "_HELD_BITS", 12 * block)
+    # a small counter budget splits the rows over many blocks: at these four
+    # primes a count takes 3 bits, two masks each, so one target's block holds
+    # ``block`` rows of one byte, and fewer rows of two bytes or for several
+    # targets; the row masks are kept for every prime, or rebuilt in every block
+    monkeypatch.setattr(relations, "_COUNTER_BITS", 48 * block)
     primes = (2, 3, 5, 7)
-    rng = random.Random(f"block:{block}")
-    for n in (3, 4, 5):
-        values = random_values(rng, n, primes)
-        assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
-        target = [rng.randrange(p) for p in primes]
-        assert tuple(survival_scan(values, primes, 1, target)) == brute_scan(
-            values, primes, 1, target)
+    zero_later = argmin_later = False
+    for memo in (1 << 20, 0):
+        monkeypatch.setattr(relations, "_MEMO_BYTES", memo)
+        rng = random.Random(f"block:{block}")
+        for n in (3, 4, 5):
+            values = random_values(rng, n, primes)
+            assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
+            target = [rng.randrange(p) for p in primes]
+            assert tuple(survival_scan(values, primes, 1, target)) == brute_scan(
+                values, primes, 1, target)
+            targets = [target, [0] * len(primes), [rng.randrange(p) for p in primes]]
+            scans = survival_scans(values, primes, 1, targets)
+            assert [tuple(s) for s in scans] == [brute_scan(values, primes, 1, t) for t in targets]
+            # rows are the high halves, numbered in order; the zero vector's is the middle one
+            split = n - n // 2
+            rows = max(1, block // ((3 ** (n - split) + 7) // 8 * len(targets)))  # of a block
+            zero_later |= 3**split // 2 >= rows
+            argmin_later |= any(
+                sum((c + 1) * 3 ** (split - 1 - k) for k, c in enumerate(s.argmin[:split])) >= rows
+                for s in scans)
+    assert zero_later and argmin_later
 
 
 def test_survival_scan_primes_beyond_one_byte():
@@ -245,9 +262,33 @@ def test_seeded_rng_matches_hashlib_sha256():
         assert seeded_rng(label).getstate() == expected.getstate()
 
 
+def test_seeded_rng_takes_sha256_from_sha2(monkeypatch):
+    # Python 3.12 moved the built-in SHA-256 from _sha256 into _sha2: in that
+    # layout the draws stay the same, and they come from _sha2
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    stand_in = types.ModuleType("_sha2")
+    stand_in.sha256 = sha256
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", stand_in)
+    relations._sha256.cache_clear()
+    try:
+        labels = ["socle-scalars:3:0:101", "padic-digits:5:2"]
+        for label in labels:
+            digest = hashlib.sha256(label.encode()).digest()
+            expected = random.Random(int.from_bytes(digest[:8], "big"))
+            assert seeded_rng(label).getstate() == expected.getstate()
+        assert hashed == [label.encode() for label in labels]
+    finally:
+        relations._sha256.cache_clear()
+
+
 # ---------------------------------------------------------------------------
-# _tally: counts and the first lane of the largest count, read off the
-# carry-save levels, against a per-lane sum
+# _tally: counts and the first lane of the largest count, against a per-lane sum
 
 
 @st.composite
@@ -283,4 +324,19 @@ def test_survival_scan_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
+
+
+def test_proper_inclusion_check_memory_is_bounded():
+    # the certify bounds: W=16, d=B=2, shifts up to 5.  The nine-monomial scan
+    # has four targets; one block's counters are held at a time
+    window = window_from_socle(parse_spec("sumP(all; Z/p^1)"), 16)
+    witness = build_socle_witness(window, seed=3, max_exponent=2, height_bound=2, threshold=3)
+    tracemalloc.start()
+    try:
+        check = proper_inclusion_check(witness, max_shift=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.passed
     assert peak <= 3.5 * 2**20

@@ -12,7 +12,7 @@ import json
 import random
 from fractions import Fraction
 
-from sb_abelian.padic import PAdicApprox, PAdicLazy
+from sb_abelian.padic import PAdicApprox
 from sb_abelian.witness_padic import (
     GridElement,
     GridMonomial,
@@ -26,8 +26,8 @@ PRECISION = 12
 
 w = build_padic_witness(5, k=2, seed=0, precision=PRECISION)
 print(f"unit pair at p=5, precision {PRECISION}:")
-print(f"  unit1 = {w.unit1.truncate(PRECISION)}")
-print(f"  unit2 = {w.unit2.truncate(PRECISION)}")
+print(f"  unit1 = {w.unit1}")
+print(f"  unit2 = {w.unit2}")
 print(f"  certificate: {w.certificate.candidates} candidate relations, "
       f"passed={w.certificate.passed}")
 
@@ -58,9 +58,9 @@ print(f"\nmatrix inverse probe: identity at all {probe['levels']} levels: "
       f"{probe['identity_at_all_levels']}")
 
 # rationals with 5-free denominators embed with their divisibility intact
-third = PAdicLazy.from_rational(5, 1, 3)
-print(f"\n1/3 as a 5-adic integer: {third.truncate(6)} "
-      f"(times 3: {PAdicApprox.of(3 * third.truncate(6).residue, 5, 6)})")
+third = PAdicApprox.of_rational(1, 3, 5, 6)
+print(f"\n1/3 as a 5-adic integer: {third} "
+      f"(times 3: {PAdicApprox.of(3 * third.residue, 5, 6)})")
 
 print("\nwitness descriptor (abridged):")
 payload = w.to_json()

@@ -7,9 +7,9 @@ never guessed past the precision.
 
 * :class:`PAdicApprox` — immutable residue mod p**N with its valuation;
   arithmetic on it is plain integer arithmetic on ``residue``.
-* :class:`PAdicLazy` — a p-adic integer given by a deterministic digit
-  stream (seeded unit, integer, rational, or derived), truncatable to any
-  precision.  Digit prefixes are cached.
+* :func:`seeded_unit` — a deterministic pseudorandom unit mod p**N, drawn
+  digit by digit from a seeded stream, so it reduces to the same seed's
+  unit mod p**n at every n <= N.
 * :func:`matrix_inverse_mod` / :func:`matrix_product_mod` — the inverse of
   a square integer matrix mod p**N, lifted from mod p by Newton steps; it
   reduces to the inverse mod p**n at every level n <= N.
@@ -21,7 +21,7 @@ never guessed past the precision.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .groupspec import Record
 from .primes import ensure_prime, p_valuation
@@ -35,12 +35,12 @@ __all__ = [
     "IntPolynomial2",
     "NonUnitError",
     "PAdicApprox",
-    "PAdicLazy",
     "PrecisionMismatch",
     "SingularModP",
     "independence_certificate",
     "matrix_inverse_mod",
     "matrix_product_mod",
+    "seeded_unit",
     "valuation_at_least",
 ]
 
@@ -101,9 +101,26 @@ class PAdicApprox(Record):
     def of(cls, value: int, p: int, precision: int) -> "PAdicApprox":
         return cls(p, precision, value % p**precision)
 
+    @classmethod
+    def of_rational(
+        cls, numerator: int, denominator: int, p: int, precision: int
+    ) -> "PAdicApprox":
+        """numerator/denominator mod p**precision; the denominator must be
+        prime to p."""
+        ensure_prime(p, "p-adic base")
+        if denominator % p == 0:
+            raise NonUnitError(f"denominator {denominator} is divisible by {p}")
+        return cls.of(numerator * pow(denominator, -1, p**precision), p, precision)
+
     @property
     def modulus(self) -> int:
         return self.p**self.precision
+
+    def truncate(self, n: int) -> "PAdicApprox":
+        """The same value mod p**n, for 1 <= n <= precision."""
+        if not 1 <= n <= self.precision:
+            raise ValueError(f"cannot truncate to {n} outside 1..{self.precision}")
+        return PAdicApprox(self.p, n, self.residue % self.p**n)
 
     def valuation(self) -> "int | AtLeast":
         """Exact p-valuation when visible, else ``AtLeast(precision)``."""
@@ -115,97 +132,20 @@ class PAdicApprox(Record):
         return f"{self.residue} (mod {self.p}^{self.precision})"
 
 
-# ---------------------------------------------------------------------------
-# lazy digit streams
-# ---------------------------------------------------------------------------
+def seeded_unit(p: int, seed: int, precision: int) -> PAdicApprox:
+    """Deterministic pseudorandom unit mod p**precision for the given seed.
 
-
-class PAdicLazy:
-    """A p-adic integer producible to any precision.
-
-    The digit source is consulted sequentially and the prefix is cached, so
-    ``truncate(N)`` and ``truncate(M)`` always agree mod p**min(N, M).  The
-    cache is unguarded: an instance must not be extended from two threads.
+    The constant digit is drawn nonzero and every later digit uniformly, in
+    order from one seeded stream, so the unit at precision n is this one
+    reduced mod p**n.
     """
-
-    def __init__(
-        self,
-        p: int,
-        digit_source: Callable[[int], int],
-        description: str,
-        seed: int | None = None,
-    ):
-        ensure_prime(p, "p-adic base")
-        self.p = p
-        self.description = description
-        self.seed = seed
-        self._digit_source = digit_source
-        self._digits: list[int] = []
-        self._prefix: list[int] = [0]  # _prefix[i] = residue mod p**i
-
-    @classmethod
-    def from_seed(cls, p: int, seed: int) -> "PAdicLazy":
-        """Deterministic pseudorandom unit for the given seed: the constant
-        digit is drawn nonzero, every later digit uniformly."""
-        rng = seeded_rng(f"padic-digits:{p}:{seed}")
-
-        def digit(i: int) -> int:
-            return rng.randrange(p) if i else 1 + rng.randrange(p - 1)
-
-        return cls(p, digit, f"seeded({seed})", seed=seed)
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "PAdicLazy":
-        return cls(p, lambda i: (n // p**i) % p, f"int({n})")
-
-    @classmethod
-    def from_rational(cls, p: int, numerator: int, denominator: int) -> "PAdicLazy":
-        """Embed numerator/denominator; the denominator must be prime to p."""
-        if denominator % p == 0:
-            raise NonUnitError(f"denominator {denominator} is divisible by {p}")
-
-        def digit(i: int) -> int:
-            modulus = p ** (i + 1)
-            residue = numerator * pow(denominator, -1, modulus) % modulus
-            return residue // p**i
-
-        return cls(p, digit, f"rational({numerator}/{denominator})")
-
-    @classmethod
-    def from_truncations(
-        cls, p: int, residue_at: Callable[[int], int], description: str
-    ) -> "PAdicLazy":
-        """Wrap a coherent residue function N -> value mod p**N.
-
-        Coherence (residue_at(M) = residue_at(N) mod p**N for M >= N) is the
-        caller's responsibility; it holds automatically for anything computed
-        by ring operations from coherent inputs.
-        """
-        return cls(
-            p, lambda i: (residue_at(i + 1) // p**i) % p, description
-        )
-
-    def digit(self, i: int) -> int:
-        self._extend(i + 1)
-        return self._digits[i]
-
-    def truncate(self, precision: int) -> PAdicApprox:
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        self._extend(precision)
-        return PAdicApprox(self.p, precision, self._prefix[precision])
-
-    def _extend(self, n: int) -> None:
-        while len(self._digits) < n:
-            i = len(self._digits)
-            d = self._digit_source(i)
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit source produced {d} at index {i}")
-            self._digits.append(d)
-            self._prefix.append(self._prefix[i] + d * self.p**i)
-
-    def __repr__(self) -> str:
-        return f"PAdicLazy(p={self.p}, {self.description})"
+    ensure_prime(p, "p-adic base")
+    rng = seeded_rng(f"padic-digits:{p}:{seed}")
+    digits = [1 + rng.randrange(p - 1)] + [rng.randrange(p) for _ in range(precision - 1)]
+    residue = 0
+    for d in reversed(digits):
+        residue = residue * p + d
+    return PAdicApprox(p, precision, residue)
 
 
 # ---------------------------------------------------------------------------
@@ -373,32 +313,35 @@ class IndependenceCertificate(Record):
 
 
 def independence_certificate(
-    g1: PAdicLazy,
-    g2: PAdicLazy,
+    g1: PAdicApprox,
+    g2: PAdicApprox,
     max_exponent: int,
     height_bound: int,
-    precision: int,
+    sources: tuple[str, str],
     budget: int | None = DEFAULT_INDEPENDENCE_BUDGET,
 ) -> IndependenceCertificate:
     """Exhaustively search for a small polynomial relation between two units.
 
     Checks every nonzero q in Z[x, y] with exponents <= max_exponent in each
     variable and coefficients in [-height_bound, height_bound] for
-    q(g1, g2) = 0 mod p**precision.  The monomial count is (d+1)^2 and the
-    candidate count (2B+1)^((d+1)^2); a budget smaller than that raises
-    :class:`BudgetExceeded` up front rather than certifying a partial search.
+    q(g1, g2) = 0 mod p**N, where p and N are the two residues' own.  The
+    monomial count is (d+1)^2 and the candidate count (2B+1)^((d+1)^2); a
+    budget smaller than that raises :class:`BudgetExceeded` up front rather
+    than certifying a partial search.  ``sources`` names the two units in
+    the certificate.
     """
-    if g1.p != g2.p:
-        raise PrecisionMismatch("the two values live at different primes")
-    if max_exponent < 1 or height_bound < 1 or precision < 1:
-        raise ValueError("max_exponent, height_bound, precision must be >= 1")
-    if g1.digit(0) == 0 or g2.digit(0) == 0:
+    if (g1.p, g1.precision) != (g2.p, g2.precision):
+        raise PrecisionMismatch("the two values disagree on p or precision")
+    if max_exponent < 0:
+        raise ValueError("max_exponent must be >= 0")
+    if height_bound < 1:
+        raise ValueError("height_bound must be >= 1")
+    if g1.residue % g1.p == 0 or g2.residue % g2.p == 0:
         raise NonUnitError("independence search requires unit inputs")
 
     pairs = monomials(max_exponent)
     candidates = search_space(len(pairs), height_bound, budget)
-    modulus = g1.p**precision
-    x, y = g1.truncate(precision).residue, g2.truncate(precision).residue
+    modulus, x, y = g1.modulus, g1.residue, g2.residue
     values = [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
     found = first_relation(values, height_bound, modulus)
     violation = None
@@ -408,8 +351,8 @@ def independence_certificate(
         p=g1.p,
         max_exponent=max_exponent,
         height_bound=height_bound,
-        precision=precision,
-        sources=(g1.description, g2.description),
+        precision=g1.precision,
+        sources=sources,
         passed=violation is None,
         violation=violation,
         candidates=candidates,

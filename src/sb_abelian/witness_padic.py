@@ -36,11 +36,12 @@ from .invariants import szmielew_invariants
 from .padic import (
     IndependenceCertificate,
     NonUnitError,
-    PAdicLazy,
+    PAdicApprox,
     SingularModP,
     independence_certificate,
     matrix_inverse_mod,
     matrix_product_mod,
+    seeded_unit,
 )
 from .primes import ensure_prime, p_valuation
 from .relations import RETRIES, BudgetExceeded, check_grid, grid_allows
@@ -211,8 +212,8 @@ class PAdicWitnessPair(Record):
 
     p: int
     k: int
-    unit1: PAdicLazy
-    unit2: PAdicLazy
+    unit1: PAdicApprox
+    unit2: PAdicApprox
     precision: int
     certificate: IndependenceCertificate
     attempts: int
@@ -222,9 +223,7 @@ class PAdicWitnessPair(Record):
 
     def coordinate_sum(self, x: GridElement, s: int) -> int:
         """Residue of coordinate s of p**t * x at the working precision."""
-        modulus = self.p**self.precision
-        u1 = self.unit1.truncate(self.precision).residue
-        u2 = self.unit2.truncate(self.precision).residue
+        modulus, u1, u2 = self.unit1.modulus, self.unit1.residue, self.unit2.residue
         lift = self.p**x.t
         total = 0
         for m, c in x.terms:
@@ -240,8 +239,8 @@ class PAdicWitnessPair(Record):
             "p": self.p,
             "k": self.k,
             "precision": self.precision,
-            "unit1": self.unit1.description,
-            "unit2": self.unit2.description,
+            "unit1": self.certificate.sources[0],
+            "unit2": self.certificate.sources[1],
             "attempts": self.attempts,
             "certificate": self.certificate.to_json(),
             "grids": {
@@ -271,9 +270,10 @@ def build_padic_witness(
     last = None
     for attempt in range(RETRIES):
         base = seed + 1_000_003 * attempt
-        unit1 = PAdicLazy.from_seed(p, 2 * base)
-        unit2 = PAdicLazy.from_seed(p, 2 * base + 1)
-        cert = independence_certificate(unit1, unit2, max_exponent, height_bound, precision)
+        unit1 = seeded_unit(p, 2 * base, precision)
+        unit2 = seeded_unit(p, 2 * base + 1, precision)
+        sources = (f"seeded({2 * base})", f"seeded({2 * base + 1})")
+        cert = independence_certificate(unit1, unit2, max_exponent, height_bound, sources)
         if cert.passed:
             return PAdicWitnessPair(
                 p=p,

@@ -27,7 +27,7 @@ from sb_abelian.finite_oracle import (
 )
 from sb_abelian.groupspec import PrimeSet, parse_spec
 from sb_abelian.invariants import elementarily_equivalent, ulm_invariant
-from sb_abelian.padic import PAdicLazy, valuation_at_least
+from sb_abelian.padic import PAdicApprox, valuation_at_least
 from sb_abelian.primes import factorize, p_valuation
 from sb_abelian.witness_padic import (
     GridElement,
@@ -244,7 +244,7 @@ def test_criterion_7_embedded_rationals_keep_divisibility_verdicts():
         den = rng.randint(1, 997)
         while den % p == 0:
             den = rng.randint(1, 997)
-        embedded = PAdicLazy.from_rational(p, num, den).truncate(40)
+        embedded = PAdicApprox.of_rational(num, den, p, 40)
         true_valuation = None if num == 0 else p_valuation(num, p)
         for k in range(40):
             truth = num == 0 or true_valuation >= k

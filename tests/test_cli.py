@@ -582,8 +582,11 @@ def test_config_validation(capsys):
     code, out, err = run(capsys, "classify", "Q", "--format", "yaml")
     assert code == EXIT_USAGE and out == ""
     assert "invalid choice: 'yaml'" in err
-    # --degree 0 is a valid bound; the lower bounds are named in the message
+    # --degree 0 is a valid bound on both routes; the lower bounds are named
+    # in the message
     assert run(capsys, *argv, "--window", "10", "--degree", "0")[0] == EXIT_OK
+    code, out, _ = run(capsys, "witness", "Zhat(5)", "--degree", "0")
+    assert code == EXIT_OK and '"max_exponent": 0' in out
     code, _, err = run(capsys, *argv, "--degree", "-1")
     assert code == EXIT_USAGE and err == "sb-abelian: --degree must be >= 0\n"
     code, _, err = run(capsys, "oracle", "ulm", "Z/2", "--order-bound", "0")

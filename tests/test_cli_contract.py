@@ -6,9 +6,10 @@
   and outside each flag's bounds, returns a documented exit code (0, 2, 3 or
   4), never raises and finishes each call within ``CALL_SECONDS``.
 
-Both run in-process and start no processes or threads.  Witness bounds stay
-small (window at most 40, degree and height at most 2), so a call that
-passes the argument checks still runs a real search.
+Both run in-process and start no processes or threads.  The search bounds
+stay small (window at most 40, degree and height at most 2), so a call that
+passes the argument checks still runs a real search; the p-adic precision
+is drawn up to its cap of 10000 digits, which must also end in time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import io
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sb_abelian.cli import _build_parser, run_cli
@@ -55,7 +56,7 @@ SPECS = (
 # writable file and one in a directory that does not exist
 RENDER = {"--format": ("json", "text", "xml"), "--out": ("@OUT", "@MISSING")}
 WITNESS = {
-    "--precision": ("0", "1", "3", "40", "10001", "x"),
+    "--precision": ("0", "1", "3", "40", "10000", "10001", "x"),
     "--degree": ("-1", "0", "1", "2"),
     "--height": ("0", "1", "2"),
     "--window": ("0", "1", "5", "40", "1001"),
@@ -111,6 +112,7 @@ def out_paths(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=argvs())
+@example(argv=["witness", "Zhat(7)^2 + Zhat(5)", "--precision", "10000"])
 def test_run_cli_ends_in_a_documented_code_in_time(out_paths, argv):
     argv = [out_paths.get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -112,6 +112,8 @@ ARGVS = [
     ["oracle", "ulm", "Z/27 + Z/9^2 + Z/3"],
     # the witness route comes only from the classifier: no flag forces one
     ["witness", "Zhat(5)", "--route", "padic"],
+    # degree 0 is in bounds on the completion route too: constants only
+    ["witness", "Zhat(5)", "--degree", "0"],
 ]
 
 

@@ -11,12 +11,12 @@ from sb_abelian.padic import (
     IntPolynomial2,
     NonUnitError,
     PAdicApprox,
-    PAdicLazy,
     PrecisionMismatch,
     SingularModP,
     independence_certificate,
     matrix_inverse_mod,
     matrix_product_mod,
+    seeded_unit,
     valuation_at_least,
 )
 
@@ -49,55 +49,57 @@ def test_valuation_at_least_helper():
 
 
 # ---------------------------------------------------------------------------
-# lazy digit streams
+# seeded units and rational residues
 # ---------------------------------------------------------------------------
+
+
+def _digits(a: PAdicApprox) -> list[int]:
+    """The base-p digits of a residue, least significant first."""
+    return [a.residue // a.p**i % a.p for i in range(a.precision)]
 
 
 @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 30))
 def test_truncation_coherence(seed, n, m):
     if n > m:
         n, m = m, n
-    g = PAdicLazy.from_seed(5, seed)
-    low, high = g.truncate(n), g.truncate(m)
-    assert high.residue % 5**n == low.residue
+    high = seeded_unit(5, seed, m)
+    assert high.residue % 5**n == seeded_unit(5, seed, n).residue
+    assert high.truncate(n) == seeded_unit(5, seed, n)
+
+
+def test_truncate_stays_within_the_precision():
+    g = seeded_unit(5, 3, 4)
+    assert g.truncate(4) == g
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            g.truncate(n)
 
 
 def test_seed_determinism():
-    a = PAdicLazy.from_seed(7, 42)
-    b = PAdicLazy.from_seed(7, 42)
-    # consume in different orders; the streams must agree
-    a.truncate(20)
-    assert [a.digit(i) for i in range(12)] == [b.digit(i) for i in range(12)]
-    assert PAdicLazy.from_seed(7, 43).truncate(12) != a.truncate(12)
+    a = seeded_unit(7, 42, 20)
+    b = seeded_unit(7, 42, 12)
+    assert seeded_unit(7, 42, 12) == b
+    assert _digits(a)[:12] == _digits(b)
+    assert seeded_unit(7, 43, 12) != b
 
 
 def test_seeded_streams_are_units():
     for seed in range(20):
-        assert PAdicLazy.from_seed(3, seed).digit(0) != 0
+        assert seeded_unit(3, seed, 5).residue % 3 != 0
 
 
 def test_from_int_digits():
-    g = PAdicLazy.from_int(5, 7)  # 7 = 2 + 1*5
-    assert [g.digit(0), g.digit(1), g.digit(2)] == [2, 1, 0]
-    minus_one = PAdicLazy.from_int(5, -1)
-    assert [minus_one.digit(i) for i in range(6)] == [4] * 6
+    assert _digits(PAdicApprox.of(7, 5, 3)) == [2, 1, 0]  # 7 = 2 + 1*5
+    minus_one = PAdicApprox.of(-1, 5, 6)
+    assert _digits(minus_one) == [4] * 6
     assert (minus_one.truncate(4).residue + 1) % 5**4 == 0
 
 
 def test_from_rational():
-    third = PAdicLazy.from_rational(5, 1, 3)
-    assert third.truncate(6).residue * 3 % 5**6 == 1
+    third = PAdicApprox.of_rational(1, 3, 5, 6)
+    assert third.residue * 3 % 5**6 == 1
     with pytest.raises(NonUnitError):
-        PAdicLazy.from_rational(5, 1, 10)
-
-
-def test_from_truncations_square_stream():
-    g = PAdicLazy.from_seed(5, 11)
-    sq = PAdicLazy.from_truncations(
-        5, lambda n: pow(g.truncate(n).residue, 2, 5**n), "square"
-    )
-    for n in (1, 3, 8):
-        assert sq.truncate(n).residue == g.truncate(n).residue ** 2 % 5**n
+        PAdicApprox.of_rational(1, 10, 5, 6)
 
 
 @given(st.integers(-500, 500), st.integers(1, 500))
@@ -106,8 +108,7 @@ def test_rational_embedding_preserves_divisibility(num, den):
     p, n = 3, 12
     if den % p == 0:
         den += 1
-    g = PAdicLazy.from_rational(p, num, den)
-    v = g.truncate(n).valuation()
+    v = PAdicApprox.of_rational(num, den, p, n).valuation()
     for k in range(n):
         assert valuation_at_least(v, k) == (num % p**k == 0)
 
@@ -119,7 +120,7 @@ def test_seeded_residues_are_pinned():
     # the seeded units' digits, hashed over a grid of primes, seeds and
     # precisions; recorded before the digit stream was replaced
     rows = "".join(
-        f"{p}:{s}:{n}:{PAdicLazy.from_seed(p, s).truncate(n).residue:x}\n"
+        f"{p}:{s}:{n}:{seeded_unit(p, s, n).residue:x}\n"
         for p in (2, 3, 5, 7, 101)
         for s in range(10)
         for n in (1, 2, 40, 1000)
@@ -128,14 +129,13 @@ def test_seeded_residues_are_pinned():
 
 
 def test_truncation_is_coherent_in_any_order():
-    g = PAdicLazy.from_seed(5, 99)
     order = list(range(1, 25))
     random.Random(7).shuffle(order)
-    results = {n: g.truncate(n).residue for n in order}
-    top = g.truncate(25).residue
+    results = {n: seeded_unit(5, 99, n).residue for n in order}
+    top = seeded_unit(5, 99, 25)
     for n, r in results.items():
-        assert top % 5**n == r
-    assert top == PAdicLazy.from_seed(5, 99).truncate(25).residue
+        assert top.residue % 5**n == r
+        assert top.truncate(n).residue == r
 
 
 # ---------------------------------------------------------------------------
@@ -261,74 +261,90 @@ def test_polynomial_rejects_negative_exponents():
 # independence certificates
 # ---------------------------------------------------------------------------
 
+SOURCES = ("seeded(0)", "seeded(1)")
+
 
 def test_same_stream_fails():
-    g = PAdicLazy.from_seed(5, 7)
-    cert = independence_certificate(g, g, 1, 1, 10)
+    g = seeded_unit(5, 7, 10)
+    cert = independence_certificate(g, g, 1, 1, ("seeded(7)", "seeded(7)"))
     assert not cert.passed
     assert cert.violation == IntPolynomial2.of({(0, 1): 1, (1, 0): -1})  # y - x
     assert cert.candidates == 3**4
 
 
 def test_square_stream_fails():
-    g1 = PAdicLazy.from_seed(5, 11)
-    g2 = PAdicLazy.from_truncations(
-        5, lambda n: pow(g1.truncate(n).residue, 2, 5**n), "square"
-    )
-    cert = independence_certificate(g1, g2, 2, 1, 12)
+    g1 = seeded_unit(5, 11, 12)
+    g2 = PAdicApprox.of(g1.residue**2, 5, 12)
+    cert = independence_certificate(g1, g2, 2, 1, ("seeded(11)", "square"))
     assert not cert.passed
     q = cert.violation
     assert q is not None and not q.is_zero
     assert q.max_exponent <= 2 and q.height <= 1
-    assert q.evaluate(g1.truncate(12), g2.truncate(12)).residue == 0
+    assert q.evaluate(g1, g2).residue == 0
     # the minimal relation y - x^2 is in the searched space and vanishes
     minimal = IntPolynomial2.of({(0, 1): 1, (2, 0): -1})
-    assert minimal.evaluate(g1.truncate(12), g2.truncate(12)).residue == 0
+    assert minimal.evaluate(g1, g2).residue == 0
 
 
 def test_generic_pair_passes():
-    g1 = PAdicLazy.from_seed(5, 0)
-    g2 = PAdicLazy.from_seed(5, 1)
-    cert = independence_certificate(g1, g2, 1, 1, 10)
+    g1, g2 = seeded_unit(5, 0, 10), seeded_unit(5, 1, 10)
+    cert = independence_certificate(g1, g2, 1, 1, SOURCES)
     assert cert.passed
     assert cert.violation is None
     assert cert.candidates == 81
+    assert cert.precision == 10
     assert cert.to_json()["passed"] is True
 
 
+def test_degree_zero_searches_the_constants():
+    g1, g2 = seeded_unit(5, 0, 10), seeded_unit(5, 1, 10)
+    cert = independence_certificate(g1, g2, 0, 2, SOURCES)
+    assert cert.passed and cert.candidates == 5
+    # at p = 2 and precision 1 the constant 2 vanishes
+    g1, g2 = seeded_unit(2, 0, 1), seeded_unit(2, 1, 1)
+    cert = independence_certificate(g1, g2, 0, 2, SOURCES)
+    assert cert.violation == IntPolynomial2.of({(0, 0): 2})
+
+
+def test_certificate_bounds_are_checked():
+    g1, g2 = seeded_unit(5, 0, 10), seeded_unit(5, 1, 10)
+    with pytest.raises(ValueError, match="max_exponent must be >= 0"):
+        independence_certificate(g1, g2, -1, 1, SOURCES)
+    with pytest.raises(ValueError, match="height_bound must be >= 1"):
+        independence_certificate(g1, g2, 1, 0, SOURCES)
+
+
 def test_certificate_monotone_in_bounds():
-    g1 = PAdicLazy.from_seed(5, 0)
-    g2 = PAdicLazy.from_seed(5, 1)
-    if independence_certificate(g1, g2, 2, 2, 12).passed:
+    g1, g2 = seeded_unit(5, 0, 12), seeded_unit(5, 1, 12)
+    if independence_certificate(g1, g2, 2, 2, SOURCES).passed:
         for d, b in [(1, 1), (1, 2), (2, 1)]:
-            assert independence_certificate(g1, g2, d, b, 12).passed
+            assert independence_certificate(g1, g2, d, b, SOURCES).passed
 
 
 def test_budget_guard():
-    g1 = PAdicLazy.from_seed(5, 0)
-    g2 = PAdicLazy.from_seed(5, 1)
+    g1, g2 = seeded_unit(5, 0, 10), seeded_unit(5, 1, 10)
     with pytest.raises(BudgetExceeded):
-        independence_certificate(g1, g2, 1, 1, 10, budget=80)
-    assert independence_certificate(g1, g2, 1, 1, 10, budget=81).passed
+        independence_certificate(g1, g2, 1, 1, SOURCES, budget=80)
+    assert independence_certificate(g1, g2, 1, 1, SOURCES, budget=81).passed
 
 
 def test_non_unit_inputs_rejected():
-    g1 = PAdicLazy.from_int(5, 10)  # divisible by 5
-    g2 = PAdicLazy.from_seed(5, 1)
+    g1 = PAdicApprox.of(10, 5, 5)  # divisible by 5
+    g2 = seeded_unit(5, 1, 5)
     with pytest.raises(NonUnitError):
-        independence_certificate(g1, g2, 1, 1, 5)
+        independence_certificate(g1, g2, 1, 1, SOURCES)
 
 
 def test_mismatched_primes_rejected():
     with pytest.raises(PrecisionMismatch):
-        independence_certificate(
-            PAdicLazy.from_seed(5, 0), PAdicLazy.from_seed(7, 0), 1, 1, 5
-        )
+        independence_certificate(seeded_unit(5, 0, 5), seeded_unit(7, 0, 5), 1, 1, SOURCES)
+    with pytest.raises(PrecisionMismatch):
+        independence_certificate(seeded_unit(5, 0, 5), seeded_unit(5, 1, 6), 1, 1, SOURCES)
 
 
 def test_certificate_json_shape():
-    g1 = PAdicLazy.from_seed(5, 0)
-    cert = independence_certificate(g1, g1, 1, 1, 6)
+    g1 = seeded_unit(5, 0, 6)
+    cert = independence_certificate(g1, g1, 1, 1, ("seeded(0)", "seeded(0)"))
     data = cert.to_json()
     assert data["p"] == 5
     assert data["passed"] is False

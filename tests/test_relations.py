@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sb_abelian import relations
 from sb_abelian.groupspec import parse_spec
-from sb_abelian.padic import IntPolynomial2, PAdicLazy, independence_certificate
+from sb_abelian.padic import IntPolynomial2, independence_certificate, seeded_unit
 from sb_abelian.primes import primes as all_primes
 from sb_abelian.relations import (
     SCAN_BUDGET,
@@ -86,11 +86,12 @@ def test_first_relation_never_returns_the_zero_vector():
 
 @pytest.mark.parametrize("p,seed", [(5, 0), (5, 3), (7, 1), (2, 4), (3, 2)])
 def test_padic_violation_is_lexicographically_first(p, seed):
-    g1, g2 = PAdicLazy.from_seed(p, 2 * seed), PAdicLazy.from_seed(p, 2 * seed + 1)
+    sources = (f"seeded({2 * seed})", f"seeded({2 * seed + 1})")
     for precision, d, height in [(1, 1, 1), (2, 1, 2), (1, 2, 1), (3, 2, 1)]:
-        cert = independence_certificate(g1, g2, d, height, precision)
+        g1, g2 = seeded_unit(p, 2 * seed, precision), seeded_unit(p, 2 * seed + 1, precision)
+        cert = independence_certificate(g1, g2, d, height, sources)
         modulus = p**precision
-        x, y = g1.truncate(precision).residue, g2.truncate(precision).residue
+        x, y = g1.residue, g2.residue
         pairs = monomials(d)
         values = [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
         expected = brute_first(values, height, modulus)
@@ -104,11 +105,11 @@ def test_padic_pigeonhole_relation_is_found():
     # nine monomials take at most four unit residues mod 5, so a relation
     # with coefficients in [-2, 2] always exists at precision 1
     for seed in range(4):
-        g1, g2 = PAdicLazy.from_seed(5, 2 * seed), PAdicLazy.from_seed(5, 2 * seed + 1)
-        cert = independence_certificate(g1, g2, 2, 2, 1)
+        g1, g2 = seeded_unit(5, 2 * seed, 1), seeded_unit(5, 2 * seed + 1, 1)
+        cert = independence_certificate(g1, g2, 2, 2, ("g1", "g2"))
         assert not cert.passed
         assert cert.candidates == 5**9
-        assert cert.violation.evaluate(g1.truncate(1), g2.truncate(1)).residue == 0
+        assert cert.violation.evaluate(g1, g2).residue == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from sb_abelian.cli import MAX_PRECISION
 from sb_abelian.groupspec import parse_spec
 from sb_abelian.padic import NonUnitError
 from sb_abelian.relations import check_grid, grid_allows
@@ -111,10 +113,24 @@ def test_build_certifies_first_seed(pair):
     assert pair.attempts == 1
     assert pair.certificate.passed
     assert pair.certificate.max_exponent == 1
-    assert pair.unit1.digit(0) != 0 and pair.unit2.digit(0) != 0
+    assert pair.unit1.residue % 5 != 0 and pair.unit2.residue % 5 != 0
+    assert pair.unit1.precision == pair.unit2.precision == pair.precision
     data = pair.to_json()
     assert data["certificate"]["passed"] is True
     json.dumps(data)
+
+
+def test_build_memory_is_bounded_at_the_precision_cap():
+    # each unit is one residue mod p**N; what remains is the certificate's
+    # tables of half-relation residues
+    tracemalloc.start()
+    try:
+        pair = build_padic_witness(5, 1, precision=MAX_PRECISION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.certificate.passed and pair.unit1.precision == MAX_PRECISION
+    assert peak <= 20 * 2**20
 
 
 def test_build_fails_when_precision_is_hopeless():

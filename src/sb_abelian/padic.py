@@ -140,12 +140,12 @@ def seeded_unit(p: int, seed: int, precision: int) -> PAdicApprox:
     reduced mod p**n.
     """
     ensure_prime(p, "p-adic base")
-    rng = seeded_rng(f"padic-digits:{p}:{seed}")
+    rng, base = seeded_rng(f"padic-digits:{p}:{seed}"), p
     digits = [1 + rng.randrange(p - 1)] + [rng.randrange(p) for _ in range(precision - 1)]
-    residue = 0
-    for d in reversed(digits):
-        residue = residue * p + d
-    return PAdicApprox(p, precision, residue)
+    while len(digits) > 1:  # pairwise sums keep the operands balanced: Horner's rule is quadratic
+        digits = [a + b * base for a, b in zip(digits[::2], digits[1::2] + [0])]
+        base *= base
+    return PAdicApprox(p, precision, digits[0])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,8 @@ def independence_certificate(
     pairs = monomials(max_exponent)
     candidates = search_space(len(pairs), height_bound, budget)
     modulus, x, y = g1.modulus, g1.residue, g2.residue
-    values = [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
+    xs, ys = ([pow(v, i, modulus) for i in range(max_exponent + 1)] for v in (x, y))
+    values = [a * b % modulus for a in xs for b in ys]  # ``pairs`` runs i slowest, then j
     found = first_relation(values, height_bound, modulus)
     violation = None
     if found is not None:

@@ -10,10 +10,10 @@ The monomials split into a high and a low half, each half's residues are
 tabulated once, and a vector vanishes exactly when its halves satisfy
 L = -R (Horowitz-Sahni).  The socle scan counts this for every vector.  It
 walks the high halves (rows) in blocks: per prime it joins the low halves' row
-masks along a block's rows into one int for bit-sliced counters, and it tallies
-and drops a block's counters before the next block starts, so a scan of any
-size holds one block's counters.  The module also holds the seeded RNG, the
-H1/H2 grid shapes and the retry count that both witness routes share.
+masks along a block's rows into one int for bit-sliced counters, tallied and
+dropped before the next block; T targets split one target's block T ways, so a
+scan of any size holds one single-target block's counters.  The module also
+holds the seeded RNG, the H1/H2 grid shapes and the retries both routes share.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ __all__ = [
 Vector = tuple[int, ...]
 
 SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
-_BLOCK_BITS = 1 << 20  # lanes of a block's counter int: ops on larger ints leave the cache
-_COUNTER_BITS = 1 << 25  # counters of one block, all targets (4 MB): two masks per bit of a count
+_BLOCK_BITS = 1 << 20  # lanes of a block over all targets: ops on larger ints leave the cache
 _MEMO_BYTES = 1 << 23  # row masks kept across blocks (8 MB); past it a prime rebuilds its own
 GRID_NAMES = ("H1", "H2")
 RETRIES = 8  # seeded draws a witness route tries before it gives up
@@ -223,8 +222,7 @@ def survival_scans(
     empty, units = bytes(size), [(1 << lane).to_bytes(size, "little") for lane in range(n_low)]
     rows, last = (n_high // 2 + 1, n_low // 2) if half else (n_high, n_low)
     full, tail = (((1 << k) - 1).to_bytes(size, "little") for k in (n_low, last))
-    block_bits = min(_BLOCK_BITS, _COUNTER_BITS // (2 * (width + 1).bit_length() * len(targets)))
-    block = max(1, block_bits // (8 * size))  # rows of one block
+    block = max(1, _BLOCK_BITS // len(targets) // (8 * size))  # rows of one block
     memo: dict[int, tuple[list[int], list[int], list]] = {}
     room = _MEMO_BYTES if rows > block else 0
     hist, best = [Counter() for _ in targets], [(-1, 0)] * len(targets)

@@ -710,8 +710,8 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
 
     Shifts that allow the same monomials share one :func:`survival_scans` call,
     one target each.  Every shift from d on allows them all, so this runs at
-    most d + 1 scans: three at d = 2.  A scan holds the counters of one block
-    of rows per target at a time.
+    most d + 1 scans: three at d = 2.  A scan's T targets split one target's
+    block of rows T ways, so it holds no more counters than the avoidance scan.
     """
     cert = w.certificate
     d, height = cert.max_exponent, cert.height_bound

@@ -134,11 +134,10 @@ def test_survival_scan_matches_brute_force(n, height, primes):
 
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
-    # a small counter budget splits the rows over many blocks: at these four
-    # primes a count takes 3 bits, two masks each, so one target's block holds
+    # a small block splits the rows over many blocks: one target's block holds
     # ``block`` rows of one byte, and fewer rows of two bytes or for several
     # targets; the row masks are kept for every prime, or rebuilt in every block
-    monkeypatch.setattr(relations, "_COUNTER_BITS", 48 * block)
+    monkeypatch.setattr(relations, "_BLOCK_BITS", 8 * block)
     primes = (2, 3, 5, 7)
     zero_later = argmin_later = False
     for memo in (1 << 20, 0):
@@ -313,31 +312,32 @@ def test_tally_matches_per_lane_counts(case):
     assert first == (top, min((lane for lane, c in counts.items() if c == top), default=-1))
 
 
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the peak of memory traced during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_survival_scan_memory_is_bounded():
     # a W=80, B=2 scan of nine monomials: tallying its counters holds at most
     # one mask per bit plane, not one per distinct survival count
     primes = list(islice(all_primes(), 80))
     rng = random.Random("memory")
     values = random_values(rng, 9, primes)
-    tracemalloc.start()
-    try:
-        survival_scan(values, primes, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(survival_scan, values, primes, 2)
     assert peak <= 3.5 * 2**20
 
 
 def test_proper_inclusion_check_memory_is_bounded():
     # the certify bounds: W=16, d=B=2, shifts up to 5.  The nine-monomial scan
-    # has four targets; one block's counters are held at a time
+    # has four targets, which split one target's block, so the check holds no
+    # more than the single-target avoidance scan that builds the witness
     window = window_from_socle(parse_spec("sumP(all; Z/p^1)"), 16)
-    witness = build_socle_witness(window, seed=3, max_exponent=2, height_bound=2, threshold=3)
-    tracemalloc.start()
-    try:
-        check = proper_inclusion_check(witness, max_shift=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    witness, build_peak = traced_peak(
+        build_socle_witness, window, seed=3, max_exponent=2, height_bound=2, threshold=3)
+    check, peak = traced_peak(proper_inclusion_check, witness, max_shift=5)
     assert check.passed
-    assert peak <= 3.5 * 2**20
+    assert peak <= build_peak <= 3.5 * 2**20

@@ -114,6 +114,20 @@ ARGVS = [
     ["witness", "Zhat(5)", "--route", "padic"],
     # degree 0 is in bounds on the completion route too: constants only
     ["witness", "Zhat(5)", "--degree", "0"],
+    # usage errors as argparse words them, and the argv forms it accepts:
+    # abbreviated flags, --flag=value and a negative number as a value
+    [],
+    ["solve", "Q"],
+    ["classify"],
+    ["eq", "Q"],
+    ["classify", "Q", "Q"],
+    ["classify", "-x", "Q"],
+    ["witness", "Zhat(5)", "--window", "x"],
+    ["classify", "Q", "--format", "xml"],
+    ["witness", "Zhat(5)", "--seed"],
+    ["oracle", "ulm", "Z/8", "--o", "5"],
+    ["witness", "Zhat(5)", "--thr", "3", "--wind=30"],
+    ["witness", "Zhat(5)", "--seed=-3"],
 ]
 
 

@@ -18,6 +18,16 @@ to a command that does not read it is an argument error.  Every run is
 deterministic for a fixed argv: seeds default to 0 and all searches are
 exhaustive or seeded.  JSON output carries a top-level ``schema`` tag.
 
+One table, ``COMMANDS``, holds each command's handler, positionals and flags;
+parsing, usage lines and ``-h``/``--help`` read only it.  The syntax and the
+error messages are argparse's (Python 3.11): options before or after the
+positionals, ``--flag=value``, unique prefixes of a flag, negative numbers as
+values, ``--`` to end the options, the last of a repeated flag, and help
+anywhere, which exits 0.  Usage lines are wrapped as argparse wraps them at
+80 columns, whatever the terminal's width.  Reports are rendered byte for
+byte as ``json.dumps(..., sort_keys=True)`` would, so no run imports argparse
+(nor the gettext and locale it loads) or json.
+
 Exit codes: 0 success, 2 argument/grammar errors (numeric flags below their
 lower bounds or above ``MAX_WINDOW``, ``MAX_PRECISION`` and ``MAX_ORDER_BOUND``,
 moduli and primes from ``primes.EXACT_BOUND`` on, and an ``--out`` file that
@@ -28,10 +38,9 @@ none), 4 exhausted search budgets.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable
 
 from .classify import (
@@ -45,15 +54,7 @@ from .classify import (
     stability_class,
     unipotence_report,
 )
-from .finite_oracle import (
-    OrderBoundError,
-    is_pure_subgroup_bruteforce,
-    iso_finite_bruteforce,
-    realize,
-    subgroup_closure,
-    ulm_bruteforce,
-)
-from .groupspec import MSplitPreconditionError, parse_spec
+from .groupspec import MSplitPreconditionError, Record, parse_spec
 from .invariants import (
     elementarily_equivalent,
     isomorphic_standard,
@@ -61,9 +62,8 @@ from .invariants import (
     ulm_invariant,
 )
 from .primes import factorize
-from .relations import BudgetExceeded
 
-__all__ = ["main", "run_cli"]
+__all__ = ["COMMANDS", "main", "run_cli"]
 
 SCHEMA = "sb-abelian/1"
 
@@ -72,10 +72,13 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-# The witness modules load only when ``witness`` runs; their precondition
-# errors subclass NotApplicableError and their search failures BudgetExceeded.
+# The witness modules load only when ``witness`` runs, and the finite oracle
+# only when ``oracle`` does.  Their precondition errors subclass
+# NotApplicableError; their budget errors are named here by module, since only
+# a loaded module can have raised one.
 _PRECONDITION_ERRORS = (NotApplicableError, MSplitPreconditionError)
-_BUDGET_ERRORS = (BudgetExceeded, OrderBoundError)
+_BUDGET_ERRORS = ((f"{__package__}.relations", "BudgetExceeded"),
+                  (f"{__package__}.finite_oracle", "OrderBoundError"))
 MAX_WINDOW = 1000  # socle window primes; a scan's time grows with the width
 MAX_PRECISION = 10_000  # p-adic digits; a certificate's time grows with them
 MAX_ORDER_BOUND = 2**20  # realized group order; the oracle checks' work grows with it
@@ -86,62 +89,7 @@ _LOWER_BOUNDS = (("precision", 1), ("degree", 0), ("height", 1), ("window", 1),
                  ("threshold", 1), ("order_bound", 1), ("seed", 0))
 
 
-def _leaf(sub, name: str, handler: Callable, summary: str, *positionals: str):
-    """A subcommand that runs ``handler`` and takes the rendering flags."""
-    p = sub.add_parser(name, help=summary)
-    for arg in positionals:
-        p.add_argument(arg)
-    p.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the report to FILE instead of stdout")
-    p.set_defaults(handler=handler)
-    return p
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sb-abelian",
-        description="Classify complete theories of abelian groups and build "
-        "bi-embeddable non-isomorphic witness pairs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _leaf(sub, "classify", _classify, "stability class, property bundle, witness route", "spec")
-    _leaf(sub, "invariants", _invariants, "the cardinal invariant table of a description",
-          "spec")
-    _leaf(sub, "eq", _eq, "elementary equivalence", "left", "right")
-    _leaf(sub, "iso", _iso, "isomorphism of standard forms", "left", "right")
-
-    p = _leaf(sub, "witness", _witness, "construct a bi-embeddable non-isomorphic pair", "spec")
-    p.add_argument("--precision", type=int, default=40, metavar="N",
-                   help="digits kept for completion arithmetic (default 40)")
-    p.add_argument("--degree", type=int, default=2, metavar="D",
-                   help="max exponent per variable in relation searches (default 2)")
-    p.add_argument("--height", type=int, default=2, metavar="B",
-                   help="max |coefficient| in relation searches (default 2)")
-    p.add_argument("--window", type=int, default=50, metavar="W",
-                   help="number of window primes for socle witnesses (default 50)")
-    p.add_argument("--threshold", type=int, default=5,
-                   help="survival count demanded by avoidance checks (default 5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for all randomized draws (default 0)")
-
-    orc = sub.add_parser("oracle", help="cross-check symbolic answers against brute force")
-    checks = orc.add_subparsers(dest="check", required=True)
-    for name, handler, summary, positionals in (
-        ("ulm", _oracle_ulm, "layer sizes on a realized finite group", ["spec"]),
-        ("iso", _oracle_iso, "equivalence vs. brute-force isomorphism on finite groups",
-         ["left", "right"]),
-        ("purity", _oracle_purity, "purity of all cyclic subgroups of a realized finite group",
-         ["spec"]),
-    ):
-        q = _leaf(checks, name, handler, summary, *positionals)
-        cap = f"; purity stops at {PURITY_ORDER_BOUND} whatever it says" if name == "purity" else ""
-        q.add_argument("--order-bound", type=int, default=2**16, dest="order_bound",
-                       help=f"largest finite group the oracle will realize (default 65536{cap})")
-    return parser
-
-
-def _bound_error(args: argparse.Namespace) -> str | None:
+def _bound_error(args: SimpleNamespace) -> str | None:
     """The first flag outside its bounds, as a message; None if all hold."""
     for name, low in _LOWER_BOUNDS:
         if getattr(args, name, low) < low:
@@ -157,7 +105,7 @@ def _bound_error(args: argparse.Namespace) -> str | None:
 # subcommand bodies
 
 
-def _classify(args: argparse.Namespace) -> dict:
+def _classify(args: SimpleNamespace) -> dict:
     spec = parse_spec(args.spec)
     verdict = has_sb(spec)
     cls = stability_class(spec)
@@ -191,7 +139,7 @@ def _classify(args: argparse.Namespace) -> dict:
     }
 
 
-def _invariants(args: argparse.Namespace) -> dict:
+def _invariants(args: SimpleNamespace) -> dict:
     spec = parse_spec(args.spec)
     preds = basic_predicates(spec)
     return {
@@ -203,7 +151,7 @@ def _invariants(args: argparse.Namespace) -> dict:
     }
 
 
-def _eq(args: argparse.Namespace) -> dict:
+def _eq(args: SimpleNamespace) -> dict:
     left, right = parse_spec(args.left), parse_spec(args.right)
     return {
         "left": str(left),
@@ -212,7 +160,7 @@ def _eq(args: argparse.Namespace) -> dict:
     }
 
 
-def _iso(args: argparse.Namespace) -> dict:
+def _iso(args: SimpleNamespace) -> dict:
     left, right = parse_spec(args.left), parse_spec(args.right)
     return {
         "left": str(left),
@@ -221,7 +169,7 @@ def _iso(args: argparse.Namespace) -> dict:
     }
 
 
-def _witness(args: argparse.Namespace) -> dict:
+def _witness(args: SimpleNamespace) -> dict:
     spec = parse_spec(args.spec)
     verdict = has_sb(spec)
     if verdict.has_sb:
@@ -259,7 +207,9 @@ def _witness(args: argparse.Namespace) -> dict:
     return {"spec": str(spec), "route": verdict.route.value, "witness": built}
 
 
-def _oracle_ulm(args: argparse.Namespace) -> dict:
+def _oracle_ulm(args: SimpleNamespace) -> dict:
+    from .finite_oracle import realize, ulm_bruteforce
+
     spec = parse_spec(args.spec)
     group = realize(spec, order_bound=args.order_bound)
     checked = []
@@ -277,7 +227,9 @@ def _oracle_ulm(args: argparse.Namespace) -> dict:
             "layers": checked}
 
 
-def _oracle_iso(args: argparse.Namespace) -> dict:
+def _oracle_iso(args: SimpleNamespace) -> dict:
+    from .finite_oracle import iso_finite_bruteforce, realize
+
     left, right = parse_spec(args.left), parse_spec(args.right)
     g = realize(left, order_bound=args.order_bound)
     h = realize(right, order_bound=args.order_bound)
@@ -293,7 +245,14 @@ def _oracle_iso(args: argparse.Namespace) -> dict:
     }
 
 
-def _oracle_purity(args: argparse.Namespace) -> dict:
+def _oracle_purity(args: SimpleNamespace) -> dict:
+    from .finite_oracle import (
+        OrderBoundError,
+        is_pure_subgroup_bruteforce,
+        realize,
+        subgroup_closure,
+    )
+
     spec = parse_spec(args.spec)
     try:
         group = realize(spec, order_bound=min(args.order_bound, PURITY_ORDER_BOUND))
@@ -325,7 +284,238 @@ def _oracle_purity(args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the command table, and argparse's syntax and messages read off it
+
+
+class Flag(Record):
+    """An option with one value: ``kind`` is ``int``, ``str`` or the tuple of choices."""
+
+    name: str
+    kind: object
+    default: object
+    help: str
+    metavar: str = ""  # the value's name in usage lines, if not the upper-cased ``dest``
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class Command(Record):
+    """A row of ``COMMANDS``; a group has no handler, and its positional picks a row."""
+
+    handler: "Callable[[SimpleNamespace], dict] | None"
+    summary: str
+    positionals: tuple[str, ...]
+    flags: tuple[Flag, ...] = ()
+
+
+_RENDER = (Flag("--format", ("json", "text"), "json", "report format (default json)"),
+           Flag("--out", str, None, "write the report to FILE instead of stdout", "FILE"))
+_WITNESS = _RENDER + (
+    Flag("--precision", int, 40, "digits kept for completion arithmetic (default 40)", "N"),
+    Flag("--degree", int, 2, "max exponent per variable in relation searches (default 2)", "D"),
+    Flag("--height", int, 2, "max |coefficient| in relation searches (default 2)", "B"),
+    Flag("--window", int, 50, "number of window primes for socle witnesses (default 50)", "W"),
+    Flag("--threshold", int, 5, "survival count demanded by avoidance checks (default 5)"),
+    Flag("--seed", int, 0, "seed for all randomized draws (default 0)"),
+)
+_REALIZE = "largest finite group the oracle will realize (default 65536"
+_ORACLE = _RENDER + (Flag("--order-bound", int, 2**16, _REALIZE + ")"),)
+_PURITY = _RENDER + (Flag("--order-bound", int, 2**16,
+                          f"{_REALIZE}; purity stops at {PURITY_ORDER_BOUND} whatever it says)"),)
+COMMANDS = {
+    (): Command(None, "Classify complete theories of abelian groups and build bi-embeddable "
+                "non-isomorphic witness pairs.", ("command",)),
+    ("classify",): Command(_classify, "stability class, property bundle, witness route",
+                           ("spec",), _RENDER),
+    ("invariants",): Command(_invariants, "the cardinal invariant table of a description",
+                             ("spec",), _RENDER),
+    ("eq",): Command(_eq, "elementary equivalence", ("left", "right"), _RENDER),
+    ("iso",): Command(_iso, "isomorphism of standard forms", ("left", "right"), _RENDER),
+    ("witness",): Command(_witness, "construct a bi-embeddable non-isomorphic pair", ("spec",),
+                          _WITNESS),
+    ("oracle",): Command(None, "cross-check symbolic answers against brute force", ("check",)),
+    ("oracle", "ulm"): Command(_oracle_ulm, "layer sizes on a realized finite group", ("spec",),
+                               _ORACLE),
+    ("oracle", "iso"): Command(_oracle_iso, "equivalence vs. brute-force isomorphism on finite "
+                               "groups", ("left", "right"), _ORACLE),
+    ("oracle", "purity"): Command(_oracle_purity, "purity of all cyclic subgroups of a realized "
+                                  "finite group", ("spec",), _PURITY),
+}
+_WIDTH = 78  # argparse's usage width on an 80-column terminal
+
+
+class _Stop(Exception):
+    """Parsing stops at a command key, with an error message, or None for help."""
+
+
+def _subcommands(key: tuple[str, ...]) -> list[str]:
+    return [k[-1] for k in COMMANDS if k[:-1] == key and k]
+
+
+def _read_option(word: str, names: tuple[str, ...], key: tuple[str, ...]):
+    """argparse's reading of a word before ``--``: None for a positional, else
+    the option's full name (None if unknown) and its attached value or None."""
+    head, eq, value = word.partition("=")
+    if not word.startswith("-") or word == "-":
+        return None
+    if word in names or eq and head in names:
+        return (word, None) if word in names else (head, value)
+    if word.startswith("--"):  # a unique prefix of a long option
+        matches, value = [name for name in names if name.startswith(head)], value if eq else None
+    else:  # a short option with its value attached
+        matches, value = [name for name in names if name == word[:2]], word[2:]
+    if len(matches) > 1:
+        raise _Stop(key, f"ambiguous option: {word} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    # argparse's negative numbers, ^-\d+$|^-\d*\.\d+$ (whose $ passes a final
+    # newline), and words with a space are positionals
+    whole, dot, part = word[1:].removesuffix("\n").partition(".")
+    number = part.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return None if number or " " in word else (None, None)
+
+
+def _parse(words: list[str], key: tuple[str, ...], values: dict, extras: list[str]) -> tuple:
+    """Read the arguments of ``key`` into ``values`` and the words no command
+    takes into ``extras``, raising argparse's errors in its order; returns the
+    key of the command to run."""
+    command = COMMANDS[key]
+    flags = {flag.name: flag for flag in command.flags}
+    cut = words.index("--") if "--" in words else len(words)
+    options = [_read_option(word, ("-h", "--help", *flags), key) for word in words[:cut]]
+    positionals, i, filled = list(command.positionals), 0, 0  # filled: index past the last
+    while i < len(words):
+        word, option, i = words[i], options[i] if i < cut else None, i + 1
+        if option is None and command.handler is None:  # a group: the word picks a row
+            if i == len(words) == cut + 1:  # a final "--" is no word at all
+                break
+            if key + (word,) not in COMMANDS:
+                choices = ", ".join(map(repr, _subcommands(key)))
+                raise _Stop(key, f"argument {positionals[0]}: invalid choice: {word!r} "
+                            f"(choose from {choices})")
+            values[positionals[0]] = word
+            return _parse(words[i:], key + (word,), values, extras)
+        if option is None:
+            if i - 1 == cut:  # the first "--" ends the options; argparse drops it
+                if not positionals and filled != cut:  # unless no positional's match takes it
+                    extras.append(word)
+            elif positionals:
+                values[positionals.pop(0)], filled = word, i
+            else:
+                extras.append(word)
+            continue
+        name, value = option
+        if name is None:
+            extras.append(word)
+            continue
+        if name in ("-h", "--help"):
+            raise _Stop(key, None if value is None else
+                        f"argument -h/--help: ignored explicit argument {value!r}")
+        if value is None:
+            if i >= cut or options[i] is not None:
+                raise _Stop(key, f"argument {name}: expected one argument")
+            value, i = words[i], i + 1
+        flag = flags[name]
+        if isinstance(flag.kind, tuple) and value not in flag.kind:
+            raise _Stop(key, f"argument {name}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(map(repr, flag.kind))})")
+        try:
+            values[flag.dest] = value if isinstance(flag.kind, tuple) else flag.kind(value)
+        except ValueError:
+            raise _Stop(key, f"argument {name}: invalid {flag.kind.__name__} value: "
+                        f"{value!r}") from None
+    if positionals:
+        raise _Stop(key, f"the following arguments are required: {', '.join(positionals)}")
+    return key
+
+
+def _fill(line: str, words, indent: str) -> list[str]:
+    """``line`` continued by ``words``, wrapped greedily at ``_WIDTH`` columns."""
+    lines = []
+    for word in words:
+        if len(line) + 1 + len(word) > _WIDTH:
+            lines, line = lines + [line], indent + word
+        else:
+            line += " " + word
+    return lines + [line]
+
+
+def _usage(key: tuple[str, ...]) -> str:
+    """The usage line of ``key``, wrapped as argparse wraps it at 80 columns: the
+    options follow the program, and the positionals start a line of their own."""
+    command, prog = COMMANDS[key], " ".join(("sb-abelian",) + key)
+    options = ["[-h]"] + [f"[{_invocation(flag)}]" for flag in command.flags]
+    positionals = (["{" + ",".join(_subcommands(key)) + "}", "..."] if command.handler is None
+                   else list(command.positionals))
+    line = " ".join(["usage:", prog, *options, *positionals])
+    if len(line) <= _WIDTH:
+        return line
+    indent = " " * len(f"usage: {prog} ")
+    lines = _fill(f"usage: {prog}", options, indent)
+    return "\n".join(lines + _fill(indent + positionals[0], positionals[1:], indent))
+
+
+def _invocation(flag: Flag) -> str:
+    shown = "{" + ",".join(flag.kind) + "}" if isinstance(flag.kind, tuple) else flag.metavar
+    return f"{flag.name} {shown or flag.dest.upper()}"
+
+
+def _help(key: tuple[str, ...]) -> str:
+    command = COMMANDS[key]
+    rows = ([(word, COMMANDS[key + (word,)].summary) for word in _subcommands(key)]
+            if command.handler is None else [("-h, --help", "show this help message and exit")]
+            + [(_invocation(flag), flag.help) for flag in command.flags])
+    width = 4 + max(len(left) for left, _ in rows)
+    first, *rest = command.summary.split()
+    lines = [_usage(key), "", *_fill(first, rest, ""), "",
+             "commands:" if command.handler is None else "options:"]
+    for left, text in rows:
+        lines += _fill(f"  {left}".ljust(width - 1), text.split(), " " * width)
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # rendering and entry points
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b",
+            "\f": "\\f"}
+
+
+def _escape(char: str) -> str:
+    if char in _ESCAPES or " " <= char <= "~":
+        return _ESCAPES.get(char, char)
+    units = char.encode("utf-16-be", "surrogatepass").hex()  # one or two UTF-16 units
+    return "".join(f"\\u{units[i:i + 4]}" for i in range(0, len(units), 4))
+
+
+def _quote(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _json(value, indent: str | None = None, level: str = "") -> str:
+    """``json.dumps(value, sort_keys=True)``, or with ``indent=len(indent)``,
+    byte for byte, for dicts with str keys, lists, tuples, str, int, bool and
+    None; an int past the 4300-digit limit raises ValueError as there."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = level + (indent or "")
+    if isinstance(value, dict):
+        items, ends = [f"{_quote(k)}: {_json(value[k], indent, inner)}" for k in sorted(value)], "{}"
+    else:
+        items, ends = [_json(v, indent, inner) for v in value], "[]"
+    if not items or indent is None:
+        return ends[0] + ", ".join(items) + ends[1]
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{level}{ends[1]}"
 
 
 def _render_text(payload: dict, prefix: str = "") -> list[str]:
@@ -336,7 +526,7 @@ def _render_text(payload: dict, prefix: str = "") -> list[str]:
         if isinstance(value, dict):
             lines.extend(_render_text(value, shown + "."))
         elif isinstance(value, (list, tuple)):
-            lines.append(f"{shown} = {json.dumps(value, sort_keys=True)}")
+            lines.append(f"{shown} = {_json(value)}")
         else:
             lines.append(f"{shown} = {value}")
     return lines
@@ -344,29 +534,44 @@ def _render_text(payload: dict, prefix: str = "") -> list[str]:
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "  ") + "\n"
     return "\n".join(_render_text(payload)) + "\n"
 
 
+def _parse_args(argv: list[str]) -> tuple[Command, SimpleNamespace]:
+    values: dict = {}
+    extras: list[str] = []
+    command = COMMANDS[_parse(argv, (), values, extras)]
+    if extras:  # argparse names these from the top, after the command's own checks
+        raise _Stop((), f"unrecognized arguments: {' '.join(extras)}")
+    return command, SimpleNamespace(**{flag.dest: flag.default for flag in command.flags}
+                                    | values)
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as stop:
-        return EXIT_OK if stop.code in (0, None) else EXIT_USAGE
+        command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        key, message = stop.args
+        if message is None:
+            sys.stdout.write(_help(key))
+            return EXIT_OK
+        sys.stderr.write(f"{_usage(key)}\n{' '.join(('sb-abelian',) + key)}: error: {message}\n")
+        return EXIT_USAGE
     refused = _bound_error(args)
     if refused:
         print(f"sb-abelian: {refused}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        body = args.handler(args)
+        body = command.handler(args)
         # rendering can fail too: an integer past Python's 4300-digit
         # int-to-str limit raises ValueError, which exits 2 like bad input
-        rendered = _render({"schema": SCHEMA, "command": args.command, **body}, args.fmt)
+        rendered = _render({"schema": SCHEMA, "command": args.command, **body}, args.format)
     except _PRECONDITION_ERRORS as bad:
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _BUDGET_ERRORS as bad:
+    except tuple(getattr(sys.modules[module], name) for module, name in _BUDGET_ERRORS
+                 if module in sys.modules) as bad:  # evaluated only when an error gets here
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as bad:

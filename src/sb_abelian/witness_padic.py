@@ -27,8 +27,7 @@ divisible parts along.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .classify import NotApplicableError
 from .groupspec import Cardinal, GroupSpec, Record, split_reduced_divisible
@@ -45,6 +44,9 @@ from .padic import (
 )
 from .primes import ensure_prime, p_valuation
 from .relations import RETRIES, BudgetExceeded, check_grid, grid_allows
+
+if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
+    from fractions import Fraction
 
 __all__ = [
     "CertificateFailed",
@@ -142,6 +144,8 @@ class GridElement(Record):
         cls, p: int, coeffs: Mapping[GridMonomial, "Fraction | int"], t: int = 0
     ) -> "GridElement":
         """p**-t times the combination ``coeffs``."""
+        from fractions import Fraction
+
         ensure_prime(p, "grid element base")
         if t < 0:
             raise ValueError("denominator exponent must be nonnegative")
@@ -163,6 +167,8 @@ class GridElement(Record):
 
     def coefficient(self, m: GridMonomial) -> Fraction:
         """The coefficient of m in p**t * x."""
+        from fractions import Fraction
+
         return dict(self.terms).get(m, Fraction(0)) * self.p**self.t
 
     def __add__(self, other: "GridElement") -> "GridElement":
@@ -170,7 +176,7 @@ class GridElement(Record):
             raise ValueError("cannot add elements at different primes")
         total = dict(self.terms)
         for m, c in other.terms:
-            total[m] = total.get(m, Fraction(0)) + c
+            total[m] = total.get(m, 0) + c
         return GridElement.of(self.p, total)
 
     def __neg__(self) -> "GridElement":
@@ -326,6 +332,8 @@ def apply_scalar(
         return x.shift(0, 1)
     if isinstance(alpha, str):
         raise ValueError(f"unknown symbolic scalar {alpha!r}")
+    from fractions import Fraction
+
     q = Fraction(alpha)
     if q == 0 or q.numerator % w.p == 0 or q.denominator % w.p == 0:
         raise NonUnitError(f"{alpha} is not a unit at p={w.p}")
@@ -343,20 +351,20 @@ def random_member(
     truncation, so dividing by p**t stays inside the pure closure.
     """
     check_grid(which)
-    coeffs: dict[GridMonomial, Fraction] = {}
+    coeffs: dict[GridMonomial, int] = {}
     for _ in range(rng.randint(1, 4)):
         while True:
             m = GridMonomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, w.k))
             if grid_allows(which, m.i, m.j):
                 break
-        coeffs[m] = coeffs.get(m, Fraction(0)) + rng.randint(-3, 3)
+        coeffs[m] = coeffs.get(m, 0) + rng.randint(-3, 3)
     y = GridElement.of(w.p, coeffs)
     t = rng.randint(0, 3)
     if t == 0 or y.is_zero:
         return y
     r = w.unit1.truncate(t).residue
     lifted = y.shift(1, 0) - y.scale(r)  # (u1 - r) * y, divisible by p**t
-    return lifted.scale(Fraction(1, w.p**t))
+    return GridElement.of(w.p, dict(lifted.terms), t)
 
 
 def elementary_matrix_probe(w: PAdicWitnessPair, seed: int = 0) -> dict:

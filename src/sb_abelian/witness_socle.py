@@ -43,8 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .classify import NotApplicableError, StabilityClass, stability_class
 from .groupspec import (
@@ -56,6 +55,9 @@ from .relations import (
     RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan,
     survival_scans,
 )
+
+if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
+    from fractions import Fraction
 
 __all__ = [
     "AutomorphismPair",
@@ -406,6 +408,8 @@ class ProductElement(Record, hidden=("witness",)):
         return tuple(m for m, _ in self.tail)
 
     def coefficient(self, i: int, j: int) -> Fraction:
+        from fractions import Fraction
+
         for m, c in self.tail:
             if m == (i, j):
                 return c
@@ -425,7 +429,7 @@ class ProductElement(Record, hidden=("witness",)):
             raise ValueError("elements belong to different witnesses")
         tail = dict(self.tail)
         for m, c in other.tail:
-            tail[m] = tail.get(m, Fraction(0)) + c
+            tail[m] = tail.get(m, 0) + c
         return _assemble(
             self.witness,
             tail,
@@ -553,12 +557,14 @@ class SocleWitnessPair(Record, eq=False):
         return ProductElement(self, (), ())
 
     def base_point(self) -> ProductElement:
-        return ProductElement(self, (((0, 0), Fraction(1)),), ())
+        return self.grid_point(0, 0)
 
     def grid_point(self, i: int, j: int) -> ProductElement:
         """The base point moved by first^i second^j."""
         if i < 0 or j < 0:
             raise ValueError("grid exponents must be >= 0")
+        from fractions import Fraction
+
         return ProductElement(self, (((i, j), Fraction(1)),), ())
 
     def from_coordinates(self, coords: Mapping[int, Sequence[int]]) -> ProductElement:

@@ -189,6 +189,17 @@ def loaded_after(imports: str, modules: list[str]) -> str:
     return done.stdout.strip()
 
 
+def loaded_after_run(argv: list[str], modules: list[str]) -> tuple[int, str]:
+    """The exit code of ``run_cli(argv)`` in a fresh interpreter, and which of
+    ``modules`` it has loaded by then."""
+    probe = ("import sys; from sb_abelian.cli import run_cli; code = run_cli(sys.argv[1:]); "
+             f"print(code, [m for m in {modules!r} if m in sys.modules], file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, loaded = done.stderr.splitlines()[-1].split(" ", 1)
+    return int(code), loaded
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # decide calls and --help start without numpy and without the witness
     # modules, which load only when ``witness`` runs; the value classes need
@@ -197,17 +208,23 @@ def test_cli_import_leaves_numpy_unloaded():
                 "sb_abelian.padic", "fractions", "dataclasses", "inspect", "ast", "dis",
                 "tokenize", "hashlib"]
     assert loaded_after("sb_abelian.cli", unloaded) == "[]"
-    # the socle scan runs on Python ints, and seeded draws on either route hash
-    # their labels without hashlib, which would load OpenSSL
+    # arguments are parsed and reports rendered without argparse (nor the
+    # gettext and locale it loads) or json; the finite oracle and the relation
+    # search load only for the commands that use them
+    startup = ["argparse", "gettext", "locale", "json", "sb_abelian.finite_oracle",
+               "sb_abelian.relations"]
+    for argv in (["--help"], ["witness", "--help"], ["classify", "Zhat(5)^w + Z/360"],
+                 ["eq", "Q", "Q^w", "--format", "text"]):
+        assert loaded_after_run(argv, startup) == (EXIT_OK, "[]"), argv
+    # the socle scan runs on Python ints, seeded draws on either route hash
+    # their labels without hashlib, which would load OpenSSL, and neither
+    # route builds an element, so neither loads fractions (nor decimal)
     for argv, module in [(["sumP(all; Z/p^1)", "--window", "30"], "witness_socle"),
                          (["Zhat(5)"], "witness_padic")]:
-        probe = ("import os, sys; from sb_abelian.cli import run_cli; "
-                 f"code = run_cli(['witness', *{argv!r}, '--out', os.devnull]); "
-                 f"print(code, 'sb_abelian.{module}' in sys.modules, "
-                 "*(name in sys.modules for name in ('numpy', 'hashlib', '_hashlib')))")
-        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
-                              capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.split() == [str(EXIT_OK), "True", "False", "False", "False"]
+        modules = [f"sb_abelian.{module}", "numpy", "hashlib", "_hashlib", "fractions", "decimal",
+                   *startup[:4]]
+        assert loaded_after_run(["witness", *argv, "--out", os.devnull], modules) == (
+            EXIT_OK, f"['sb_abelian.{module}']")
 
 
 def test_witness_import_leaves_dataclasses_unloaded():

@@ -2,6 +2,9 @@
 
 * The spec parser either returns a spec or raises ``SpecSyntaxError`` whose
   position lies inside the input.
+* The CLI's JSON renderer writes what ``json.dumps(..., sort_keys=True)``
+  writes, indented and on one line, or raises the same ``ValueError`` on an
+  int too long to print.
 * ``run_cli`` on argvs whose flags are drawn per command, with values inside
   and outside each flag's bounds, returns a documented exit code (0, 2, 3 or
   4), never raises and finishes each call within ``CALL_SECONDS``.
@@ -16,13 +19,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sb_abelian.cli import _build_parser, run_cli
+from sb_abelian import cli
+from sb_abelian.cli import run_cli
 from sb_abelian.groupspec import GroupSpec, SpecSyntaxError, parse_spec
 
 # fragments of the spec grammar, plus stray characters and oversized numbers
@@ -76,22 +81,13 @@ COMMANDS = {
 }
 
 
-def _parser_pairs(parser, prefix=()) -> set:
-    """(command, flag) pairs of the real parser, apart from --help."""
-    pairs = set()
-    for action in parser._actions:
-        if hasattr(action, "choices") and isinstance(action.choices, dict):
-            for name, sub in action.choices.items():
-                pairs |= _parser_pairs(sub, prefix + (name,))
-        elif prefix:
-            pairs |= {(prefix, flag) for flag in action.option_strings if flag.startswith("--")}
-    return pairs - {(command, "--help") for command, _ in pairs}
-
-
 def test_generated_flags_are_the_parsers_flags():
     drawn = {(command, flag) for command, (_, flags) in COMMANDS.items() for flag in flags}
-    assert drawn == _parser_pairs(_build_parser())
+    table = {(key, flag.name) for key, row in cli.COMMANDS.items() for flag in row.flags}
+    assert drawn == table
     assert len(drawn) == 25
+    assert {key: len(row.positionals) for key, row in cli.COMMANDS.items() if row.handler} == {
+        command: arity for command, (arity, _) in COMMANDS.items()}
 
 
 @st.composite
@@ -123,3 +119,31 @@ def test_run_cli_ends_in_a_documented_code_in_time(out_paths, argv):
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert elapsed < CALL_SECONDS, (argv, elapsed)
     assert (code == 0) == (err.getvalue() == ""), (argv, code, err.getvalue())
+
+
+# JSON values as reports hold them: str keys; strings with quotes, backslashes,
+# control characters, DEL, non-ASCII, lone surrogates and astral characters; ints
+# past 2**64
+TEXT = st.text(st.characters() | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
+                                                  chr(0xD800), "\U0001f600"]))
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=JSON)
+@example(value={"a": [1, (2, "x")], "b": {}, "c": [], "d": {"e": None}})
+def test_renderer_writes_what_json_dumps_writes(value):
+    assert cli._json(value, "  ") == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._json(value) == json.dumps(value, sort_keys=True)
+
+
+def test_renderer_refuses_an_int_past_the_digit_limit_as_json_does():
+    huge = {"index": 10**5000}
+    for render in (lambda v: cli._json(v, "  "), lambda v: json.dumps(v, indent=2)):
+        with pytest.raises(ValueError, match="4300 digits"):
+            render(huge)

@@ -15,10 +15,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -128,19 +126,18 @@ ARGVS = [
     ["oracle", "ulm", "Z/8", "--o", "5"],
     ["witness", "Zhat(5)", "--thr", "3", "--wind=30"],
     ["witness", "Zhat(5)", "--seed=-3"],
+    # help, printed from the command table
+    ["--help"],
+    ["witness", "--help"],
 ]
 
 
 def replay(argv: list[str]) -> dict:
-    """Run one argv in-process; returns its exit code, stdout and stderr.
-
-    Usage messages are wrapped at 80 columns whatever the terminal's width.
-    """
+    """Run one argv in-process; returns its exit code, stdout and stderr."""
     from sb_abelian.cli import run_cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(list(argv))
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
@@ -157,6 +154,17 @@ def test_corpus_covers_argvs():
 def test_golden_entry(index):
     expected = _load()[index]
     assert replay(expected["argv"]) == expected
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_usage_and_help_ignore_the_terminal_width(monkeypatch, columns):
+    # usage lines are wrapped at 80 columns whatever the terminal's width
+    monkeypatch.setenv("COLUMNS", columns)
+    shown = [entry for entry in _load()
+             if entry["stderr"].startswith("usage:") or entry["stdout"].startswith("usage:")]
+    assert len(shown) == 14
+    for expected in shown:
+        assert replay(expected["argv"]) == expected
 
 
 if __name__ == "__main__":

@@ -351,7 +351,7 @@ class _Stop(Exception):
 
 
 def _subcommands(key: tuple[str, ...]) -> list[str]:
-    return [k[-1] for k in COMMANDS if k[:-1] == key and k]
+    return [k[-1] for k in COMMANDS if k and k[:-1] == key]
 
 
 def _read_option(word: str, names: tuple[str, ...], key: tuple[str, ...]):
@@ -360,8 +360,10 @@ def _read_option(word: str, names: tuple[str, ...], key: tuple[str, ...]):
     head, eq, value = word.partition("=")
     if not word.startswith("-") or word == "-":
         return None
-    if word in names or eq and head in names:
-        return (word, None) if word in names else (head, value)
+    if word in names:
+        return word, None
+    if eq and head in names:
+        return head, value
     if word.startswith("--"):  # a unique prefix of a long option
         matches, value = [name for name in names if name.startswith(head)], value if eq else None
     else:  # a short option with its value attached
@@ -385,7 +387,8 @@ def _parse(words: list[str], key: tuple[str, ...], values: dict, extras: list[st
     flags = {flag.name: flag for flag in command.flags}
     cut = words.index("--") if "--" in words else len(words)
     options = [_read_option(word, ("-h", "--help", *flags), key) for word in words[:cut]]
-    positionals, i, filled = list(command.positionals), 0, 0  # filled: index past the last
+    positionals = list(command.positionals)
+    i = filled = 0  # filled: the index just past the word that filled a positional last
     while i < len(words):
         word, option, i = words[i], options[i] if i < cut else None, i + 1
         if option is None and command.handler is None:  # a group: the word picks a row
@@ -431,6 +434,16 @@ def _parse(words: list[str], key: tuple[str, ...], values: dict, extras: list[st
     return key
 
 
+def _parse_args(argv: list[str]) -> tuple[Command, SimpleNamespace]:
+    values: dict = {}
+    extras: list[str] = []
+    command = COMMANDS[_parse(argv, (), values, extras)]
+    if extras:  # argparse names these from the top, after the command's own checks
+        raise _Stop((), f"unrecognized arguments: {' '.join(extras)}")
+    return command, SimpleNamespace(**{flag.dest: flag.default for flag in command.flags}
+                                    | values)
+
+
 def _fill(line: str, words, indent: str) -> list[str]:
     """``line`` continued by ``words``, wrapped greedily at ``_WIDTH`` columns."""
     lines = []
@@ -464,13 +477,16 @@ def _invocation(flag: Flag) -> str:
 
 def _help(key: tuple[str, ...]) -> str:
     command = COMMANDS[key]
-    rows = ([(word, COMMANDS[key + (word,)].summary) for word in _subcommands(key)]
-            if command.handler is None else [("-h, --help", "show this help message and exit")]
-            + [(_invocation(flag), flag.help) for flag in command.flags])
+    if command.handler is None:
+        heading = "commands:"
+        rows = [(word, COMMANDS[key + (word,)].summary) for word in _subcommands(key)]
+    else:
+        heading = "options:"
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(_invocation(flag), flag.help) for flag in command.flags]
     width = 4 + max(len(left) for left, _ in rows)
     first, *rest = command.summary.split()
-    lines = [_usage(key), "", *_fill(first, rest, ""), "",
-             "commands:" if command.handler is None else "options:"]
+    lines = [_usage(key), "", *_fill(first, rest, ""), "", heading]
     for left, text in rows:
         lines += _fill(f"  {left}".ljust(width - 1), text.split(), " " * width)
     return "\n".join(lines) + "\n"
@@ -536,16 +552,6 @@ def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(payload, "  ") + "\n"
     return "\n".join(_render_text(payload)) + "\n"
-
-
-def _parse_args(argv: list[str]) -> tuple[Command, SimpleNamespace]:
-    values: dict = {}
-    extras: list[str] = []
-    command = COMMANDS[_parse(argv, (), values, extras)]
-    if extras:  # argparse names these from the top, after the command's own checks
-        raise _Stop((), f"unrecognized arguments: {' '.join(extras)}")
-    return command, SimpleNamespace(**{flag.dest: flag.default for flag in command.flags}
-                                    | values)
 
 
 def run_cli(argv: list[str] | None = None) -> int:

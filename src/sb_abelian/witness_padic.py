@@ -350,21 +350,23 @@ def random_member(
     member: (u1 - r) * y is divisible by p**t when r matches u1's
     truncation, so dividing by p**t stays inside the pure closure.
     """
+    from fractions import Fraction
+
     check_grid(which)
-    coeffs: dict[GridMonomial, int] = {}
+    coeffs: dict[GridMonomial, Fraction] = {}
     for _ in range(rng.randint(1, 4)):
         while True:
             m = GridMonomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, w.k))
             if grid_allows(which, m.i, m.j):
                 break
-        coeffs[m] = coeffs.get(m, 0) + rng.randint(-3, 3)
+        coeffs[m] = coeffs.get(m, Fraction(0)) + rng.randint(-3, 3)
     y = GridElement.of(w.p, coeffs)
     t = rng.randint(0, 3)
     if t == 0 or y.is_zero:
         return y
     r = w.unit1.truncate(t).residue
     lifted = y.shift(1, 0) - y.scale(r)  # (u1 - r) * y, divisible by p**t
-    return GridElement.of(w.p, dict(lifted.terms), t)
+    return lifted.scale(Fraction(1, w.p**t))
 
 
 def elementary_matrix_probe(w: PAdicWitnessPair, seed: int = 0) -> dict:

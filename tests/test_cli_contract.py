@@ -144,6 +144,8 @@ def test_renderer_writes_what_json_dumps_writes(value):
 
 def test_renderer_refuses_an_int_past_the_digit_limit_as_json_does():
     huge = {"index": 10**5000}
-    for render in (lambda v: cli._json(v, "  "), lambda v: json.dumps(v, indent=2)):
-        with pytest.raises(ValueError, match="4300 digits"):
-            render(huge)
+    with pytest.raises(ValueError) as ours:
+        cli._json(huge, "  ")
+    with pytest.raises(ValueError) as theirs:
+        json.dumps(huge, indent=2)
+    assert str(ours.value) == str(theirs.value)

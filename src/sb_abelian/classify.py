@@ -31,6 +31,7 @@ from .groupspec import (
     Cyclic,
     CyclicPrimeFamily,
     GroupSpec,
+    NotApplicableError,
     PAdicComplete,
     PAdicPrimeFamily,
     PrimeSet,
@@ -72,10 +73,6 @@ class WitnessRoute(enum.Enum):
     EXTERNAL_NON_SUPERSTABLE = "ExternalNonSuperstable"
     PADIC_WITNESS = "PAdicWitness"
     SOCLE_WITNESS = "SocleWitness"
-
-
-class NotApplicableError(ValueError):
-    """The requested report is undefined for this stability class."""
 
 
 class BasicPredicates(Record):

@@ -44,7 +44,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .classify import (
-    NotApplicableError,
     StabilityClass,
     WitnessRoute,
     basic_predicates,
@@ -54,7 +53,7 @@ from .classify import (
     stability_class,
     unipotence_report,
 )
-from .groupspec import MSplitPreconditionError, Record, parse_spec
+from .groupspec import BudgetExceeded, NotApplicableError, Record, parse_spec
 from .invariants import (
     elementarily_equivalent,
     isomorphic_standard,
@@ -71,14 +70,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
-
-# The witness modules load only when ``witness`` runs, and the finite oracle
-# only when ``oracle`` does.  Their precondition errors subclass
-# NotApplicableError; their budget errors are named here by module, since only
-# a loaded module can have raised one.
-_PRECONDITION_ERRORS = (NotApplicableError, MSplitPreconditionError)
-_BUDGET_ERRORS = ((f"{__package__}.relations", "BudgetExceeded"),
-                  (f"{__package__}.finite_oracle", "OrderBoundError"))
 MAX_WINDOW = 1000  # socle window primes; a scan's time grows with the width
 MAX_PRECISION = 10_000  # p-adic digits; a certificate's time grows with them
 MAX_ORDER_BOUND = 2**20  # realized group order; the oracle checks' work grows with it
@@ -573,11 +564,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         # rendering can fail too: an integer past Python's 4300-digit
         # int-to-str limit raises ValueError, which exits 2 like bad input
         rendered = _render({"schema": SCHEMA, "command": args.command, **body}, args.format)
-    except _PRECONDITION_ERRORS as bad:
+    except NotApplicableError as bad:
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except tuple(getattr(sys.modules[module], name) for module, name in _BUDGET_ERRORS
-                 if module in sys.modules) as bad:  # evaluated only when an error gets here
+    except BudgetExceeded as bad:
         print(f"sb-abelian: {bad}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as bad:

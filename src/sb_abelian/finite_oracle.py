@@ -18,8 +18,8 @@ import math
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .groupspec import Cardinal, Cyclic, GroupSpec, direct_sum, normalize
-from .primes import factorize, p_valuation, primes
+from .groupspec import BudgetExceeded, Cyclic, GroupSpec
+from .primes import factorize, p_valuation
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -30,8 +30,6 @@ __all__ = [
     "socle_multiplicities_bruteforce",
     "OrderBoundError",
     "realize",
-    "finite_abelian_specs",
-    "partitions",
 ]
 
 DEFAULT_ORDER_BOUND = 2**16
@@ -39,7 +37,7 @@ DEFAULT_ORDER_BOUND = 2**16
 Element = tuple[int, ...]
 
 
-class OrderBoundError(ValueError):
+class OrderBoundError(BudgetExceeded, ValueError):
     """The requested group is larger than the enumeration bound."""
 
 
@@ -235,7 +233,8 @@ def socle_multiplicities_bruteforce(group: FiniteAbelianGroup) -> dict[int, int]
 def realize(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteAbelianGroup:
     """Materialize a finite spec (cyclic entries, finite multiplicities).
 
-    >>> realize(normalize([(Cyclic(2, 2), Cardinal.of(1)), (Cyclic(3, 1), Cardinal.of(2))])).factors
+    >>> from sb_abelian.groupspec import parse_spec
+    >>> realize(parse_spec("Z/4 + Z/3^2")).factors
     (3, 3, 4)
     """
     for fam, mult in spec.entries:
@@ -248,65 +247,3 @@ def realize(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteAb
         raise OrderBoundError(f"group order, at least 2^{bits}, exceeds bound {order_bound}")
     factors = [fam.modulus for fam, mult in spec.entries for _ in range(mult.value)]
     return FiniteAbelianGroup(tuple(sorted(factors)), order_bound=order_bound)
-
-
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples (empty for n=0)."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, maximum: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
-
-
-def finite_abelian_specs(
-    max_order: int, prime: int | None = None
-) -> Iterator[GroupSpec]:
-    """All finite abelian groups of order <= max_order, as normalized specs.
-
-    With ``prime`` given, only p-groups for that prime (including the trivial
-    group).  Specs are produced in a deterministic order.
-    """
-
-    def p_group_specs(p: int, max_exp: int) -> Iterator[tuple[GroupSpec, int]]:
-        for e in range(max_exp + 1):
-            for lam in partitions(e):
-                entries = [(Cyclic(p, k), Cardinal.of(lam.count(k))) for k in set(lam)]
-                yield normalize(entries), p**e
-
-    def max_exp_for(p: int) -> int:
-        e = 0
-        while p ** (e + 1) <= max_order:
-            e += 1
-        return e
-
-    if prime is not None:
-        for spec, _ in p_group_specs(prime, max_exp_for(prime)):
-            yield spec
-        return
-
-    per_prime = [list(p_group_specs(p, max_exp_for(p))) for p in iter_primes_upto(max_order)]
-
-    def combine(idx: int, acc_spec: GroupSpec, acc_order: int) -> Iterator[GroupSpec]:
-        if idx == len(per_prime):
-            yield acc_spec
-            return
-        for spec, order in per_prime[idx]:
-            if acc_order * order <= max_order:
-                yield from combine(idx + 1, direct_sum(acc_spec, spec), acc_order * order)
-
-    yield from combine(0, normalize([]), 1)
-
-
-def iter_primes_upto(bound: int) -> Iterator[int]:
-    for p in primes():
-        if p > bound:
-            return
-        yield p

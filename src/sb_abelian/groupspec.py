@@ -59,6 +59,8 @@ __all__ = [
     "GroupSpec",
     "Entry",
     "SpecSyntaxError",
+    "NotApplicableError",
+    "BudgetExceeded",
     "MSplitPreconditionError",
     "MSplitResult",
     "parse_spec",
@@ -120,6 +122,18 @@ class Record:
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown)
         return f"{type(self).__qualname__}({shown})"
+
+    def to_json(self) -> dict:
+        """Each field by name: a tuple becomes a list, a record writes its own ``to_json``."""
+        return {f: _plain(self.__dict__[f]) for f in self._fields}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +200,6 @@ class Cardinal(Record):
         if self.is_finite:
             return f"Cardinal.of({self.value})"
         return f"Cardinal.aleph({self.value})"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
 
 
 ALEPH0 = Cardinal.aleph(0)
@@ -502,7 +513,15 @@ def socle(spec: GroupSpec) -> GroupSpec:
     return normalize(out)
 
 
-class MSplitPreconditionError(ValueError):
+class NotApplicableError(ValueError):
+    """The requested report is undefined for this stability class; the CLI exits 3."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A search space exceeds the configured candidate budget; the CLI exits 4."""
+
+
+class MSplitPreconditionError(NotApplicableError):
     """A cyclic contribution at a prime of m is not annihilated by m."""
 
     def __init__(self, p: int, k: int | None, m: int):

@@ -13,26 +13,24 @@ never guessed past the precision.
 * :func:`matrix_inverse_mod` / :func:`matrix_product_mod` — the inverse of
   a square integer matrix mod p**N, lifted from mod p by Newton steps; it
   reduces to the inverse mod p**n at every level n <= N.
-* :class:`IntPolynomial2` / :func:`independence_certificate` — two-variable
-  integer polynomials and an exhaustive bounded search (run by
+* :func:`independence_certificate` — an exhaustive bounded search (run by
   :mod:`.relations`) certifying that two units satisfy no small polynomial
   relation to precision N.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .groupspec import Record
 from .primes import ensure_prime, p_valuation
-from .relations import BudgetExceeded, first_relation, monomials, search_space, seeded_rng
+from .relations import BudgetExceeded, first_relation, monomials, search_space, seeded_rng, terms
 
 __all__ = [
     "AtLeast",
     "BudgetExceeded",
     "DEFAULT_INDEPENDENCE_BUDGET",
     "IndependenceCertificate",
-    "IntPolynomial2",
     "NonUnitError",
     "PAdicApprox",
     "PrecisionMismatch",
@@ -202,79 +200,6 @@ def matrix_inverse_mod(
 
 
 # ---------------------------------------------------------------------------
-# small integer polynomials in two variables
-# ---------------------------------------------------------------------------
-
-
-class IntPolynomial2(Record):
-    """An integer polynomial in x and y with finite support.
-
-    Terms are kept sorted by (x-exponent, y-exponent) with zero coefficients
-    dropped, so equal polynomials compare equal.
-    """
-
-    terms: tuple[tuple[tuple[int, int], int], ...]
-
-    @classmethod
-    def of(cls, coefficients: Mapping[tuple[int, int], int]) -> "IntPolynomial2":
-        cleaned = []
-        for (i, j), c in coefficients.items():
-            if i < 0 or j < 0:
-                raise ValueError("exponents must be nonnegative")
-            if c != 0:
-                cleaned.append(((i, j), c))
-        return cls(tuple(sorted(cleaned)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def max_exponent(self) -> int:
-        """Largest exponent of either variable (0 for the zero polynomial)."""
-        return max((max(i, j) for (i, j), _ in self.terms), default=0)
-
-    @property
-    def height(self) -> int:
-        return max((abs(c) for _, c in self.terms), default=0)
-
-    def canonical_sign(self) -> "IntPolynomial2":
-        """Negate if needed so the first term's coefficient is positive."""
-        if self.terms and self.terms[0][1] < 0:
-            return IntPolynomial2(tuple((ij, -c) for ij, c in self.terms))
-        return self
-
-    def evaluate(self, x: PAdicApprox, y: PAdicApprox) -> PAdicApprox:
-        if (x.p, x.precision) != (y.p, y.precision):
-            raise PrecisionMismatch("evaluation points disagree on p or precision")
-        m = x.modulus
-        total = 0
-        for (i, j), c in self.terms:
-            total += c * pow(x.residue, i, m) * pow(y.residue, j, m)
-        return PAdicApprox.of(total, x.p, x.precision)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (i, j), c in self.terms:
-            factors = []
-            if abs(c) != 1 or (i, j) == (0, 0):
-                factors.append(str(abs(c)))
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            term = "*".join(factors)
-            parts.append(("- " if c < 0 else "+ ") + term)
-        rendered = " ".join(parts)
-        return rendered[2:] if rendered.startswith("+ ") else "-" + rendered[2:]
-
-    def to_json(self) -> list[list[int]]:
-        return [[i, j, c] for (i, j), c in self.terms]
-
-
-# ---------------------------------------------------------------------------
 # independence certificates
 # ---------------------------------------------------------------------------
 
@@ -288,6 +213,7 @@ class IndependenceCertificate(Record):
     ``max_exponent`` and coefficients bounded by ``height_bound`` evaluates
     to 0 mod p**precision at the pair.  All downstream claims that rely on
     the pair being unrelated are relative to these three parameters.
+    ``violation``, the first relation found, is :func:`~.relations.terms` led by a positive c.
     """
 
     p: int
@@ -296,20 +222,8 @@ class IndependenceCertificate(Record):
     precision: int
     sources: tuple[str, str]
     passed: bool
-    violation: IntPolynomial2 | None
+    violation: tuple[tuple[int, int, int], ...] | None
     candidates: int
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "max_exponent": self.max_exponent,
-            "height_bound": self.height_bound,
-            "precision": self.precision,
-            "sources": list(self.sources),
-            "passed": self.passed,
-            "violation": None if self.violation is None else self.violation.to_json(),
-            "candidates": self.candidates,
-        }
 
 
 def independence_certificate(
@@ -345,9 +259,9 @@ def independence_certificate(
     xs, ys = ([pow(v, i, modulus) for i in range(max_exponent + 1)] for v in (x, y))
     values = [a * b % modulus for a in xs for b in ys]  # ``pairs`` runs i slowest, then j
     found = first_relation(values, height_bound, modulus)
-    violation = None
-    if found is not None:
-        violation = IntPolynomial2.of(dict(zip(pairs, found))).canonical_sign()
+    violation = None if found is None else terms(pairs, found)
+    if violation and violation[0][2] < 0:
+        violation = tuple((i, j, -c) for i, j, c in violation)
     return IndependenceCertificate(
         p=g1.p,
         max_exponent=max_exponent,

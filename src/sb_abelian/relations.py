@@ -13,7 +13,7 @@ walks the high halves (rows) in blocks: per prime it joins the low halves' row
 masks along a block's rows into one int for bit-sliced counters, tallied and
 dropped before the next block; T targets split one target's block T ways, so a
 scan of any size holds one single-target block's counters.  The module also
-holds the seeded RNG, the H1/H2 grid shapes and the retries both routes share.
+holds :func:`terms` and the RNG, grid shapes and retries both routes share.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from .groupspec import BudgetExceeded
+
 __all__ = [
-    "BudgetExceeded", "RETRIES", "SCAN_BUDGET", "Survival", "check_grid", "first_relation",
-    "grid_allows", "monomials", "search_space", "seeded_rng", "survival_scan", "survival_scans",
+    "BudgetExceeded", "GRIDS", "RETRIES", "SCAN_BUDGET", "Survival", "check_grid",
+    "first_relation", "grid_allows", "monomials", "relation_str", "search_space", "seeded_rng",
+    "survival_scan", "survival_scans", "terms",
 ]
 
 Vector = tuple[int, ...]
@@ -34,11 +37,8 @@ SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
 _BLOCK_BITS = 1 << 20  # lanes of a block over all targets: ops on larger ints leave the cache
 _MEMO_BYTES = 1 << 23  # row masks kept across blocks (8 MB); past it a prime rebuilds its own
 GRID_NAMES = ("H1", "H2")
+GRIDS = {"H1": "all (i, j)", "H2": "i >= 1, plus (0, 0)"}  # grid_allows, as witnesses print it
 RETRIES = 8  # seeded draws a witness route tries before it gives up
-
-
-class BudgetExceeded(RuntimeError):
-    """A search space exceeds the configured candidate budget."""
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +80,28 @@ def monomials(max_exponent: int) -> list[tuple[int, int]]:
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
     return [(i, j) for i in range(max_exponent + 1) for j in range(max_exponent + 1)]
+
+
+def terms(pairs: Sequence[tuple[int, int]], vector: Sequence[int]) -> tuple[Vector, ...]:
+    """The nonzero terms (i, j, c) of sum c_k x^i y^j over (i, j) in ``pairs``, sorted:
+    the one form of a relation polynomial in certificates and their JSON."""
+    return tuple(sorted((i, j, c) for (i, j), c in zip(pairs, vector) if c))
+
+
+def relation_str(relation: Sequence[Vector]) -> str:
+    """The polynomial of sorted :func:`terms` as text, such as ``1 + y + x + x*y``."""
+    if not relation:
+        return "0"
+    parts = []
+    for i, j, c in relation:
+        factors = [str(abs(c))] if abs(c) != 1 or i == j == 0 else []
+        if i:
+            factors.append("x" if i == 1 else f"x^{i}")
+        if j:
+            factors.append("y" if j == 1 else f"y^{j}")
+        parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    rendered = " ".join(parts)
+    return rendered[2:] if rendered.startswith("+ ") else "-" + rendered[2:]
 
 
 def search_space(positions: int, height: int, budget: int | None) -> int:

@@ -43,7 +43,7 @@ from .padic import (
     seeded_unit,
 )
 from .primes import ensure_prime, p_valuation
-from .relations import RETRIES, BudgetExceeded, check_grid, grid_allows
+from .relations import GRIDS, RETRIES, BudgetExceeded, check_grid, grid_allows, relation_str
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
     from fractions import Fraction
@@ -75,7 +75,7 @@ class CertificateFailed(BudgetExceeded):
     def __init__(self, attempts: int, last: IndependenceCertificate):
         super().__init__(
             f"no independence certificate after {attempts} seed attempts; "
-            f"last violation: {last.violation}"
+            f"last violation: {relation_str(last.violation)}"
         )
         self.attempts = attempts
         self.last = last
@@ -249,10 +249,7 @@ class PAdicWitnessPair(Record):
             "unit2": self.certificate.sources[1],
             "attempts": self.attempts,
             "certificate": self.certificate.to_json(),
-            "grids": {
-                "H1": "all (i, j)",
-                "H2": "i >= 1, plus (0, 0)",
-            },
+            "grids": dict(GRIDS),
         }
 
 

@@ -52,8 +52,8 @@ from .groupspec import (
 from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize
 from .relations import (
-    RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng, survival_scan,
-    survival_scans,
+    GRIDS, RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng,
+    survival_scan, survival_scans, terms,
 )
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
@@ -271,7 +271,7 @@ class AvoidanceCertificate(Record):
     of window primes where q evaluated at the scalar pair is nonzero was
     counted; ``min_count`` is the worst case and ``histogram`` the full
     distribution (count -> number of polynomials).  ``worst`` records one
-    minimizing polynomial as (i, j, coefficient) terms.
+    minimizing polynomial as :func:`~.relations.terms`.
     """
 
     width: int
@@ -287,19 +287,7 @@ class AvoidanceCertificate(Record):
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "max_exponent": self.max_exponent,
-            "height_bound": self.height_bound,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "attempt": self.attempt,
-            "candidates": self.candidates,
-            "min_count": self.min_count,
-            "histogram": {str(count): n for count, n in self.histogram},
-            "worst": [[i, j, c] for i, j, c in self.worst],
-            "passed": self.passed,
-        }
+        return super().to_json() | {"histogram": {str(count): n for count, n in self.histogram}}
 
 
 def _monomial_values(
@@ -353,7 +341,7 @@ def choose_scalars(
             candidates=scan.candidates,
             min_count=scan.min_count,
             histogram=scan.histogram,
-            worst=tuple(sorted((i, j, c) for (i, j), c in zip(pairs, scan.argmin) if c)),
+            worst=terms(pairs, scan.argmin),
             passed=scan.min_count >= threshold,
         )
         if cert.passed:
@@ -593,10 +581,7 @@ class SocleWitnessPair(Record, eq=False):
             "scalars": self.scalars.to_json(),
             "certificate": self.certificate.to_json(),
             "base_overrides": [],
-            "grids": {
-                "H1": "all (i, j)",
-                "H2": "i >= 1, plus (0, 0)",
-            },
+            "grids": dict(GRIDS),
             "reduced": True,
             "note": "memberships and separations are relative to the avoidance certificate",
         }
@@ -699,16 +684,8 @@ class ProperInclusionCheck(Record):
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "max_shift": self.max_shift,
-            "threshold": self.threshold,
-            "max_exponent": self.max_exponent,
-            "height_bound": self.height_bound,
-            "rows": [
-                {"shift": m, "min_count": c, "candidates": n} for m, c, n in self.rows
-            ],
-            "passed": self.passed,
-        }
+        rows = [{"shift": m, "min_count": c, "candidates": n} for m, c, n in self.rows]
+        return super().to_json() | {"rows": rows}
 
 
 def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInclusionCheck:

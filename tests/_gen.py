@@ -1,9 +1,10 @@
-"""Seeded random generators for specs, shared by property and acceptance tests."""
+"""Spec generators shared by property and acceptance tests: seeded random
+specs, and every finite abelian group up to an order."""
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from sb_abelian.groupspec import (
     Cardinal,
@@ -17,8 +18,10 @@ from sb_abelian.groupspec import (
     PrimeSet,
     Prufer,
     Rationals,
+    direct_sum,
     normalize,
 )
+from sb_abelian.primes import primes
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -83,3 +86,65 @@ def random_finite_spec(rng: random.Random, max_order: int = 512) -> GroupSpec:
         order *= p ** (k * mult)
         entries.append((Cyclic(p, k), Cardinal.of(mult)))
     return normalize(entries)
+
+
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as weakly decreasing tuples (empty for n=0)."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining: int, maximum: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(remaining, maximum), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(n, n, ())
+
+
+def finite_abelian_specs(
+    max_order: int, prime: int | None = None
+) -> Iterator[GroupSpec]:
+    """All finite abelian groups of order <= max_order, as normalized specs.
+
+    With ``prime`` given, only p-groups for that prime (including the trivial
+    group).  Specs are produced in a deterministic order.
+    """
+
+    def p_group_specs(p: int, max_exp: int) -> Iterator[tuple[GroupSpec, int]]:
+        for e in range(max_exp + 1):
+            for lam in partitions(e):
+                entries = [(Cyclic(p, k), Cardinal.of(lam.count(k))) for k in set(lam)]
+                yield normalize(entries), p**e
+
+    def max_exp_for(p: int) -> int:
+        e = 0
+        while p ** (e + 1) <= max_order:
+            e += 1
+        return e
+
+    if prime is not None:
+        for spec, _ in p_group_specs(prime, max_exp_for(prime)):
+            yield spec
+        return
+
+    per_prime = [list(p_group_specs(p, max_exp_for(p))) for p in iter_primes_upto(max_order)]
+
+    def combine(idx: int, acc_spec: GroupSpec, acc_order: int) -> Iterator[GroupSpec]:
+        if idx == len(per_prime):
+            yield acc_spec
+            return
+        for spec, order in per_prime[idx]:
+            if acc_order * order <= max_order:
+                yield from combine(idx + 1, direct_sum(acc_spec, spec), acc_order * order)
+
+    yield from combine(0, normalize([]), 1)
+
+
+def iter_primes_upto(bound: int) -> Iterator[int]:
+    for p in primes():
+        if p > bound:
+            return
+        yield p

@@ -18,10 +18,8 @@ from sb_abelian.classify import (
 )
 from sb_abelian.finite_oracle import (
     FiniteAbelianGroup,
-    finite_abelian_specs,
     is_pure_subgroup_bruteforce,
     iso_finite_bruteforce,
-    iter_primes_upto,
     realize,
     ulm_bruteforce,
 )
@@ -45,7 +43,7 @@ from sb_abelian.witness_socle import (
     random_socle_member,
 )
 
-from _gen import random_spec
+from _gen import finite_abelian_specs, iter_primes_upto, random_spec
 
 
 def _report(num: int, ok: bool, detail: str, started: float, budget: float) -> float:

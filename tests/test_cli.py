@@ -18,8 +18,10 @@ from sb_abelian.cli import (
     MAX_WINDOW,
     main,
 )
-from sb_abelian.finite_oracle import finite_abelian_specs, realize, subgroup_closure
+from sb_abelian.finite_oracle import realize, subgroup_closure
 from sb_abelian.primes import EXACT_BOUND
+
+from _gen import finite_abelian_specs
 
 
 def run(capsys, *argv):
@@ -233,7 +235,11 @@ def test_witness_import_leaves_dataclasses_unloaded():
 
 
 def test_witness_errors_keep_their_exit_classes():
+    # run_cli maps NotApplicableError to 3 and BudgetExceeded to 4 before ValueError to 2
+    from sb_abelian import groupspec
     from sb_abelian.classify import NotApplicableError
+    from sb_abelian.finite_oracle import OrderBoundError
+    from sb_abelian.groupspec import MSplitPreconditionError
     from sb_abelian.relations import BudgetExceeded
     from sb_abelian.witness_padic import (
         CertificateFailed,
@@ -243,11 +249,14 @@ def test_witness_errors_keep_their_exit_classes():
     )
     from sb_abelian.witness_socle import NotSuperstableError, ScalarSearchFailed
 
+    assert NotApplicableError is groupspec.NotApplicableError
+    assert BudgetExceeded is groupspec.BudgetExceeded
     for cls in (NoKPartError, DuplicatePrimeError, UnsupportedMultiplicityError,
-                NotSuperstableError):
+                NotSuperstableError, MSplitPreconditionError):
         assert issubclass(cls, NotApplicableError) and issubclass(cls, ValueError)
-    for cls in (CertificateFailed, ScalarSearchFailed):
+    for cls in (CertificateFailed, ScalarSearchFailed, OrderBoundError):
         assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
+    assert issubclass(OrderBoundError, ValueError)
 
 
 @pytest.mark.parametrize("argv, needle", [

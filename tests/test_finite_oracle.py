@@ -6,10 +6,8 @@ import pytest
 from sb_abelian.finite_oracle import (
     FiniteAbelianGroup,
     OrderBoundError,
-    finite_abelian_specs,
     is_pure_subgroup_bruteforce,
     iso_finite_bruteforce,
-    partitions,
     realize,
     socle_multiplicities_bruteforce,
     subgroup_closure,
@@ -17,6 +15,8 @@ from sb_abelian.finite_oracle import (
 )
 from sb_abelian.groupspec import parse_spec
 from sb_abelian.primes import factorize
+
+from _gen import finite_abelian_specs, partitions
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from sb_abelian.finite_oracle import (
 )
 from sb_abelian.primes import EXACT_BOUND
 
-from _gen import random_spec, random_entries
+from _gen import finite_abelian_specs, random_entries, random_spec
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,6 @@ def test_socle_merges_same_prime():
 
 def test_socle_against_bruteforce_small_orders():
     # the p-part of the brute-force socle has dimension log_p |G[p]|
-    from sb_abelian.finite_oracle import finite_abelian_specs
-
     for spec in finite_abelian_specs(128):
         expected = socle_multiplicities_bruteforce(realize(spec))
         got = {fam.p: mult.value for fam, mult in socle(spec).entries}
@@ -296,8 +294,6 @@ def test_m_split_family_prime_extraction():
 
 
 def test_m_split_roundtrip_exhaustive_small():
-    from sb_abelian.finite_oracle import finite_abelian_specs
-
     for spec in finite_abelian_specs(128):
         group = realize(spec)
         exp = group.exponent

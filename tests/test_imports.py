@@ -23,7 +23,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:  # a quoted annotation, or the names listed in __all__
                 quoted = ast.parse(node.value, mode="eval")
-            except SyntaxError:
+            except (SyntaxError, UnicodeEncodeError):  # not code, or a lone surrogate
                 continue
             used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
     return [
@@ -39,6 +39,7 @@ def unused_imports(source: str) -> list[str]:
 def test_scan_catches_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
     assert unused_imports("from x import (A,\n    B)\n__all__ = ['A']\nv: 'B'\n") == []
+    assert unused_imports("import os\ns = '\\ud800'\n") == ["line 1: os"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sb_abelian.finite_oracle import (
     FiniteAbelianGroup,
-    finite_abelian_specs,
     iso_finite_bruteforce,
     realize,
     ulm_bruteforce,
@@ -18,7 +17,7 @@ from sb_abelian.invariants import (
     ulm_invariant,
 )
 
-from _gen import random_spec
+from _gen import finite_abelian_specs, random_spec
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,9 @@ def test_fields_are_the_own_annotations():
         right: int = 0
 
     assert Pair(1) == Pair(1, 0) and Pair(1) != Pair(1, 1)
+    # to_json writes the same fields: tuples as lists, records through their own to_json
+    assert Pair(Cardinal.of(2), ((1, 2), 3)).to_json() == {
+        "left": {"kind": "finite", "value": 2}, "right": [[1, 2], 3]}
     assert parse_spec("Z/8") == GroupSpec(((Cyclic(2, 3), Cardinal.of(1)),))
 
 

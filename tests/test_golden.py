@@ -129,6 +129,15 @@ ARGVS = [
     # help, printed from the command table
     ["--help"],
     ["witness", "--help"],
+    # finite families written out: each listed prime or exponent is one
+    # singleton, and the grammar errors keep their messages and positions
+    ["classify", "sumP({2,3}; Z/p^2)^w + Z/4"],
+    ["invariants", "sumK(3; {1,2})^2 + sumP({5}; Zhat)"],
+    ["eq", "sumP({5,7}; Zhat)", "Zhat(5) + Zhat(7)"],
+    ["iso", "sumP({2}; Z/p^1)^w", "Z/2^w"],
+    ["witness", "sumP({5,7}; Zhat) + Z/3"],
+    ["classify", "sumP({4}; Z/p^1)"],
+    ["classify", "sumP({2,3}; Z/p^0)"],
 ]
 
 

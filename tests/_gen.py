@@ -1,8 +1,10 @@
 """Spec generators shared by property and acceptance tests: seeded random
-specs, and every finite abelian group up to an order."""
+specs, every finite abelian group up to an order, and every normal form of at
+most two summands built from a fixed list of atoms over the primes 2 and 3."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, Sequence
 
@@ -20,6 +22,7 @@ from sb_abelian.groupspec import (
     Rationals,
     direct_sum,
     normalize,
+    parse_spec,
 )
 from sb_abelian.primes import primes
 
@@ -148,3 +151,23 @@ def iter_primes_upto(bound: int) -> Iterator[int]:
         if p > bound:
             return
         yield p
+
+
+_SMALL_SETS = ("{2}", "{3}", "{2,3}", "all", "all\\{2}", "all\\{3}", "all\\{2,3}")
+SMALL_ATOMS = (
+    "Z/2", "Z/4", "Z/3", "Z/9", "Prufer(2)", "Prufer(3)", "Q", "Zhat(2)", "Zhat(3)",
+    *(f"sumP({s}; Z/p^{k})" for s in _SMALL_SETS for k in (1, 2)),
+    *(f"sumP({s}; Zhat)" for s in _SMALL_SETS),
+    *(f"sumK({p}; {e})" for p in (2, 3) for e in ("all", "{1}", "{2}", "{1,2}")),
+)
+
+
+def small_spec_texts() -> list[str]:
+    """One spec text per normal form of one or two distinct terms, each term an
+    atom of ``SMALL_ATOMS`` at multiplicity 1, 2 or w; the first text met for
+    each normal form is kept, in a fixed order.  There are 3,410 of them."""
+    terms = [atom + mult for atom in SMALL_ATOMS for mult in ("", "^2", "^w")]
+    kept: dict[GroupSpec, str] = {}
+    for text in itertools.chain(terms, map(" + ".join, itertools.combinations(terms, 2))):
+        kept.setdefault(parse_spec(text), text)
+    return list(kept.values())

@@ -1,0 +1,51 @@
+"""Run ``witness`` on every small normal form that is superstable without SB,
+and tally how each run ended.
+
+The population is ``_gen.small_spec_texts()``: every normal form of at most two
+summands built from its atoms over the primes 2 and 3.  Each spec that
+``classify`` places between superstable and omega-stable gets one ``witness``
+run with the default flags, in-process through ``run_cli``.  The script prints
+one line per exit code and stderr message with its count, then the totals and
+the wall time.  It is a report, not a gate.
+
+    python tests/sweep.py
+
+It imports only the standard library, the package and ``_gen``.  All its work
+runs under the ``__main__`` check, because the test run imports every module in
+``tests/``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from _gen import small_spec_texts
+    from sb_abelian import parse_spec
+    from sb_abelian.classify import StabilityClass, stability_class
+    from sb_abelian.cli import run_cli
+
+    middle = [text for text in small_spec_texts()
+              if stability_class(parse_spec(text)) is StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE]
+    tally: Counter[tuple[int, str]] = Counter()
+    slowest = (0.0, "")
+    start = time.perf_counter()
+    for text in middle:
+        err = io.StringIO()
+        began = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(["witness", text])
+        slowest = max(slowest, (time.perf_counter() - began, text))
+        tally[code, err.getvalue().strip()] += 1
+    for (code, message), count in sorted(tally.items()):
+        print(f"{count:5d}  exit {code}  {message}")
+    print(f"{len(middle)} specs in {time.perf_counter() - start:.1f} s; "
+          f"slowest {slowest[0]:.2f} s: witness {slowest[1]!r}")

@@ -21,7 +21,7 @@ from sb_abelian.cli import (
 from sb_abelian.finite_oracle import realize, subgroup_closure
 from sb_abelian.primes import EXACT_BOUND
 
-from _gen import finite_abelian_specs
+from _gen import finite_abelian_specs, small_spec_texts
 
 
 def run(capsys, *argv):
@@ -79,6 +79,18 @@ def test_classify_agreement_holds_on_assorted_specs(capsys):
                  "sumP(all; Z/p^1)", "Prufer(7)^w + Z/49"]:
         body = run_json(capsys, "classify", text)
         assert body["agreement"] is True, text
+
+
+def test_classify_agreement_holds_on_every_small_normal_form(capsys):
+    # every normal form of at most two summands over the primes 2 and 3
+    routes = {}
+    for text in small_spec_texts():
+        body = run_json(capsys, "classify", text)
+        assert body["agreement"] is True, text
+        assert body["sb"] == body["omega_stable"] == body["condition3"] == body["condition4"], text
+        routes[body["route"]] = routes.get(body["route"], 0) + 1
+    assert routes == {None: 448, "ExternalNonSuperstable": 1509, "PAdicWitness": 789,
+                      "SocleWitness": 664}
 
 
 def test_invariants_payload(capsys):

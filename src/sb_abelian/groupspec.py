@@ -8,15 +8,16 @@ the structure theory of pure-injective abelian groups:
 * ``Prufer(p)``               -- the p-quasicyclic group Z(p**inf)
 * ``Rationals()``             -- Q
 * ``PAdicComplete(p)``        -- the additive group of the p-adic integers
-* ``CyclicPrimeFamily(S, k)`` -- sum of Z/p**k over p in the prime set S
+* ``CyclicPrimeFamily(S, k)`` -- sum of Z/p**k over p in the cofinite prime set S
 * ``PAdicPrimeFamily(S)``     -- sum of p-adic integer groups over p in S
-* ``CyclicExponentFamily(p, E)`` -- sum of Z/p**k over exponents k in E
+* ``CyclicExponentFamily(p)`` -- sum of Z/p**k over every exponent k >= 1
 
-Specs are kept in a normal form: finite families are expanded into
-singletons, composite cyclic moduli are split by the Chinese remainder
-theorem, duplicate entries merge by cardinal addition, zero-multiplicity
-entries are dropped and the entry list is canonically sorted.  Equality of
-normal forms is therefore structural equality.
+Specs are kept in a normal form: duplicate entries merge by cardinal
+addition, zero-multiplicity entries are dropped and the entry list is
+canonically sorted.  Equality of normal forms is therefore structural
+equality.  The parser writes a finite family out as one singleton per listed
+prime or exponent, as it splits a composite cyclic modulus by the Chinese
+remainder theorem, so a family always ranges over an infinite index set.
 
 Expressions are parsed from a small ASCII grammar::
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
 
@@ -213,60 +214,43 @@ _ONE = Cardinal.of(1)
 
 
 class PrimeSet(Record):
-    """A decidable set of primes: an explicit finite set or a cofinite one.
+    """A cofinite set of primes: every prime except the finitely many ``excluded``.
 
-    ``PrimeSet.explicit({3, 5})`` and ``PrimeSet.cofinite({2})`` (all primes
-    except 2).  Cofinite sets are always infinite; explicit ones are finite.
+    A finite set of primes is never a family's index set: the parser writes
+    such a family out as one singleton per listed prime.
 
     >>> PrimeSet.cofinite({2}).contains(3)
     True
-    >>> PrimeSet.explicit({3, 5}).contains(2)
-    False
+    >>> str(PrimeSet.cofinite({3, 2}))
+    'all\\\\{2,3}'
     """
 
-    complement: bool  # True: all primes except `primes`; False: exactly `primes`
-    primes: frozenset[int]
+    excluded: frozenset[int]
 
     def __post_init__(self) -> None:
-        for p in self.primes:
-            ensure_prime(p, "prime set member")
-
-    @classmethod
-    def explicit(cls, ps: Iterable[int]) -> "PrimeSet":
-        return cls(False, frozenset(ps))
+        for p in self.excluded:
+            ensure_prime(p, "excluded prime")
 
     @classmethod
     def cofinite(cls, excluded: Iterable[int] = ()) -> "PrimeSet":
-        return cls(True, frozenset(excluded))
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.complement
+        return cls(frozenset(excluded))
 
     def contains(self, p: int) -> bool:
-        return (p not in self.primes) if self.complement else (p in self.primes)
+        return p not in self.excluded
 
     def remove(self, ps: Iterable[int]) -> "PrimeSet":
-        ps = frozenset(ps)
-        if self.complement:
-            return PrimeSet(True, self.primes | ps)
-        return PrimeSet(False, self.primes - ps)
+        return PrimeSet(self.excluded | frozenset(ps))
 
     def first_n(self, n: int) -> tuple[int, ...]:
-        """The n smallest members (all members if the set is smaller)."""
-        if self.complement:
-            return first_primes_excluding(n, self.primes)
-        return tuple(sorted(self.primes))[:n]
+        """The n smallest members."""
+        return first_primes_excluding(n, self.excluded)
 
     def fingerprint(self) -> str:
-        tag = "cofinite" if self.complement else "explicit"
-        return tag + ":" + ",".join(str(p) for p in sorted(self.primes))
+        """The excluded primes joined by commas: normal forms order families by it as a string."""
+        return ",".join(str(p) for p in sorted(self.excluded))
 
     def __str__(self) -> str:
-        listed = ",".join(str(p) for p in sorted(self.primes))
-        if self.complement:
-            return "all" if not self.primes else "all\\{%s}" % listed
-        return "{%s}" % listed
+        return "all\\{%s}" % self.fingerprint() if self.excluded else "all"
 
 
 ALL_PRIMES = PrimeSet.cofinite()
@@ -370,33 +354,16 @@ class PAdicPrimeFamily(Summand):
 
 
 class CyclicExponentFamily(Summand):
-    """Direct sum of Z/p**k over a set of exponents k at a single prime.
-
-    ``exponents=None`` means every k >= 1 (written ``all`` in the grammar);
-    a finite exponent set is expanded away during normalization.
-    """
+    """Direct sum of Z/p**k over every exponent k >= 1 at a single prime."""
 
     p: int
-    exponents: frozenset[int] | None
     _rank = 6
 
     def __post_init__(self) -> None:
         ensure_prime(self.p, "exponent family prime")
-        if self.exponents is not None:
-            if not self.exponents:
-                raise ValueError("empty exponent set")
-            if any(k < 1 for k in self.exponents):
-                raise ValueError("family exponents must be >= 1")
-
-    def sort_key(self) -> tuple:
-        exps = "all" if self.exponents is None else ",".join(map(str, sorted(self.exponents)))
-        return (self._rank, self.p, 0, exps)
 
     def __str__(self) -> str:
-        if self.exponents is None:
-            return f"sumK({self.p}; all)"
-        listed = ",".join(str(k) for k in sorted(self.exponents))
-        return f"sumK({self.p}; {{{listed}}})"
+        return f"sumK({self.p}; all)"
 
 
 Entry = tuple[Summand, Cardinal]
@@ -438,23 +405,8 @@ class GroupSpec(Record):
         return " + ".join(parts)
 
 
-def _expand(family: Summand, mult: Cardinal) -> Iterator[Entry]:
-    """Rewrite finite families into singleton entries."""
-    if isinstance(family, CyclicPrimeFamily) and family.primes.is_finite:
-        for p in sorted(family.primes.primes):
-            yield Cyclic(p, family.k), mult
-    elif isinstance(family, PAdicPrimeFamily) and family.primes.is_finite:
-        for p in sorted(family.primes.primes):
-            yield PAdicComplete(p), mult
-    elif isinstance(family, CyclicExponentFamily) and family.exponents is not None:
-        for k in sorted(family.exponents):
-            yield Cyclic(family.p, k), mult
-    else:
-        yield family, mult
-
-
 def normalize(entries: Iterable[Entry]) -> GroupSpec:
-    """Normal form of a formal sum: expand, merge, drop zeros, sort.
+    """Normal form of a formal sum: merge, drop zeros, sort.
 
     >>> str(normalize([(Cyclic(2, 3), Cardinal.of(1)), (Cyclic(2, 3), Cardinal.of(2))]))
     'Z/8^3'
@@ -465,11 +417,7 @@ def normalize(entries: Iterable[Entry]) -> GroupSpec:
     for family, mult in entries:
         if not isinstance(mult, Cardinal):
             raise TypeError(f"multiplicity must be a Cardinal, got {mult!r}")
-        for fam, m in _expand(family, mult):
-            if fam in merged:
-                merged[fam] = merged[fam] + m
-            else:
-                merged[fam] = m
+        merged[family] = merged[family] + mult if family in merged else mult
     kept = [(fam, m) for fam, m in merged.items() if m != _ZERO]
     kept.sort(key=lambda e: e[0].sort_key())
     return GroupSpec(tuple(kept))
@@ -506,9 +454,8 @@ def socle(spec: GroupSpec) -> GroupSpec:
         elif isinstance(fam, CyclicPrimeFamily):
             out.append((CyclicPrimeFamily(fam.primes, 1), mult))
         elif isinstance(fam, CyclicExponentFamily):
-            # all exponents collapse onto k = 1; the multiplicity is unchanged
-            # per copy but infinitely many exponent values pile up on one slot.
-            out.append((Cyclic(fam.p, 1), mult + ALEPH0 if fam.exponents is None else mult))
+            # one Z/p for each of the infinitely many exponents
+            out.append((Cyclic(fam.p, 1), mult + ALEPH0))
         # Rationals, PAdicComplete, PAdicPrimeFamily are torsion-free: drop.
     return normalize(out)
 
@@ -574,7 +521,6 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
                 comp.append((fam, mult))
         elif isinstance(fam, CyclicExponentFamily):
             if fam.p in mfact:
-                # normalized families carry unbounded exponent sets
                 raise MSplitPreconditionError(fam.p, None, m)
             comp.append((fam, mult))
         elif isinstance(fam, CyclicPrimeFamily):
@@ -695,7 +641,8 @@ class _Parser:
         except ValueError as exc:
             raise SpecSyntaxError(str(exc), at) from None
 
-    def primeset(self) -> PrimeSet:
+    def primeset(self) -> PrimeSet | list[int]:
+        """A cofinite set, or the increasing members of a finite one."""
         self.skip_ws()
         if self.accept("all"):
             if self.accept("\\{"):
@@ -710,7 +657,7 @@ class _Parser:
             while self.accept(","):
                 members.append(self.prime("prime set member"))
             self.expect("}")
-            return PrimeSet.explicit(members)
+            return sorted(set(members))
         raise self.error("expected a prime set")
 
     def exponent(self, p: int, context: str = "sumK") -> int:
@@ -723,7 +670,8 @@ class _Parser:
             raise SpecSyntaxError(f"{context} exponent: {p}^k must be below {EXACT_BOUND}", at)
         return k
 
-    def expset(self, p: int) -> frozenset[int] | None:
+    def expset(self, p: int) -> list[int] | None:
+        """``None`` for ``all``, or the increasing members of a finite set."""
         self.skip_ws()
         if self.accept("all"):
             return None
@@ -735,7 +683,7 @@ class _Parser:
             self.expect("}")
             if any(k < 1 for k in exps):
                 raise SpecSyntaxError("exponents must be >= 1", at)
-            return frozenset(exps)
+            return sorted(set(exps))
         raise self.error("expected an exponent set")
 
     def atom(self) -> list[Entry]:
@@ -758,18 +706,23 @@ class _Parser:
             return [(Rationals(), _ONE)]
         if self.accept("sumP("):
             ps = self.primeset()
+            listed = not isinstance(ps, PrimeSet)
             self.expect(";")
             self.skip_ws()
             if self.accept("Zhat"):
                 self.expect(")")
+                if listed:
+                    return [(PAdicComplete(p), _ONE) for p in ps]
                 return [(PAdicPrimeFamily(ps), _ONE)]
             if self.accept("Z/p^"):
                 at = self.pos
                 # bounded at the largest listed prime, or the least prime of a cofinite set
-                k = self.exponent(max(ps.primes) if ps.is_finite else ps.first_n(1)[0], "sumP")
+                k = self.exponent(ps[-1] if listed else ps.first_n(1)[0], "sumP")
                 if k < 1:
                     raise SpecSyntaxError("exponent must be >= 1", at)
                 self.expect(")")
+                if listed:
+                    return [(Cyclic(p, k), _ONE) for p in ps]
                 return [(CyclicPrimeFamily(ps, k), _ONE)]
             raise self.error("expected 'Z/p^k' or 'Zhat'")
         if self.accept("sumK("):
@@ -777,7 +730,9 @@ class _Parser:
             self.expect(";")
             exps = self.expset(p)
             self.expect(")")
-            return [(CyclicExponentFamily(p, exps), _ONE)]
+            if exps is None:
+                return [(CyclicExponentFamily(p), _ONE)]
+            return [(Cyclic(p, k), _ONE) for k in exps]
         raise self.error("expected a summand")
 
     def mult(self) -> Cardinal:

@@ -117,13 +117,13 @@ class SzmielewInvariants(NamedTuple):
 def _lives_at(fam: Summand, p: int | None) -> bool:
     """Does the summand contribute at p?  ``None`` stands for a generic prime."""
     if isinstance(fam, _FAMILIES):
-        return fam.primes.complement if p is None else fam.primes.contains(p)
+        return p is None or fam.primes.contains(p)
     return p is not None and getattr(fam, "p", None) == p
 
 
 def _mentioned(fam: Summand) -> Iterable[int]:
     if isinstance(fam, _FAMILIES):
-        return fam.primes.primes
+        return fam.primes.excluded
     return (fam.p,) if hasattr(fam, "p") else ()
 
 
@@ -139,7 +139,7 @@ def _record(entries: Iterable[Entry], p: int | None) -> PrimeRecord:
             tor = tor + mult
         elif isinstance(fam, (PAdicComplete, PAdicPrimeFamily)):
             exp = exp + mult
-        elif isinstance(fam, CyclicExponentFamily):  # normalized: every k >= 1
+        elif isinstance(fam, CyclicExponentFamily):
             tail, tor, exp = tail + mult, ALEPH0, ALEPH0
     tail = tail.cap_countable()
     values = ((k, (u + tail).cap_countable()) for k, u in sorted(ulm.items()))

@@ -111,11 +111,11 @@ class NotSuperstableError(NotApplicableError):
 class PrimeWindow(Record):
     """The finite face of an infinite prime support.
 
-    ``source`` is the (infinite) set of primes carrying a block, ``primes``
+    ``source`` is the cofinite set of primes carrying a block, ``primes``
     its first W members.  Block ranks are ``generic_rank`` everywhere except
     the finitely many ``overrides``.
 
-    >>> w = PrimeWindow.over(PrimeSet(True, frozenset({2})), 4)
+    >>> w = PrimeWindow.over(PrimeSet.cofinite({2}), 4)
     >>> w.primes
     (3, 5, 7, 11)
     >>> w.rank(13)
@@ -158,8 +158,6 @@ class PrimeWindow(Record):
         generic_rank: int = 1,
         overrides: Iterable[tuple[int, int]] = (),
     ) -> "PrimeWindow":
-        if source.is_finite:
-            raise ValueError("the grid construction needs an infinite prime support")
         if width < 1:
             raise ValueError("window width must be >= 1")
         return cls(source, source.first_n(width), generic_rank, tuple(sorted(overrides)))

@@ -20,6 +20,7 @@ from sb_abelian.groupspec import (
     PrimeSet,
     Prufer,
     Rationals,
+    Summand,
     direct_sum,
     normalize,
     parse_spec,
@@ -38,10 +39,17 @@ def random_cardinal(rng: random.Random, allow_zero: bool = True) -> Cardinal:
     return Cardinal.aleph(rng.randint(1, 2))
 
 
-def random_prime_set(rng: random.Random, primes: Sequence[int] = _PRIMES) -> PrimeSet:
+def random_prime_set(rng: random.Random, primes: Sequence[int] = _PRIMES) -> PrimeSet | list[int]:
+    """A cofinite set, or the distinct members of a finite one."""
     if rng.random() < 0.5:
         return PrimeSet.cofinite(rng.sample(primes, rng.randint(0, 2)))
-    return PrimeSet.explicit(rng.sample(primes, rng.randint(1, min(3, len(primes)))))
+    return rng.sample(primes, rng.randint(1, min(3, len(primes))))
+
+
+def prime_family(ps: PrimeSet | list[int], family, single) -> list[Summand]:
+    """``family(ps)`` over a cofinite set; one ``single(p)`` per member of a
+    finite one, as the parser writes a finite family out."""
+    return [family(ps)] if isinstance(ps, PrimeSet) else [single(p) for p in ps]
 
 
 def random_entries(rng: random.Random, max_entries: int = 5,
@@ -52,23 +60,24 @@ def random_entries(rng: random.Random, max_entries: int = 5,
         kind = rng.randrange(7)
         p = rng.choice(primes)
         if kind == 0:
-            fam = Cyclic(p, rng.randint(1, 4))
+            fams = [Cyclic(p, rng.randint(1, 4))]
         elif kind == 1:
-            fam = Prufer(p)
+            fams = [Prufer(p)]
         elif kind == 2:
-            fam = Rationals()
+            fams = [Rationals()]
         elif kind == 3:
-            fam = PAdicComplete(p)
+            fams = [PAdicComplete(p)]
         elif kind == 4:
-            fam = CyclicPrimeFamily(random_prime_set(rng, primes), rng.randint(1, 3))
+            ps, k = random_prime_set(rng, primes), rng.randint(1, 3)
+            fams = prime_family(ps, lambda s: CyclicPrimeFamily(s, k), lambda q: Cyclic(q, k))
         elif kind == 5:
-            fam = PAdicPrimeFamily(random_prime_set(rng, primes))
-        else:
-            exps = None if rng.random() < 0.5 else frozenset(
-                rng.sample(range(1, 6), rng.randint(1, 3))
-            )
-            fam = CyclicExponentFamily(p, exps)
-        entries.append((fam, random_cardinal(rng)))
+            fams = prime_family(random_prime_set(rng, primes), PAdicPrimeFamily, PAdicComplete)
+        elif rng.random() < 0.5:
+            fams = [CyclicExponentFamily(p)]
+        else:  # a finite exponent set, written out
+            fams = [Cyclic(p, k) for k in rng.sample(range(1, 6), rng.randint(1, 3))]
+        mult = random_cardinal(rng)
+        entries += [(fam, mult) for fam in fams]
     return entries
 
 

@@ -33,7 +33,7 @@ def _outcome(call):
 # socle route: product elements
 
 SOCLE = build_socle_witness(
-    PrimeWindow.over(PrimeSet(True, frozenset({2})), 24, overrides=[(5, 2), (13, 3)]),
+    PrimeWindow.over(PrimeSet.cofinite({2}), 24, overrides=[(5, 2), (13, 3)]),
     seed=3,
     max_exponent=1,
     height_bound=1,

@@ -79,11 +79,13 @@ def test_parse_families():
     assert spec.entries == ((CyclicPrimeFamily(PrimeSet.cofinite({2}), 1), Cardinal.of(1)),)
     spec = parse_spec("sumP(all; Zhat)^w")
     assert spec.entries == ((PAdicPrimeFamily(ALL_PRIMES), ALEPH0),)
-    # finite families expand during normalization
+    # the parser writes a finite family out as one singleton per listed member
     assert parse_spec("sumP({3,5}; Z/p^2)") == parse_spec("Z/9 + Z/25")
+    assert parse_spec("sumP({5,3}; Zhat)^2") == parse_spec("Zhat(3)^2 + Zhat(5)^2")
     assert parse_spec("sumK(2; {1,3})") == parse_spec("Z/2 + Z/8")
+    assert parse_spec("sumP({3,3}; Z/p^1) + sumK(2; {1,1})") == parse_spec("Z/3 + Z/2")
     assert parse_spec("sumK(2; all)").entries == (
-        (CyclicExponentFamily(2, None), Cardinal.of(1)),
+        (CyclicExponentFamily(2), Cardinal.of(1)),
     )
 
 
@@ -175,9 +177,10 @@ def test_normalize_merges_and_drops():
 
 
 def test_normalize_merges_family_with_expanded_singleton():
-    a = normalize([(CyclicPrimeFamily(PrimeSet.explicit({5}), 2), ALEPH0)])
+    a = parse_spec("sumP({5}; Z/p^2)^w")
     b = normalize([(Cyclic(5, 2), ALEPH0)])
     assert a == b
+    assert parse_spec("sumP({5}; Z/p^2) + Z/25^2") == parse_spec("Z/25^3")
 
 
 def test_normalize_infinite_absorbs_finite():
@@ -396,6 +399,8 @@ def test_crt_soundness_all_modulus_up_to_256():
 def test_prime_set_algebra():
     odd = PrimeSet.cofinite({2})
     assert odd.contains(3) and not odd.contains(2)
-    assert odd.remove([3]).primes == frozenset({2, 3})
+    assert odd.remove([3]).excluded == frozenset({2, 3})
     assert odd.first_n(3) == (3, 5, 7)
-    assert PrimeSet.explicit({5, 3}).first_n(5) == (3, 5)
+    # normal forms order families by the excluded primes as a string
+    assert str(parse_spec("sumP(all\\{2}; Zhat) + sumP(all; Zhat) + sumP(all\\{11}; Zhat)")) == (
+        "sumP(all; Zhat) + sumP(all\\{11}; Zhat) + sumP(all\\{2}; Zhat)")

@@ -64,7 +64,7 @@ def test_assignment_and_deletion_raise():
 def test_repr_names_the_fields():
     assert repr(Cyclic(2, 3)) == "Cyclic(p=2, k=3)"
     assert repr(Rationals()) == "Rationals()"
-    assert repr(PrimeSet.explicit({3})) == "PrimeSet(complement=False, primes=frozenset({3}))"
+    assert repr(PrimeSet.cofinite({3})) == "PrimeSet(excluded=frozenset({3}))"
     # a class's own __repr__ wins over the base's
     assert repr(Cardinal.of(2)) == "Cardinal.of(2)"
     assert repr(GroupSpec(())) == "GroupSpec(entries=())"
@@ -111,11 +111,11 @@ def test_defaults_fill_trailing_fields():
     w = SocleWitnessPair(None, None, None)
     assert ProductElement(w) == ProductElement(w, (), ())
     assert ProductElement(w, exceptions=((3, (1,)),)).tail == ()
-    window = PrimeWindow(PrimeSet.explicit({3, 5}), (3, 5))
+    window = PrimeWindow(PrimeSet.cofinite({2}), (3, 5))
     assert (window.generic_rank, window.overrides) == (1, ())
-    assert PrimeWindow(PrimeSet.explicit({3, 5}), (3, 5), overrides=((3, 2),)).rank(3) == 2
+    assert PrimeWindow(PrimeSet.cofinite({2}), (3, 5), overrides=((3, 2),)).rank(3) == 2
     with pytest.raises(TypeError):
-        PrimeWindow(PrimeSet.explicit({3}))
+        PrimeWindow(PrimeSet.cofinite({2}))
 
 
 def test_post_init_validation_still_runs():
@@ -128,7 +128,7 @@ def test_post_init_validation_still_runs():
     with pytest.raises(ValueError):
         GridMonomial(0, 0, 0)
     with pytest.raises(ValueError, match="empty window"):
-        PrimeWindow(PrimeSet.explicit({3}), ())
+        PrimeWindow(PrimeSet.cofinite(), ())
 
 
 def test_fields_are_the_own_annotations():

@@ -12,7 +12,7 @@ import json
 import random
 from types import SimpleNamespace
 
-from _gen import random_prime_set, random_spec
+from _gen import prime_family, random_prime_set, random_spec
 
 from sb_abelian import witness_padic, witness_socle
 from sb_abelian.groupspec import (
@@ -41,16 +41,17 @@ def _route_spec(rng: random.Random, kinds: str):
         k = rng.randint(1, 3) if kind in "cf" else 1
         mult = Cardinal.of(rng.randint(1, 3)) if rng.random() < 0.8 else Cardinal.aleph(0)
         if kind in "cs":
-            fam = Cyclic(p, k)
+            fams = [Cyclic(p, k)]
         elif kind in "fS":
-            fam = CyclicPrimeFamily(random_prime_set(rng, _PRIMES), k)
+            fams = prime_family(random_prime_set(rng, _PRIMES),
+                                lambda s: CyclicPrimeFamily(s, k), lambda q: Cyclic(q, k))
         elif kind == "z":
-            fam = PAdicComplete(p)
+            fams = [PAdicComplete(p)]
         elif kind == "Z":
-            fam = PAdicPrimeFamily(random_prime_set(rng, _PRIMES))
+            fams = prime_family(random_prime_set(rng, _PRIMES), PAdicPrimeFamily, PAdicComplete)
         else:
-            fam, mult = (Rationals() if rng.random() < 0.5 else Prufer(p)), Cardinal.of(1)
-        entries.append((fam, mult))
+            fams, mult = [Rationals() if rng.random() < 0.5 else Prufer(p)], Cardinal.of(1)
+        entries += [(fam, mult) for fam in fams]
     return normalize(entries)
 
 

@@ -30,7 +30,6 @@ from sb_abelian.groupspec import (
     CyclicPrimeFamily,
     PAdicComplete,
     PAdicPrimeFamily,
-    PrimeSet,
     Prufer,
     Rationals,
     normalize,
@@ -60,8 +59,6 @@ def _small(entries):
             fam = Cyclic(fam.p, min(fam.k, LEVEL))
         elif isinstance(fam, CyclicPrimeFamily):
             fam = CyclicPrimeFamily(fam.primes, min(fam.k, LEVEL))
-        elif isinstance(fam, CyclicExponentFamily) and fam.exponents is not None:
-            fam = CyclicExponentFamily(fam.p, frozenset(min(k, LEVEL) for k in fam.exponents))
         out.append((fam, mult if not mult.is_finite else Cardinal.of(min(mult.value, 2))))
     return normalize(out)
 
@@ -264,7 +261,7 @@ def _equivalent_variant(rng, spec):
         if isinstance(fam, (CyclicPrimeFamily, PAdicPrimeFamily)) and rng.random() < 0.5:
             (q,) = fam.primes.first_n(1)
             at_q = Cyclic(q, fam.k) if isinstance(fam, CyclicPrimeFamily) else PAdicComplete(q)
-            rest = PrimeSet.cofinite(fam.primes.primes | {q})
+            rest = fam.primes.remove([q])
             fam = type(fam)(rest, fam.k) if isinstance(fam, CyclicPrimeFamily) else type(fam)(rest)
             entries.append((at_q, mult))
         if isinstance(fam, CyclicExponentFamily):

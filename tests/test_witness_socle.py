@@ -25,8 +25,8 @@ from sb_abelian.witness_socle import (
     window_from_socle,
 )
 
-ODD_PRIMES = PrimeSet(True, frozenset({2}))
-ALL_PRIMES = PrimeSet(True, frozenset())
+ODD_PRIMES = PrimeSet.cofinite({2})
+ALL_PRIMES = PrimeSet.cofinite()
 
 # One witness shared by most element-level tests.  Small bounds keep the
 # exhaustive scan at 80 candidate polynomials, so this is essentially free.
@@ -58,8 +58,6 @@ def test_window_rank_overrides():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        PrimeWindow.over(PrimeSet(False, frozenset({3, 5})), 2)  # finite support
     with pytest.raises(ValueError):
         PrimeWindow.over(ODD_PRIMES, 0)
     with pytest.raises(ValueError):

@@ -11,12 +11,14 @@ this module decides each one separately so the agreement itself is testable:
 4. the theory is superstable and, modulo the intersection of the
    finite-index definable subgroups, every automorphism is unipotent.
 
-Stability and the connected-component index are read off the canonical
-Szmielew key of :mod:`.invariants`; condition 3 and the unipotence witness
-are read off the summand constructors, so the agreement of the four
-conditions compares two independent derivations.  When the SB property
-fails, a witness route records which construction produces a bi-embeddable
-non-isomorphic pair.
+Conditions 1 and 3 are read off the summand constructors: :func:`has_sb`
+decides SB by condition 3, :func:`divisible_plus_bounded`.  Conditions 2 and
+4 are read off the canonical Szmielew key of :mod:`.invariants`: the
+stability class, and ``unipotent_all``, which is true exactly when the class
+is omega-stable.  So the agreement of the four conditions compares the
+constructor side with the key side.  When the SB property fails, a witness
+route records which construction produces a bi-embeddable non-isomorphic
+pair.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .groupspec import (
     Prufer,
     Rationals,
     Record,
-    normalize,
 )
 from .invariants import szmielew_invariants
 
@@ -139,17 +140,11 @@ class SbVerdict(Record):
 def has_sb(spec: GroupSpec) -> SbVerdict:
     """Decide the Schroeder-Bernstein property and pick a witness route.
 
-    The decision path runs through the invariant table (unboundedness of the
-    reduced part), not the stability case analysis, so that agreement of the
-    two is a real check.
+    SB is decided by condition 3 on the summand constructors, not by the
+    stability class read off the key, so that their agreement is a real
+    check; the stability class only picks the route when SB fails.
     """
-    reduced_entries = [
-        (fam, mult)
-        for fam, mult in spec.entries
-        if not isinstance(fam, (Prufer, Rationals))
-    ]
-    reduced_part = normalize(reduced_entries)
-    if szmielew_invariants(reduced_part).bounded:
+    if divisible_plus_bounded(spec):
         return SbVerdict(
             has_sb=True,
             route=None,

@@ -241,7 +241,6 @@ def _oracle_purity(args: SimpleNamespace) -> dict:
         OrderBoundError,
         is_pure_subgroup_bruteforce,
         realize,
-        subgroup_closure,
     )
 
     spec = parse_spec(args.spec)
@@ -257,7 +256,7 @@ def _oracle_purity(args: SimpleNamespace) -> dict:
     for g in group.elements():
         if g in known:
             continue
-        m = len(subgroup_closure(group, [g]))
+        m = math.lcm(*(n // math.gcd(x, n) for x, n in zip(g, group.factors)))
         known.update(group.smul(k, g) for k in range(1, m) if math.gcd(k, m) == 1)
         ok = is_pure_subgroup_bruteforce(group, [g])
         pure, impure = pure + ok, impure + (not ok)

@@ -39,7 +39,8 @@ def random_cardinal(rng: random.Random, allow_zero: bool = True) -> Cardinal:
     return Cardinal.aleph(rng.randint(1, 2))
 
 
-def random_prime_set(rng: random.Random, primes: Sequence[int] = _PRIMES) -> PrimeSet | list[int]:
+def random_prime_set(rng: random.Random,
+                     primes: Sequence[int] = _PRIMES) -> PrimeSet | list[int]:
     """A cofinite set, or the distinct members of a finite one."""
     if rng.random() < 0.5:
         return PrimeSet.cofinite(rng.sample(primes, rng.randint(0, 2)))

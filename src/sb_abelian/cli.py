@@ -62,7 +62,7 @@ from .invariants import (
 )
 from .primes import factorize
 
-__all__ = ["COMMANDS", "main", "run_cli"]
+__all__ = ["COMMANDS", "run_cli"]
 
 SCHEMA = "sb-abelian/1"
 
@@ -583,7 +583,3 @@ def run_cli(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run_cli(argv)

@@ -84,15 +84,6 @@ class FiniteAbelianGroup:
     def smul(self, c: int, a: Element) -> Element:
         return tuple((c * x) % n for x, n in zip(a, self.factors))
 
-    def scaled_set(self, c: int) -> frozenset[Element]:
-        """The image c*G."""
-        return frozenset(self.smul(c, g) for g in self.elements())
-
-    def torsion_set(self, c: int) -> frozenset[Element]:
-        """The kernel of multiplication by c."""
-        zero = self.zero
-        return frozenset(g for g in self.elements() if self.smul(c, g) == zero)
-
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         """Sorted (order, count) pairs over all elements, memoized per group.
 

@@ -387,12 +387,6 @@ class GroupSpec(Record):
     def is_trivial(self) -> bool:
         return not self.entries
 
-    def multiplicity(self, family: Summand) -> Cardinal:
-        for fam, mult in self.entries:
-            if fam == family:
-                return mult
-        return _ZERO
-
     def __str__(self) -> str:
         if not self.entries:
             return "0"

@@ -13,7 +13,7 @@ walks the high halves (rows) in blocks: per prime it joins the low halves' row
 masks along a block's rows into one int for bit-sliced counters, tallied and
 dropped before the next block; T targets split one target's block T ways, so a
 scan of any size holds one single-target block's counters.  The module also
-holds :func:`terms` and the RNG, grid shapes and retries both routes share.
+holds :func:`terms` and the RNG, grid shapes and retry loop both routes share.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .groupspec import BudgetExceeded
 
 __all__ = [
-    "BudgetExceeded", "GRIDS", "RETRIES", "SCAN_BUDGET", "Survival", "check_grid",
-    "first_relation", "grid_allows", "monomials", "relation_str", "search_space", "seeded_rng",
-    "survival_scan", "survival_scans", "terms",
+    "BudgetExceeded", "GRIDS", "RETRIES", "RetriesExhausted", "SCAN_BUDGET", "Survival",
+    "check_grid", "first_passing", "first_relation", "grid_allows", "monomials", "relation_str",
+    "search_space", "seeded_rng", "survival_scans", "terms",
 ]
 
 Vector = tuple[int, ...]
@@ -59,6 +59,29 @@ def seeded_rng(label: str) -> random.Random:
     """An RNG seeded by a hash of ``label``, independent of hash randomization."""
     digest = _sha256()(label.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+class RetriesExhausted(BudgetExceeded):
+    """No draw of a witness route passed its certificate: ``certificates`` holds
+    each attempt's, in order, and ``attempts`` counts them (0 if none was drawn)."""
+
+    def __init__(self, message: str, certificates: Sequence = ()):
+        super().__init__(message)
+        self.certificates = tuple(certificates)
+        self.attempts = len(self.certificates)
+
+
+def first_passing(draw: Callable[[int], tuple], failure: Callable[[list], str]) -> tuple:
+    """The first of ``draw(0)``, ..., ``draw(RETRIES - 1)`` whose certificate, its
+    last item, passed; if none did, :class:`RetriesExhausted` with the message
+    ``failure(certificates)``."""
+    certificates = []
+    for attempt in range(RETRIES):
+        drawn = draw(attempt)
+        if drawn[-1].passed:
+            return drawn
+        certificates.append(drawn[-1])
+    raise RetriesExhausted(failure(certificates), certificates)
 
 
 def check_grid(which: str) -> None:
@@ -165,20 +188,6 @@ class Survival(NamedTuple):
     histogram: tuple[tuple[int, int], ...]
 
 
-def survival_scan(
-    values: Sequence[Sequence[int]], primes: Sequence[int], height: int,
-    target: Sequence[int] | None = None,
-) -> Survival:
-    """For every c in [-height, height]^n, count the window primes p_w where
-    sum_k c_k values[k][w] - target[w] is nonzero mod p_w.
-
-    Without a target the zero vector is left out; c and -c vanish at the same
-    primes, so only the vectors before it are scanned, each counted twice.
-    Over :data:`SCAN_BUDGET` vectors raises :class:`BudgetExceeded`.
-    """
-    return survival_scans(values, primes, height, None if target is None else [target])[0]
-
-
 def _add(levels: list[list[int]], mask: int) -> None:
     """Add a 0/1 mask into carry-save counters: ``levels[j]`` holds at most two masks
     of weight 2^j, and a full adder folds a third into one and a carry (5 ops)."""
@@ -229,8 +238,14 @@ def survival_scans(
     values: Sequence[Sequence[int]], primes: Sequence[int], height: int,
     targets: Sequence[Sequence[int]] | None,
 ) -> list[Survival]:
-    """:func:`survival_scan` for each target over one value table, sharing
-    each prime's residues and row masks; None scans once without a target."""
+    """For each target t and every c in [-height, height]^n, count the window primes
+    p_w where sum_k c_k values[k][w] - t[w] is nonzero mod p_w, sharing each prime's
+    residues and row masks over one value table.
+
+    None scans once without a target, and then the zero vector is left out; c and
+    -c vanish at the same primes, so only the vectors before it are scanned, each
+    counted twice.  Over :data:`SCAN_BUDGET` vectors raises :class:`BudgetExceeded`.
+    """
     # A vector is a (row, lane) pair of its high and smaller low half.  A row's
     # residue is its prefix's plus its suffix's, so a block computes only its own.
     n, width, half = len(values), len(primes), targets is None

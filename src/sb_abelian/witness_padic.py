@@ -43,13 +43,12 @@ from .padic import (
     seeded_unit,
 )
 from .primes import ensure_prime, p_valuation
-from .relations import GRIDS, RETRIES, BudgetExceeded, check_grid, grid_allows, relation_str
+from .relations import GRIDS, check_grid, first_passing, grid_allows, relation_str
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
     from fractions import Fraction
 
 __all__ = [
-    "CertificateFailed",
     "DuplicatePrimeError",
     "GridElement",
     "GridMonomial",
@@ -67,18 +66,6 @@ __all__ = [
     "multi_prime_witness",
     "random_member",
 ]
-
-
-class CertificateFailed(BudgetExceeded):
-    """No certified unit pair was found within the retry allowance."""
-
-    def __init__(self, attempts: int, last: IndependenceCertificate):
-        super().__init__(
-            f"no independence certificate after {attempts} seed attempts; "
-            f"last violation: {relation_str(last.violation)}"
-        )
-        self.attempts = attempts
-        self.last = last
 
 
 class PrecisionInsufficient(ValueError):
@@ -164,12 +151,6 @@ class GridElement(Record):
     @property
     def support(self) -> tuple[GridMonomial, ...]:
         return tuple(m for m, _ in self.terms)
-
-    def coefficient(self, m: GridMonomial) -> Fraction:
-        """The coefficient of m in p**t * x."""
-        from fractions import Fraction
-
-        return dict(self.terms).get(m, Fraction(0)) * self.p**self.t
 
     def __add__(self, other: "GridElement") -> "GridElement":
         if self.p != other.p:
@@ -262,7 +243,7 @@ def build_padic_witness(
     precision: int = 40,
 ) -> PAdicWitnessPair:
     """Draw and certify a unit pair, with up to :data:`~.relations.RETRIES`
-    fresh seeds.
+    fresh seeds (:func:`~.relations.first_passing`).
 
     The returned descriptor fixes (p, k, units, precision, certificate);
     all membership probes are made against it.
@@ -270,25 +251,20 @@ def build_padic_witness(
     ensure_prime(p, "witness prime")
     if k < 1:
         raise ValueError("need at least one coordinate (k >= 1)")
-    last = None
-    for attempt in range(RETRIES):
+
+    def draw(attempt: int) -> tuple[int, PAdicApprox, PAdicApprox, IndependenceCertificate]:
         base = seed + 1_000_003 * attempt
         unit1 = seeded_unit(p, 2 * base, precision)
         unit2 = seeded_unit(p, 2 * base + 1, precision)
         sources = (f"seeded({2 * base})", f"seeded({2 * base + 1})")
-        cert = independence_certificate(unit1, unit2, max_exponent, height_bound, sources)
-        if cert.passed:
-            return PAdicWitnessPair(
-                p=p,
-                k=k,
-                unit1=unit1,
-                unit2=unit2,
-                precision=precision,
-                certificate=cert,
-                attempts=attempt + 1,
-            )
-        last = cert
-    raise CertificateFailed(RETRIES, last)
+        return attempt, unit1, unit2, independence_certificate(
+            unit1, unit2, max_exponent, height_bound, sources)
+
+    attempt, unit1, unit2, cert = first_passing(draw, lambda certs: (
+        f"no independence certificate after {len(certs)} seed attempts; "
+        f"last violation: {relation_str(certs[-1].violation)}"))
+    return PAdicWitnessPair(p=p, k=k, unit1=unit1, unit2=unit2, precision=precision,
+                            certificate=cert, attempts=attempt + 1)
 
 
 def grid_membership(x: GridElement, which: str, w: PAdicWitnessPair) -> bool:

@@ -52,8 +52,8 @@ from .groupspec import (
 from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize
 from .relations import (
-    GRIDS, RETRIES, BudgetExceeded, check_grid, grid_allows, monomials, seeded_rng,
-    survival_scan, survival_scans, terms,
+    GRIDS, RetriesExhausted, check_grid, first_passing, grid_allows, monomials, seeded_rng,
+    survival_scans, terms,
 )
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
@@ -68,7 +68,6 @@ __all__ = [
     "ProductElement",
     "ProperInclusionCheck",
     "ReductionOutcome",
-    "ScalarSearchFailed",
     "SocleWitnessPair",
     "build_socle_witness",
     "choose_scalars",
@@ -81,19 +80,6 @@ __all__ = [
 ]
 
 Vector = tuple[int, ...]
-
-
-class ScalarSearchFailed(BudgetExceeded):
-    """No scalar choice met the avoidance threshold within the retry budget."""
-
-    def __init__(self, attempts: int, best: "AvoidanceCertificate | None", reason: str = ""):
-        self.attempts = attempts
-        self.best = best
-        detail = reason or (
-            f"no pair met the threshold after {attempts} attempt(s); "
-            f"best minimum count {best.min_count if best else 'n/a'}"
-        )
-        super().__init__(detail)
 
 
 class NonCanonicalError(ValueError):
@@ -305,7 +291,7 @@ def choose_scalars(
     seed: int = 0,
 ) -> tuple[AutomorphismPair, AvoidanceCertificate]:
     """Draw per-prime unit scalar pairs until the avoidance check passes, at
-    most :data:`~.relations.RETRIES` times.
+    most :data:`~.relations.RETRIES` times (:func:`~.relations.first_passing`).
 
     The check is exhaustive: every nonzero q with exponents <= max_exponent
     and |coefficients| <= height_bound must evaluate to something nonzero at
@@ -318,18 +304,16 @@ def choose_scalars(
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if threshold > window.width:
-        raise ScalarSearchFailed(
-            0, None, f"threshold {threshold} exceeds the window width {window.width}"
-        )
+        raise RetriesExhausted(f"threshold {threshold} exceeds the window width {window.width}")
     # The certificate reports the first minimizer when the highest monomial
     # varies slowest, so the scan runs over the monomials in reverse.
     pairs = monomials(max_exponent)[::-1]
-    best: tuple[AutomorphismPair, AvoidanceCertificate] | None = None
-    for attempt in range(RETRIES):
+
+    def draw(attempt: int) -> tuple[AutomorphismPair, AvoidanceCertificate]:
         first, second = zip(*(_draw_scalars(seed, attempt, p) for p in window.primes))
         pair = AutomorphismPair(window, seed, attempt, first, second)
-        scan = survival_scan(_monomial_values(pairs, pair), window.primes, height_bound)
-        cert = AvoidanceCertificate(
+        scan = survival_scans(_monomial_values(pairs, pair), window.primes, height_bound, None)[0]
+        return pair, AvoidanceCertificate(
             width=window.width,
             max_exponent=max_exponent,
             height_bound=height_bound,
@@ -342,11 +326,10 @@ def choose_scalars(
             worst=terms(pairs, scan.argmin),
             passed=scan.min_count >= threshold,
         )
-        if cert.passed:
-            return pair, cert
-        if best is None or cert.min_count > best[1].min_count:
-            best = (pair, cert)
-    raise ScalarSearchFailed(RETRIES, best[1] if best else None)
+
+    return first_passing(draw, lambda certs: (
+        f"no pair met the threshold after {len(certs)} attempt(s); "
+        f"best minimum count {max(cert.min_count for cert in certs)}"))
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +372,6 @@ class ProductElement(Record, hidden=("witness",)):
             if not any(vec) or any(not 0 <= c < p for c in vec):
                 return False
         return True
-
-    def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(m for m, _ in self.tail)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        from fractions import Fraction
-
-        for m, c in self.tail:
-            if m == (i, j):
-                return c
-        return Fraction(0)
 
     def evaluate(self, p: int) -> Vector:
         if not self.witness.window.source.contains(p):

@@ -1,11 +1,14 @@
 """Spec generators shared by property and acceptance tests: seeded random
 specs, every finite abelian group up to an order, and every normal form of at
-most two summands built from a fixed list of atoms over the primes 2 and 3."""
+most two summands built from a fixed list of atoms over the primes 2 and 3.
+Also the readers that only tests need: subgroups of a finite group, a spec's
+multiplicity of one summand, and the coefficients of witness elements."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from sb_abelian.groupspec import (
@@ -181,3 +184,33 @@ def small_spec_texts() -> list[str]:
     for text in itertools.chain(terms, map(" + ".join, itertools.combinations(terms, 2))):
         kept.setdefault(parse_spec(text), text)
     return list(kept.values())
+
+
+def scaled_set(group, c: int) -> frozenset:
+    """The image c*G of a ``FiniteAbelianGroup``."""
+    return frozenset(group.smul(c, g) for g in group.elements())
+
+
+def torsion_set(group, c: int) -> frozenset:
+    """The kernel of multiplication by c on a ``FiniteAbelianGroup``."""
+    return frozenset(g for g in group.elements() if group.smul(c, g) == group.zero)
+
+
+def multiplicity(spec: GroupSpec, family: Summand) -> Cardinal:
+    """How often ``family`` occurs in the normal form ``spec``; 0 if it does not."""
+    return next((mult for fam, mult in spec.entries if fam == family), Cardinal.of(0))
+
+
+def grid_coefficient(x, m) -> Fraction:
+    """The coefficient of the monomial m in p**t * x, for a ``GridElement`` x."""
+    return dict(x.terms).get(m, Fraction(0)) * x.p**x.t
+
+
+def product_coefficient(x, i: int, j: int) -> Fraction:
+    """The tail coefficient of the monomial (i, j) in a ``ProductElement`` x."""
+    return dict(x.tail).get((i, j), Fraction(0))
+
+
+def product_support(x) -> tuple[tuple[int, int], ...]:
+    """The monomials (i, j) of a ``ProductElement``'s tail, in order."""
+    return tuple(m for m, _ in x.tail)

@@ -20,7 +20,7 @@ from sb_abelian.classify import (
 from sb_abelian.finite_oracle import realize
 from sb_abelian.groupspec import direct_sum, parse_spec
 
-from _gen import random_spec
+from _gen import random_spec, scaled_set
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def _index_bruteforce(factors):
     """|G / G*| where G* is the intersection of all nG, computed on elements."""
     g = realize(parse_spec("+".join(f"Z/{n}" for n in factors)))
     component = reduce(
-        lambda acc, n: acc & g.scaled_set(n), range(1, g.exponent + 1), set(g.elements())
+        lambda acc, n: acc & scaled_set(g, n), range(1, g.exponent + 1), set(g.elements())
     )
     return g.order // len(component)
 

@@ -16,17 +16,17 @@ from sb_abelian.cli import (
     MAX_ORDER_BOUND,
     MAX_PRECISION,
     MAX_WINDOW,
-    main,
+    run_cli,
 )
 from sb_abelian.finite_oracle import realize, subgroup_closure
 from sb_abelian.primes import EXACT_BOUND
 
-from _gen import finite_abelian_specs, small_spec_texts
+from _gen import finite_abelian_specs, scaled_set, small_spec_texts
 
 
 def run(capsys, *argv):
     """Invoke the CLI in-process, returning (exit code, stdout, stderr)."""
-    code = main(list(argv))
+    code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -252,21 +252,20 @@ def test_witness_errors_keep_their_exit_classes():
     from sb_abelian.classify import NotApplicableError
     from sb_abelian.finite_oracle import OrderBoundError
     from sb_abelian.groupspec import MSplitPreconditionError
-    from sb_abelian.relations import BudgetExceeded
+    from sb_abelian.relations import BudgetExceeded, RetriesExhausted
     from sb_abelian.witness_padic import (
-        CertificateFailed,
         DuplicatePrimeError,
         NoKPartError,
         UnsupportedMultiplicityError,
     )
-    from sb_abelian.witness_socle import NotSuperstableError, ScalarSearchFailed
+    from sb_abelian.witness_socle import NotSuperstableError
 
     assert NotApplicableError is groupspec.NotApplicableError
     assert BudgetExceeded is groupspec.BudgetExceeded
     for cls in (NoKPartError, DuplicatePrimeError, UnsupportedMultiplicityError,
                 NotSuperstableError, MSplitPreconditionError):
         assert issubclass(cls, NotApplicableError) and issubclass(cls, ValueError)
-    for cls in (CertificateFailed, ScalarSearchFailed, OrderBoundError):
+    for cls in (RetriesExhausted, OrderBoundError):
         assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
     assert issubclass(OrderBoundError, ValueError)
 
@@ -347,7 +346,7 @@ def test_oracle_purity_matches_one_closure_per_element(capsys):
     def reference(group):
         e = group.exponent
         divisors = [n for n in range(1, e + 1) if e % n == 0]
-        big = {n: group.scaled_set(n) for n in divisors}
+        big = {n: scaled_set(group, n) for n in divisors}
         pure, impure, samples, seen = 0, 0, [], set()
         for g in group.elements():
             sub = subgroup_closure(group, [g])
@@ -491,6 +490,17 @@ def test_huge_finite_multiplicities_exit_0_fast(capsys, argv):
     body = run_json(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert body["command"] == argv[0] and body.get("agree", True) is True
+
+
+def test_module_entry_point_matches_its_golden_entry():
+    # ``python -m sb_abelian`` and the console script call run_cli with no argv,
+    # so it reads sys.argv
+    corpus = json.loads(Path(__file__).with_name("golden_corpus.json").read_text("utf-8"))
+    expected = next(entry for entry in corpus if entry["argv"] == ["classify", "Zhat(5)"])
+    done = subprocess.run([sys.executable, "-m", "sb_abelian", *expected["argv"]],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        expected["code"], expected["stdout"], expected["stderr"])
 
 
 def test_oracle_ulm_at_the_order_cap_stays_small():

@@ -17,6 +17,8 @@ from sb_abelian.groupspec import PrimeSet
 from sb_abelian.witness_padic import build_padic_witness, random_member
 from sb_abelian.witness_socle import PrimeWindow, build_socle_witness, random_socle_member
 
+from _gen import grid_coefficient
+
 
 def _digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
@@ -94,7 +96,7 @@ def _padic_state(x) -> dict:
         "t": x.t,
         "str": str(x),
         "support": [str(m) for m in x.support],
-        "coefficients": [str(x.coefficient(m)) for m in x.support],
+        "coefficients": [str(grid_coefficient(x, m)) for m in x.support],
         "H1": _outcome(lambda: PADIC.membership(x, "H1")),
         "H2": _outcome(lambda: PADIC.membership(x, "H2")),
         "sums": [PADIC.coordinate_sum(x, s) for s in range(1, PADIC.k + 1)],

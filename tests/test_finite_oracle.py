@@ -16,7 +16,7 @@ from sb_abelian.finite_oracle import (
 from sb_abelian.groupspec import parse_spec
 from sb_abelian.primes import factorize
 
-from _gen import finite_abelian_specs, partitions
+from _gen import finite_abelian_specs, partitions, scaled_set, torsion_set
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +152,8 @@ def test_layer_sizes_match_the_element_sets():
         primes_here = sorted(factorize(group.order)) if group.order > 1 else []
         socle = {}
         for p in primes_here:
-            kernel = group.torsion_set(p)
-            sizes = [len(kernel & group.scaled_set(p**i))
+            kernel = torsion_set(group, p)
+            sizes = [len(kernel & scaled_set(group, p**i))
                      for i in range(math.ceil(math.log(group.order, p)) + 2)]
             socle[p] = dim(sizes[0], p)
             for i in range(len(sizes) - 1):

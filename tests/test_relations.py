@@ -17,13 +17,15 @@ from sb_abelian.groupspec import parse_spec
 from sb_abelian.padic import independence_certificate, seeded_unit
 from sb_abelian.primes import primes as all_primes
 from sb_abelian.relations import (
+    RETRIES,
     SCAN_BUDGET,
     BudgetExceeded,
+    RetriesExhausted,
+    first_passing,
     first_relation,
     monomials,
     search_space,
     seeded_rng,
-    survival_scan,
     survival_scans,
     terms,
 )
@@ -115,7 +117,7 @@ def test_padic_pigeonhole_relation_is_found():
 
 
 # ---------------------------------------------------------------------------
-# survival_scan: exact histogram and first minimizer over a prime window
+# survival_scans: exact histogram and first minimizer over a prime window
 
 
 @pytest.mark.parametrize("n,height,primes", [
@@ -130,7 +132,7 @@ def test_survival_scan_matches_brute_force(n, height, primes):
     rng = random.Random(f"scan:{n}:{height}:{primes}")
     for _ in range(5):
         values = random_values(rng, n, primes)
-        scan = survival_scan(values, primes, height)
+        scan = survival_scans(values, primes, height, None)[0]
         assert tuple(scan) == brute_scan(values, primes, height)
 
 
@@ -147,9 +149,9 @@ def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
         rng = random.Random(f"block:{block}")
         for n in (3, 4, 5):
             values = random_values(rng, n, primes)
-            assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
+            assert tuple(survival_scans(values, primes, 1, None)[0]) == brute_scan(values, primes, 1)
             target = [rng.randrange(p) for p in primes]
-            assert tuple(survival_scan(values, primes, 1, target)) == brute_scan(
+            assert tuple(survival_scans(values, primes, 1, [target])[0]) == brute_scan(
                 values, primes, 1, target)
             targets = [target, [0] * len(primes), [rng.randrange(p) for p in primes]]
             scans = survival_scans(values, primes, 1, targets)
@@ -170,10 +172,10 @@ def test_survival_scan_primes_beyond_one_byte():
     rng = random.Random("wide")
     for _ in range(5):
         values = random_values(rng, 4, primes)
-        assert tuple(survival_scan(values, primes, 1)) == brute_scan(values, primes, 1)
+        assert tuple(survival_scans(values, primes, 1, None)[0]) == brute_scan(values, primes, 1)
     # x - y vanishes only at the primes where the two values agree
     values = [[1, 5, 256, 7, 400, 408], [1, 6, 256, 8, 400, 407]]
-    scan = survival_scan(values, primes, 1)
+    scan = survival_scans(values, primes, 1, None)[0]
     assert scan.min_count == 3
     assert scan.argmin == (-1, 1)
 
@@ -184,11 +186,11 @@ def test_survival_scan_with_target():
     for n in (1, 3, 4):
         values = random_values(rng, n, primes)
         target = [rng.randrange(p) for p in primes]
-        scan = survival_scan(values, primes, 1, target)
+        scan = survival_scans(values, primes, 1, [target])[0]
         assert tuple(scan) == brute_scan(values, primes, 1, target)
         assert scan.candidates == 3**n
     # a target equal to one monomial is hit exactly by that monomial
-    scan = survival_scan([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], primes, 1, [2, 3, 4, 5, 6])
+    scan = survival_scans([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], primes, 1, [[2, 3, 4, 5, 6]])[0]
     assert (scan.min_count, scan.argmin) == (0, (0, 1))
 
 
@@ -202,7 +204,7 @@ def test_survival_scans_equal_one_scan_per_target():
         targets = [[rng.randrange(p) for p in primes] for _ in range(4)]
         targets.append([0] * len(primes))  # the zero target counts the zero vector
         scans = survival_scans(values, primes, height, targets)
-        assert scans == [survival_scan(values, primes, height, t) for t in targets]
+        assert scans == [survival_scans(values, primes, height, [t])[0] for t in targets]
         assert [tuple(s) for s in scans] == [
             brute_scan(values, primes, height, t) for t in targets]
 
@@ -228,14 +230,15 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_survival_scan_matches_brute_force_on_random_tables(case):
     values, primes, height, target = case
-    assert tuple(survival_scan(values, primes, height, target)) == brute_scan(
+    targets = None if target is None else [target]
+    assert tuple(survival_scans(values, primes, height, targets)[0]) == brute_scan(
         values, primes, height, target)
 
 
 def test_survival_scan_excludes_only_the_zero_vector():
     primes = (3, 5)
     values = [[0, 0], [1, 1]]
-    scan = survival_scan(values, primes, 1)
+    scan = survival_scans(values, primes, 1, None)[0]
     # (c, 0) vanishes everywhere for every c; the zero vector is not counted
     assert scan.candidates == 8
     assert dict(scan.histogram) == {0: 2, 2: 6}
@@ -247,7 +250,38 @@ def test_budgets():
         search_space(4, 1, 80)
     assert search_space(4, 1, 81) == 81
     with pytest.raises(BudgetExceeded, match=f"budget of {SCAN_BUDGET}"):
-        survival_scan([[1]] * 12, (5,), 4)
+        survival_scans([[1]] * 12, (5,), 4, None)
+
+
+# ---------------------------------------------------------------------------
+# first_passing: the retry loop both witness routes share
+
+
+def test_first_passing_returns_the_first_passing_draw_whole():
+    drawn = []
+
+    def draw(attempt):
+        drawn.append((attempt, "pair", types.SimpleNamespace(passed=attempt == 2)))
+        return drawn[-1]
+
+    assert first_passing(draw, lambda certificates: "unused") is drawn[2]
+    assert [attempt for attempt, _, _ in drawn] == [0, 1, 2]  # no draw after it
+
+
+def test_first_passing_raises_with_every_certificate_in_order():
+    certificates = [types.SimpleNamespace(passed=False, attempt=k) for k in range(RETRIES)]
+    seen = []
+
+    def failure(got):
+        seen.append(list(got))
+        return f"{len(got)} draws failed"
+
+    with pytest.raises(RetriesExhausted, match=f"^{RETRIES} draws failed$") as info:
+        first_passing(lambda attempt: ("pair", certificates[attempt]), failure)
+    assert info.value.attempts == RETRIES
+    assert info.value.certificates == tuple(certificates)
+    assert seen == [certificates]
+    assert isinstance(info.value, BudgetExceeded)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +363,7 @@ def test_survival_scan_memory_is_bounded():
     primes = list(islice(all_primes(), 80))
     rng = random.Random("memory")
     values = random_values(rng, 9, primes)
-    _, peak = traced_peak(survival_scan, values, primes, 2)
+    _, peak = traced_peak(survival_scans, values, primes, 2, None)
     assert peak <= 3.5 * 2**20
 
 

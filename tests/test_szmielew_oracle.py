@@ -37,7 +37,7 @@ from sb_abelian.groupspec import (
 )
 from sb_abelian.invariants import elementarily_equivalent, szmielew_invariants
 
-from _gen import random_cardinal, random_entries, random_spec
+from _gen import random_cardinal, random_entries, random_spec, scaled_set, torsion_set
 
 LEVEL = 2  # every explicit exponent is at most LEVEL
 DEPTH = LEVEL + 1  # truncations are read in G[p^DEPTH] and G/p^DEPTH G
@@ -122,9 +122,9 @@ def _measured(spec, p, size):
     if max(kernel.order, quotient.order) > ORDER_LIMIT:
         return None
     ulm = [ulm_bruteforce(kernel, p, k - 1) for k in range(1, LEVEL + 1)]
-    deep = kernel.scaled_set(p**LEVEL) & kernel.torsion_set(p)
-    layer = len(quotient.scaled_set(p**LEVEL)) // len(quotient.scaled_set(p ** (LEVEL + 1)))
-    head = quotient.order // len(quotient.scaled_set(p))
+    deep = scaled_set(kernel, p**LEVEL) & torsion_set(kernel, p)
+    layer = len(scaled_set(quotient, p**LEVEL)) // len(scaled_set(quotient, p ** (LEVEL + 1)))
+    head = quotient.order // len(scaled_set(quotient, p))
     return ulm + [_log(len(deep), p), _log(layer, p), _log(head, p)]
 
 
@@ -193,7 +193,7 @@ def _index_bruteforce(spec):
     )) for size in SIZES]
     top = max((fam.k for fam, _ in spec.entries if isinstance(fam, Cyclic)), default=0)
     primes = sorted({fam.p for fam, _ in spec.entries if isinstance(fam, Cyclic)})
-    lattice = {tuple(g.scaled_set(p**i) & g.torsion_set(p**j) for g in groups)
+    lattice = {tuple(scaled_set(g, p**i) & torsion_set(g, p**j) for g in groups)
                for p in primes for i in range(top + 1) for j in range(top + 1)}
     lattice.add(tuple(frozenset(g.elements()) for g in groups))
     frontier = list(lattice)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from sb_abelian.classify import NotApplicableError
 from sb_abelian.groupspec import PrimeSet, parse_spec
-from sb_abelian.relations import grid_allows
+from sb_abelian.relations import RetriesExhausted, grid_allows
 from sb_abelian.witness_socle import (
     AutomorphismPair,
     NonCanonicalError,
     NotSuperstableError,
     PrimeWindow,
     ProductElement,
-    ScalarSearchFailed,
     build_socle_witness,
     choose_scalars,
     product_membership,
@@ -24,6 +23,8 @@ from sb_abelian.witness_socle import (
     reduce_unbounded_torsion,
     window_from_socle,
 )
+
+from _gen import product_coefficient, product_support
 
 ODD_PRIMES = PrimeSet.cofinite({2})
 ALL_PRIMES = PrimeSet.cofinite()
@@ -134,12 +135,11 @@ def test_choose_scalars_unmeetable_threshold_fails():
     # the only units mod 3 are 1 and -1, so x - 1 or x + 1 vanishes at p = 3
     # and no draw survives at all 8 window primes
     w = PrimeWindow.over(ODD_PRIMES, 8)
-    with pytest.raises(ScalarSearchFailed) as info:
+    with pytest.raises(RetriesExhausted) as info:
         choose_scalars(w, max_exponent=1, height_bound=1, threshold=8, seed=0)
     assert info.value.attempts == 8
     assert "after 8 attempt(s)" in str(info.value)
-    assert info.value.best is not None
-    assert info.value.best.min_count == 6
+    assert max(cert.min_count for cert in info.value.certificates) == 6
 
 
 def test_choose_scalars_constant_polynomials_trivially_pass():
@@ -151,8 +151,9 @@ def test_choose_scalars_constant_polynomials_trivially_pass():
 
 def test_choose_scalars_threshold_beyond_width():
     w = PrimeWindow.over(ODD_PRIMES, 3)
-    with pytest.raises(ScalarSearchFailed, match="exceeds the window width"):
+    with pytest.raises(RetriesExhausted, match="exceeds the window width") as info:
         choose_scalars(w, threshold=4, max_exponent=1, height_bound=1)
+    assert info.value.attempts == 0 and info.value.certificates == ()
 
 
 def test_choose_scalars_validation():
@@ -285,7 +286,7 @@ def test_fraction_reduction_keeps_evaluations_exact():
     # p=3 must survive the cancellation as an exception entry
     a = WIT.base_point()
     x = a.pseudo_divide(3).scale(3)
-    assert x.coefficient(0, 0) == 1
+    assert product_coefficient(x, 0, 0) == 1
     assert x.evaluate(3) == (0,)
     assert x.evaluate(5) == a.evaluate(5)
     assert x != a  # they differ at p=3, and the forms record it
@@ -296,7 +297,7 @@ def test_apply_scalar_shifts_and_multiplies():
     x = random_socle_member(WIT, rng)
     y = x.apply_scalar(1)
     z = x.apply_scalar(2)
-    assert y.support() == tuple((i + 1, j) for i, j in x.support())
+    assert product_support(y) == tuple((i + 1, j) for i, j in product_support(x))
     for p in (3, 7, 13):
         s, t = WIT.scalars.at(p)
         assert y.evaluate(p) == tuple(s * v % p for v in x.evaluate(p))

@@ -9,6 +9,7 @@ CLI reports all of them plus the witness route for the negative cases.
 """
 
 from sb_abelian.classify import (
+    connected_component_index,
     divisible_plus_bounded,
     has_sb,
     stability_class,
@@ -39,6 +40,6 @@ print("\nindependent characterizations for Zhat(5):")
 spec = parse_spec("Zhat(5)")
 print(f"  divisible + bounded-torsion form: {divisible_plus_bounded(spec)}")
 report = unipotence_report(spec)
-print(f"  connected-quotient index: {report.index}")
+print(f"  connected-quotient index: {connected_component_index(spec)}")
 print(f"  all automorphisms unipotent: {report.unipotent_all}")
 print(f"  witness family: {report.witness}")

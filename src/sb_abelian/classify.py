@@ -48,7 +48,6 @@ __all__ = [
     "WitnessRoute",
     "SbVerdict",
     "BasicPredicates",
-    "Continuum",
     "CONTINUUM",
     "NonUnipotentWitness",
     "UnipotenceReport",
@@ -173,34 +172,17 @@ def has_sb(spec: GroupSpec) -> SbVerdict:
     )
 
 
-class Continuum:
-    """Index value 2**aleph_0 (the connected quotient is not small)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Continuum()"
-
-    def __str__(self) -> str:
-        return "2^aleph(0)"
+CONTINUUM = "2^aleph(0)"  # the index 2**aleph_0: the connected quotient is not small
 
 
-CONTINUUM = Continuum()
-
-
-def connected_component_index(spec: GroupSpec) -> int | Continuum:
+def connected_component_index(spec: GroupSpec) -> int | str:
     """Index of the intersection of the finite-index definable subgroups.
 
     For omega-stable specs it is the product over p of
     p**((k - K_p) * U(p, k)) for k > K_p, where K_p is the largest k with
     U(p, k) infinite (0 if there is none): at each p, G[p**K_p] + p**N G for
     N beyond every finite exponent has that index and lies in every definable
-    subgroup of finite index.  Any other theory has index continuum.  An
+    subgroup of finite index.  Any other theory has index ``CONTINUUM``.  An
     index of more than 4300 digits, which could not be printed, raises
     ValueError before it is computed.
 
@@ -210,7 +192,7 @@ def connected_component_index(spec: GroupSpec) -> int | Continuum:
     >>> connected_component_index(parse_spec("Z/4 + Z/2^w"))
     2
     >>> connected_component_index(parse_spec("Zhat(5)"))
-    Continuum()
+    '2^aleph(0)'
     """
     if stability_class(spec) is not StabilityClass.OMEGA_STABLE:
         return CONTINUUM
@@ -236,7 +218,6 @@ class NonUnipotentWitness(Record):
 
 
 class UnipotenceReport(Record):
-    index: "int | Continuum"
     unipotent_all: bool
     witness: NonUnipotentWitness | None
 
@@ -253,9 +234,8 @@ def unipotence_report(spec: GroupSpec) -> UnipotenceReport:
     stability = stability_class(spec)
     if stability is StabilityClass.NOT_SUPERSTABLE:
         raise NotApplicableError("unipotence analysis requires a superstable theory")
-    index = connected_component_index(spec)
     if stability is StabilityClass.OMEGA_STABLE:
-        return UnipotenceReport(index=index, unipotent_all=True, witness=None)
+        return UnipotenceReport(unipotent_all=True, witness=None)
     for fam, _ in spec.entries:
         if isinstance(fam, PAdicComplete):
             witness = NonUnipotentWitness(
@@ -286,4 +266,4 @@ def unipotence_report(spec: GroupSpec) -> UnipotenceReport:
             break
     else:  # pragma: no cover - unreachable: some non-(*) entry must exist
         raise AssertionError("superstable-not-omega-stable spec without witness entry")
-    return UnipotenceReport(index=index, unipotent_all=False, witness=witness)
+    return UnipotenceReport(unipotent_all=False, witness=witness)

@@ -103,13 +103,7 @@ def _classify(args: SimpleNamespace) -> dict:
     omega = cls is StabilityClass.OMEGA_STABLE
     superstable = cls is not StabilityClass.NOT_SUPERSTABLE
     condition3 = divisible_plus_bounded(spec)
-    if superstable:
-        report = unipotence_report(spec)
-        condition4 = report.unipotent_all
-        index = report.index
-    else:
-        condition4 = False
-        index = connected_component_index(spec)
+    condition4 = superstable and unipotence_report(spec).unipotent_all
     agreement = verdict.has_sb == omega == condition3 == condition4
     preds = basic_predicates(spec)
     return {
@@ -123,7 +117,7 @@ def _classify(args: SimpleNamespace) -> dict:
         "stability": cls.value,
         "route": verdict.route.value if verdict.route else None,
         "reason": verdict.reason,
-        "connected_component_index": index if isinstance(index, int) else str(index),
+        "connected_component_index": connected_component_index(spec),
         "divisible": preds.divisible,
         "reduced": preds.reduced,
         "exponent": preds.exponent,

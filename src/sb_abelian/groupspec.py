@@ -455,7 +455,7 @@ def socle(spec: GroupSpec) -> GroupSpec:
 
 
 class NotApplicableError(ValueError):
-    """The requested report is undefined for this stability class; the CLI exits 3."""
+    """The requested report or witness does not apply to this spec; the CLI exits 3."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -478,15 +478,12 @@ class MSplitResult(Record):
 
     ``torsion`` is the m-torsion part, ``complement`` the part isomorphic to
     m*G.  Quasicyclic summands land in both: their m-torsion shows up in
-    ``torsion`` (flagged in ``prufer_overlap``) while the full quasicyclic
-    group survives multiplication by m.  ``torsion_without_overlap`` +
-    ``complement`` reassembles the input.
+    ``torsion`` while the full quasicyclic group survives multiplication by
+    m.  Without them, ``torsion`` + ``complement`` reassembles the input.
     """
 
     torsion: GroupSpec
     complement: GroupSpec
-    prufer_overlap: GroupSpec
-    torsion_without_overlap: GroupSpec
 
 
 def m_split(spec: GroupSpec, m: int) -> MSplitResult:
@@ -502,8 +499,7 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     mfact = factorize(m) if m > 1 else {}
-    tors: list[Entry] = []      # m-torsion coming from reduced summands
-    overlap: list[Entry] = []   # m-torsion of quasicyclic summands
+    tors: list[Entry] = []
     comp: list[Entry] = []
     for fam, mult in spec.entries:
         if isinstance(fam, Cyclic):
@@ -527,18 +523,13 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
         elif isinstance(fam, Prufer):
             if fam.p in mfact:
                 # the m-torsion of a quasicyclic group is cyclic of order p^v
-                overlap.append((Cyclic(fam.p, mfact[fam.p]), mult))
+                tors.append((Cyclic(fam.p, mfact[fam.p]), mult))
             comp.append((fam, mult))
         else:
             # Rationals, PAdicComplete, PAdicPrimeFamily: torsion-free, and
             # multiplication by m is injective with isomorphic image.
             comp.append((fam, mult))
-    return MSplitResult(
-        torsion=normalize(tors + overlap),
-        complement=normalize(comp),
-        prufer_overlap=normalize(overlap),
-        torsion_without_overlap=normalize(tors),
-    )
+    return MSplitResult(torsion=normalize(tors), complement=normalize(comp))
 
 
 def split_reduced_divisible(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, GroupSpec]:

@@ -33,7 +33,6 @@ __all__ = [
     "IndependenceCertificate",
     "NonUnitError",
     "PAdicApprox",
-    "PrecisionMismatch",
     "SingularModP",
     "independence_certificate",
     "matrix_inverse_mod",
@@ -41,10 +40,6 @@ __all__ = [
     "seeded_unit",
     "valuation_at_least",
 ]
-
-
-class PrecisionMismatch(ValueError):
-    """Operands live at different primes or precisions."""
 
 
 class NonUnitError(ArithmeticError):
@@ -245,7 +240,7 @@ def independence_certificate(
     the certificate.
     """
     if (g1.p, g1.precision) != (g2.p, g2.precision):
-        raise PrecisionMismatch("the two values disagree on p or precision")
+        raise ValueError("the two values disagree on p or precision")
     if max_exponent < 0:
         raise ValueError("max_exponent must be >= 0")
     if height_bound < 1:

@@ -8,7 +8,7 @@ bound on.  ``factorize`` splits with Pollard-Brent rho.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, islice
 from math import gcd
 from typing import Iterator
 
@@ -64,13 +64,9 @@ def primes() -> Iterator[int]:
 
 def first_primes_excluding(count_: int, excluded: frozenset[int] | set[int]) -> tuple[int, ...]:
     """The first ``count_`` primes not in ``excluded``, in increasing order."""
-    out = []
-    for p in primes():
-        if p not in excluded:
-            out.append(p)
-            if len(out) == count_:
-                break
-    return tuple(out)
+    if count_ < 0:
+        raise ValueError(f"cannot take {count_} primes")
+    return tuple(islice((p for p in primes() if p not in excluded), count_))
 
 
 def factorize(n: int) -> dict[int, int]:

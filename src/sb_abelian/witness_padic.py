@@ -49,15 +49,11 @@ if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
     from fractions import Fraction
 
 __all__ = [
-    "DuplicatePrimeError",
     "GridElement",
     "GridMonomial",
     "MixedGroupWitness",
     "MultiPrimeWitness",
-    "NoKPartError",
     "PAdicWitnessPair",
-    "PrecisionInsufficient",
-    "UnsupportedMultiplicityError",
     "apply_scalar",
     "build_padic_witness",
     "elementary_matrix_probe",
@@ -66,23 +62,6 @@ __all__ = [
     "multi_prime_witness",
     "random_member",
 ]
-
-
-class PrecisionInsufficient(ValueError):
-    """A denominator exponent at or beyond the working precision."""
-
-
-class DuplicatePrimeError(NotApplicableError):
-    """Multi-prime assembly requires pairwise distinct primes."""
-
-
-class NoKPartError(NotApplicableError):
-    """The spec has no completion summand to build on."""
-
-
-class UnsupportedMultiplicityError(NotApplicableError):
-    """Completion summands must occur with finite multiplicity (and not
-    range over an infinite family of primes) for a concrete finite witness."""
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +258,7 @@ def grid_membership(x: GridElement, which: str, w: PAdicWitnessPair) -> bool:
     if x.p != w.p:
         raise ValueError("element and witness pair use different primes")
     if x.t >= w.precision:
-        raise PrecisionInsufficient(
-            f"denominator exponent {x.t} at precision {w.precision}"
-        )
+        raise ValueError(f"denominator exponent {x.t} at precision {w.precision}")
     for m in x.support:
         if m.s > w.k:
             raise ValueError(f"coordinate {m.s} exceeds k={w.k}")
@@ -410,7 +387,7 @@ def multi_prime_witness(
         raise ValueError("at least one (prime, power) component is required")
     primes = [p for p, _ in pairs]
     if len(set(primes)) != len(primes):
-        raise DuplicatePrimeError(f"repeated primes in {primes}")
+        raise NotApplicableError(f"repeated primes in {primes}")
     components = tuple(
         build_padic_witness(
             p,
@@ -468,17 +445,17 @@ def mixed_group_witness(
     """
     k_part, c_part, d_part = split_reduced_divisible(spec)
     if k_part.is_trivial:
-        raise NoKPartError(f"{spec} has no completion summand")
+        raise NotApplicableError(f"{spec} has no completion summand")
     key = szmielew_invariants(k_part)
     if key.generic.exp != Cardinal.of(0):
-        raise UnsupportedMultiplicityError(
+        raise NotApplicableError(
             "completion summands ranging over a prime family cannot be "
             "assembled componentwise; pick finitely many primes"
         )
     pairs = []
     for p, rec in key.primes:
         if not rec.exp.is_finite:
-            raise UnsupportedMultiplicityError(
+            raise NotApplicableError(
                 f"completion power at p={p} has infinite multiplicity; "
                 "a concrete witness needs a finite power"
             )

@@ -62,8 +62,6 @@ if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
 __all__ = [
     "AutomorphismPair",
     "AvoidanceCertificate",
-    "NonCanonicalError",
-    "NotSuperstableError",
     "PrimeWindow",
     "ProductElement",
     "ProperInclusionCheck",
@@ -80,14 +78,6 @@ __all__ = [
 ]
 
 Vector = tuple[int, ...]
-
-
-class NonCanonicalError(ValueError):
-    """A product element was not in canonical (merged, reduced) form."""
-
-
-class NotSuperstableError(NotApplicableError):
-    """The reduction pipeline rejects input outside the superstable regime."""
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +562,7 @@ def product_membership(
     if w is not None and w is not x.witness:
         raise ValueError("element belongs to a different witness")
     if not x.is_canonical():
-        raise NonCanonicalError("membership wants a canonical element")
+        raise ValueError("membership wants a canonical element")
     return all(grid_allows(which, i, j) for (i, j), _ in x.tail)
 
 
@@ -613,7 +603,7 @@ def random_socle_member(
     check_grid(which)
     acc = w.zero()
     window = w.window.primes
-    dens = [1, 1, 2, window[0], window[1], window[0] * 2]
+    dens = [1, 1, 2, *window[:2], window[0] * 2]  # a window may hold one prime
     for _ in range(rng.randrange(1, 4)):
         if which == "H2" and rng.random() < 0.25:
             i, j = 0, 0
@@ -666,6 +656,8 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
     most d + 1 scans: three at d = 2.  A scan's T targets split one target's
     block of rows T ways, so it holds no more counters than the avoidance scan.
     """
+    if max_shift < 0:
+        raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
     cert = w.certificate
     d, height = cert.max_exponent, cert.height_bound
     shifts: dict[tuple, list[int]] = {}  # shifts m >= d all allow every monomial
@@ -732,7 +724,7 @@ def reduce_unbounded_torsion(
     transcript: list[dict] = []
     cls = stability_class(spec)
     if cls is StabilityClass.NOT_SUPERSTABLE:
-        raise NotSuperstableError(
+        raise NotApplicableError(
             "a fixed prime carries unbounded exponents, or infinitely many "
             "primes carry summands of infinite multiplicity"
         )

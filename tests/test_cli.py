@@ -253,18 +253,11 @@ def test_witness_errors_keep_their_exit_classes():
     from sb_abelian.finite_oracle import OrderBoundError
     from sb_abelian.groupspec import MSplitPreconditionError
     from sb_abelian.relations import BudgetExceeded, RetriesExhausted
-    from sb_abelian.witness_padic import (
-        DuplicatePrimeError,
-        NoKPartError,
-        UnsupportedMultiplicityError,
-    )
-    from sb_abelian.witness_socle import NotSuperstableError
 
     assert NotApplicableError is groupspec.NotApplicableError
     assert BudgetExceeded is groupspec.BudgetExceeded
-    for cls in (NoKPartError, DuplicatePrimeError, UnsupportedMultiplicityError,
-                NotSuperstableError, MSplitPreconditionError):
-        assert issubclass(cls, NotApplicableError) and issubclass(cls, ValueError)
+    assert issubclass(MSplitPreconditionError, NotApplicableError)
+    assert issubclass(NotApplicableError, ValueError)
     for cls in (RetriesExhausted, OrderBoundError):
         assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
     assert issubclass(OrderBoundError, ValueError)
@@ -272,7 +265,7 @@ def test_witness_errors_keep_their_exit_classes():
 
 @pytest.mark.parametrize("argv, needle", [
     (["witness", "sumP(all; Zhat)"], "ranging over a prime family"),
-], ids=["UnsupportedMultiplicityError"])
+], ids=["prime_family_completion"])
 def test_witness_precondition_errors_exit_3(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PRECONDITION and out == ""
@@ -283,8 +276,7 @@ def test_witness_precondition_errors_exit_3(capsys, argv, needle):
 def test_witness_refuses_non_superstable_theory_on_every_route(capsys, spec):
     # the classifier's verdict is checked before any builder runs, so the
     # refusal does not blame the multiplicity (Zhat(5)^w) or come from the
-    # socle builder's own stability gate (sumK(2; all), whose
-    # NotSuperstableError stays library-only)
+    # socle builder's own stability gate (sumK(2; all))
     code, out, err = run(capsys, "witness", spec)
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("sb-abelian: the theory is not superstable")

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sb_abelian import groupspec
 from sb_abelian.groupspec import (
     ALEPH0,
     ALL_PRIMES,
@@ -274,8 +279,8 @@ def test_m_split_example():
     r = m_split(parse_spec("Z/4 + Z/3 + Q"), 4)
     assert r.torsion == parse_spec("Z/4")
     assert r.complement == parse_spec("Z/3 + Q")
-    assert r.prufer_overlap.is_trivial
-    assert direct_sum(r.torsion_without_overlap, r.complement) == parse_spec("Z/4 + Z/3 + Q")
+    assert m_split(r.complement, 4).torsion.is_trivial  # no quasicyclic 4-torsion
+    assert direct_sum(r.torsion, r.complement) == parse_spec("Z/4 + Z/3 + Q")
 
 
 def test_m_split_rejects_partial_annihilation():
@@ -295,11 +300,11 @@ def test_m_split_trivial_m():
 def test_m_split_prufer_overlap_flagged():
     r = m_split(parse_spec("Prufer(2)^w + Z/3"), 4)
     assert r.torsion == parse_spec("Z/4^w")
-    assert r.prufer_overlap == parse_spec("Z/4^w")
+    # the quasicyclic 4-torsion is counted in both parts: it is the
+    # complement's own 4-torsion, and it is all of the torsion part
+    assert m_split(r.complement, 4).torsion == parse_spec("Z/4^w")
     assert r.complement == parse_spec("Prufer(2)^w + Z/3")
-    assert direct_sum(r.torsion_without_overlap, r.complement) == parse_spec(
-        "Prufer(2)^w + Z/3"
-    )
+    assert r.torsion == m_split(r.complement, 4).torsion
 
 
 def test_m_split_family_prime_extraction():
@@ -317,7 +322,7 @@ def test_m_split_roundtrip_exhaustive_small():
                 r = m_split(spec, m)
             except MSplitPreconditionError:
                 continue
-            combined = direct_sum(r.torsion_without_overlap, r.complement)
+            combined = direct_sum(r.torsion, r.complement)  # no quasicyclic summand
             assert combined == spec
             # the torsion part matches the brute-force m-torsion subgroup
             torsion_sub = torsion_set(group, m)
@@ -404,3 +409,18 @@ def test_prime_set_algebra():
     # normal forms order families by the excluded primes as a string
     assert str(parse_spec("sumP(all\\{2}; Zhat) + sumP(all; Zhat) + sumP(all\\{11}; Zhat)")) == (
         "sumP(all; Zhat) + sumP(all\\{11}; Zhat) + sumP(all\\{2}; Zhat)")
+
+
+def test_first_n_takes_no_prime_for_zero_and_refuses_a_negative_count():
+    # a child process turns a hang into a failure
+    probe = "\n".join([
+        "import sys; sys.path.insert(0, sys.argv[1])",
+        "from sb_abelian.groupspec import PrimeSet",
+        "print(PrimeSet.cofinite().first_n(0))",
+        "try: PrimeSet.cofinite().first_n(-1)",
+        "except ValueError as err: print(err)",
+    ])
+    src = str(Path(groupspec.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          timeout=10)
+    assert (done.returncode, done.stdout) == (0, "()\ncannot take -1 primes\n"), done.stderr

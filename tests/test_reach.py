@@ -17,8 +17,6 @@ import reach
 # the error of an m-split whose precondition no entry point breaks; and the
 # p-adic valuation helpers, which criterion 7 reads and ROADMAP keeps on purpose.
 UNRUN = {
-    "sb_abelian.classify.Continuum.__new__",
-    "sb_abelian.classify.Continuum.__repr__",
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__eq__",
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__hash__",
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__repr__",

@@ -10,8 +10,6 @@ from sb_abelian.groupspec import PrimeSet, parse_spec
 from sb_abelian.relations import RetriesExhausted, grid_allows
 from sb_abelian.witness_socle import (
     AutomorphismPair,
-    NonCanonicalError,
-    NotSuperstableError,
     PrimeWindow,
     ProductElement,
     build_socle_witness,
@@ -389,6 +387,17 @@ def test_pseudo_divide_preserves_membership():
         assert WIT.membership(x.pseudo_divide(21), "H1")
 
 
+def test_random_member_on_a_window_of_one_prime():
+    # PrimeWindow.over allows a window of one prime, so the denominators must
+    # not need a second
+    w = build_socle_witness(PrimeWindow.over(ALL_PRIMES, 1), max_exponent=0,
+                            height_bound=1, threshold=1)
+    rng = random.Random(0)
+    for which in ("H1", "H2"):
+        for _ in range(20):
+            assert w.membership(random_socle_member(w, rng, which), which)
+
+
 def test_element_from_json_rejects_non_canonical():
     # The three shapes a JSON element reader would have to reject; with no
     # such reader, membership is the gate that refuses them.
@@ -398,13 +407,13 @@ def test_element_from_json_rejects_non_canonical():
         ProductElement(WIT, (((1, 0), one), ((0, 0), one)), ()),  # unsorted tail
         ProductElement(WIT, (), ((3, (0,)),)),  # zero exception vector
     ):
-        with pytest.raises(NonCanonicalError):
+        with pytest.raises(ValueError, match="membership wants a canonical element"):
             product_membership(bad, "H1")
 
 
 def test_membership_rejects_non_canonical_elements():
     bad = ProductElement(WIT, (((0, 0), Fraction(0)),), ())
-    with pytest.raises(NonCanonicalError):
+    with pytest.raises(ValueError, match="membership wants a canonical element"):
         product_membership(bad, "H1")
     with pytest.raises(ValueError, match="one of"):
         product_membership(WIT.base_point(), "H3")
@@ -445,6 +454,14 @@ def test_proper_inclusion_check_passes_at_test_scale():
     data = check.to_json()
     assert data["passed"] is True
     assert len(data["rows"]) == 4
+
+
+def test_proper_inclusion_check_refuses_a_negative_max_shift():
+    # no shift would be scanned, and an empty check would pass
+    w = build_socle_witness(PrimeWindow.over(ALL_PRIMES, 20), max_exponent=2,
+                            height_bound=2, threshold=3)
+    with pytest.raises(ValueError, match="max_shift must be nonnegative, got -1"):
+        proper_inclusion_check(w, max_shift=-1)
 
 
 @pytest.mark.parametrize("text,seed,counts", [
@@ -515,12 +532,12 @@ def test_reduce_carries_divisible_summands_with_a_flagged_reading():
 
 
 def test_reduce_rejects_unbounded_exponent_at_a_fixed_prime():
-    with pytest.raises(NotSuperstableError):
+    with pytest.raises(NotApplicableError, match="a fixed prime carries unbounded exponents"):
         _reduce("sumK(3; all)")
 
 
 def test_reduce_rejects_infinite_multiplicity_over_infinitely_many_primes():
-    with pytest.raises(NotSuperstableError):
+    with pytest.raises(NotApplicableError, match="a fixed prime carries unbounded exponents"):
         _reduce("sumP(all; Z/p^1)^w")
 
 

@@ -19,6 +19,7 @@ from sb_abelian.witness_padic import (
     apply_scalar,
     build_padic_witness,
     elementary_matrix_probe,
+    grid_membership,
     random_member,
 )
 
@@ -34,22 +35,22 @@ print(f"  certificate: {w.certificate.candidates} candidate relations, "
 # the generator e1 sits in both pure closures; unit2*e1 only in the first
 e1 = GridElement.of(5, {GridMonomial(0, 0, 1): Fraction(1)})
 shifted = apply_scalar(w, "unit2", e1)
-print(f"\ne1 in H1: {w.membership(e1, 'H1')},  in H2: {w.membership(e1, 'H2')}")
-print(f"unit2*e1 in H1: {w.membership(shifted, 'H1')},  "
-      f"in H2: {w.membership(shifted, 'H2')}")
+print(f"\ne1 in H1: {grid_membership(e1, 'H1', w)},  in H2: {grid_membership(e1, 'H2', w)}")
+print(f"unit2*e1 in H1: {grid_membership(shifted, 'H1', w)},  "
+      f"in H2: {grid_membership(shifted, 'H2', w)}")
 
 # scaling by unit1 maps H1 into H2 — that's one of the two embeddings
 rng = random.Random(11)
 x = random_member(w, rng, "H1")
 print(f"\na random H1 member has {len(x.support)} grid terms, "
       f"denominator exponent {x.t}")
-print(f"  unit1 * x lands in H2: {w.membership(apply_scalar(w, 'unit1', x), 'H2')}")
+print(f"  unit1 * x lands in H2: {grid_membership(apply_scalar(w, 'unit1', x), 'H2', w)}")
 
 # exact division: members divisible by p stay members after dividing
 r = w.unit1.truncate(1).residue
 y = x.shift(1, 0) - x.scale(r)          # (unit1 - r)*x is divisible by 5
 fifth = y.scale(Fraction(1, 5))
-print(f"  (unit1 - {r})*x / 5 still in H1: {w.membership(fifth, 'H1')}")
+print(f"  (unit1 - {r})*x / 5 still in H1: {grid_membership(fifth, 'H1', w)}")
 
 # any recorded embedding is a matrix A mod 5^N; the probe inverts a sample
 # once and checks that A B and B A are the identity mod 5^n for every n <= N

@@ -16,6 +16,7 @@ from sb_abelian.groupspec import PrimeSet, parse_spec
 from sb_abelian.witness_socle import (
     PrimeWindow,
     build_socle_witness,
+    product_membership,
     proper_inclusion_check,
     pseudo_divide,
     random_socle_member,
@@ -33,9 +34,9 @@ print(f"avoidance certificate: {w.certificate.candidates} candidates, "
 
 a = w.base_point()
 print(f"\nbase point evaluates to {a.evaluate(3)} at p=3, {a.evaluate(7)} at p=7")
-print(f"base point in H1: {w.membership(a, 'H1')}")
+print(f"base point in H1: {product_membership(a, 'H1', w)}")
 print(f"second scalar applied: in H2? "
-      f"{w.membership(a.apply_scalar(2), 'H2')} (the shifted monomial leaves the grid)")
+      f"{product_membership(a.apply_scalar(2), 'H2', w)} (the shifted monomial leaves the grid)")
 
 # pseudo-division composes on the nose
 x = random_socle_member(w, random.Random(5), "H1")

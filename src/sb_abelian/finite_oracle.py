@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .groupspec import BudgetExceeded, Cyclic, GroupSpec
-from .primes import factorize, p_valuation
+from .primes import factorize, is_prime, p_valuation
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -186,7 +186,7 @@ def ulm_bruteforce(group: FiniteAbelianGroup, p: int, i: int) -> int:
     >>> ulm_bruteforce(FiniteAbelianGroup((8,)), 2, 2)
     1
     """
-    if i < 0 or p < 2:
+    if i < 0 or not is_prime(p):
         raise ValueError(f"need a prime p and an Ulm index >= 0, got p={p}, i={i}")
     layer = _socle_layer_size(group, p, p**i)
     return p_valuation(layer // _socle_layer_size(group, p, p ** (i + 1)), p)

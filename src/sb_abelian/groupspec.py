@@ -38,7 +38,6 @@ sum), which the grammar above cannot spell.
 from __future__ import annotations
 
 import functools
-from itertools import compress
 from typing import Iterable
 
 from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
@@ -78,14 +77,11 @@ class Record:
 
     Fields are the class's own annotations; omitted trailing ones default to
     class attributes.  Equality, hash and order read the field tuple kept at
-    construction.  Class keywords: ``order`` and ``eq`` as for a dataclass,
-    and ``hidden`` fields, which equality, hash and ``repr`` skip.
+    construction.  Class keywords: ``order`` and ``eq`` as for a dataclass.
     """
 
-    def __init_subclass__(cls, eq: bool = True, order: bool = False, hidden: tuple = ()):
+    def __init_subclass__(cls, eq: bool = True, order: bool = False):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._shown = tuple(f for f in cls._fields if f not in hidden)
-        cls._mask = tuple(f not in hidden for f in cls._fields) if hidden else None
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         for name in ("__lt__", "__le__", "__gt__", "__ge__") if order else ():
@@ -101,7 +97,7 @@ class Record:
                 raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
             args += tuple(rest[f] for f in fields[len(args):])
         self.__dict__.update(zip(fields, args))
-        self.__dict__["_values"] = args if cls._mask is None else tuple(compress(args, cls._mask))
+        self.__dict__["_values"] = args
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -121,7 +117,7 @@ class Record:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown)
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def to_json(self) -> dict:

@@ -43,6 +43,7 @@ from .groupspec import (
     Prufer,
     Summand,
 )
+from .primes import ensure_prime
 
 __all__ = [
     "PrimeRecord",
@@ -177,6 +178,7 @@ def ulm_invariant(spec: GroupSpec, p: int, i: int) -> Cardinal:
     """
     if i < 0:
         raise ValueError(f"Ulm index must be >= 0, got {i}")
+    ensure_prime(p, "Ulm prime")
     return szmielew_invariants(spec).ulm(p, i + 1)
 
 

@@ -150,6 +150,9 @@ def matrix_product_mod(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int
 ) -> list[list[int]]:
     """The product of two integer matrices, reduced mod ``modulus``."""
+    inner, width = len(b), len(b[0]) if b else 0
+    if any(len(row) != inner for row in a) or any(len(row) != width for row in b):
+        raise ValueError("matrix shapes do not multiply")
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % modulus for col in cols] for row in a]
 
@@ -241,10 +244,6 @@ def independence_certificate(
     """
     if (g1.p, g1.precision) != (g2.p, g2.precision):
         raise ValueError("the two values disagree on p or precision")
-    if max_exponent < 0:
-        raise ValueError("max_exponent must be >= 0")
-    if height_bound < 1:
-        raise ValueError("height_bound must be >= 1")
     if g1.residue % g1.p == 0 or g2.residue % g2.p == 0:
         raise NonUnitError("independence search requires unit inputs")
 

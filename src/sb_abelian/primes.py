@@ -157,9 +157,11 @@ def _brent_factor(n: int) -> int:
 
 
 def p_valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n != 0)."""
+    """Largest e with p**e dividing n (n != 0, p >= 2)."""
     if n == 0:
         raise ValueError("valuation of 0 is unbounded")
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     e = 0
     while n % p == 0:
         n //= p

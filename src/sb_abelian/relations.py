@@ -102,6 +102,8 @@ def monomials(max_exponent: int) -> list[tuple[int, int]]:
     >>> monomials(1)
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
+    if max_exponent < 0:
+        raise ValueError("max_exponent must be >= 0")
     return [(i, j) for i in range(max_exponent + 1) for j in range(max_exponent + 1)]
 
 
@@ -129,7 +131,15 @@ def relation_str(relation: Sequence[Vector]) -> str:
 
 def search_space(positions: int, height: int, budget: int | None) -> int:
     """The size of [-height, height]^positions; raises :class:`BudgetExceeded`
-    above ``budget`` (None: unlimited), so no partial search is certified."""
+    above ``budget`` (None: unlimited), so no partial search is certified.
+
+    Every search checks its bounds here: ``ValueError`` for a height below 1
+    or no positions, where the search would be empty and certify nothing.
+    """
+    if height < 1:
+        raise ValueError("height_bound must be >= 1")
+    if positions < 1:
+        raise ValueError("a search needs at least one monomial")
     candidates = (2 * height + 1) ** positions
     if budget is not None and candidates > budget:
         raise BudgetExceeded(
@@ -162,6 +172,9 @@ def first_relation(values: Sequence[int], height: int, modulus: int) -> Vector |
     >>> first_relation([1, 1], 1, 7)
     (-1, 1)
     """
+    search_space(len(values), height, None)
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     n, split, coeffs = len(values), len(values) // 2, range(-height, height + 1)
     high, low = (_residues(part, modulus, coeffs, [0]) for part in (values[:split], values[split:]))
     high_zero, low_zero = len(high) // 2, len(low) // 2  # the zero vectors

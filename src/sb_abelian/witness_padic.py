@@ -106,17 +106,12 @@ class GridElement(Record):
     terms: tuple[tuple[GridMonomial, Fraction], ...]
 
     @classmethod
-    def of(
-        cls, p: int, coeffs: Mapping[GridMonomial, "Fraction | int"], t: int = 0
-    ) -> "GridElement":
-        """p**-t times the combination ``coeffs``."""
+    def of(cls, p: int, coeffs: Mapping[GridMonomial, "Fraction | int"]) -> "GridElement":
+        """The combination ``coeffs``; ``.scale(Fraction(1, p**t))`` divides it by p**t."""
         from fractions import Fraction
 
         ensure_prime(p, "grid element base")
-        if t < 0:
-            raise ValueError("denominator exponent must be nonnegative")
-        scaled = ((m, Fraction(c) / p**t) for m, c in coeffs.items() if c != 0)
-        return cls(p, tuple(sorted(scaled)))
+        return cls(p, tuple(sorted((m, Fraction(c)) for m, c in coeffs.items() if c != 0)))
 
     @property
     def t(self) -> int:
@@ -183,9 +178,6 @@ class PAdicWitnessPair(Record):
     precision: int
     certificate: IndependenceCertificate
     attempts: int
-
-    def membership(self, x: GridElement, which: str) -> bool:
-        return grid_membership(x, which, self)
 
     def coordinate_sum(self, x: GridElement, s: int) -> int:
         """Residue of coordinate s of p**t * x at the working precision."""

@@ -52,8 +52,8 @@ from .groupspec import (
 from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize
 from .relations import (
-    GRIDS, RetriesExhausted, check_grid, first_passing, grid_allows, monomials, seeded_rng,
-    survival_scans, terms,
+    GRIDS, RetriesExhausted, check_grid, first_passing, grid_allows, monomials, search_space,
+    seeded_rng, survival_scans, terms,
 )
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
@@ -219,6 +219,7 @@ class AutomorphismPair(Record):
             return pair
         if not self.window.source.contains(p):
             raise ValueError(f"prime {p} outside the support")
+        ensure_prime(p, "scalar prime")
         return _draw_scalars(self.seed, self.attempt, p)
 
     def to_json(self) -> dict:
@@ -287,17 +288,14 @@ def choose_scalars(
     and |coefficients| <= height_bound must evaluate to something nonzero at
     at least ``threshold`` window primes.
     """
-    if max_exponent < 0:
-        raise ValueError("max_exponent must be >= 0")
-    if height_bound < 1:
-        raise ValueError("height_bound must be >= 1")
+    # The certificate reports the first minimizer when the highest monomial
+    # varies slowest, so the scan runs over the monomials in reverse.
+    pairs = monomials(max_exponent)[::-1]
+    search_space(len(pairs), height_bound, None)  # the bounds, before the threshold
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if threshold > window.width:
         raise RetriesExhausted(f"threshold {threshold} exceeds the window width {window.width}")
-    # The certificate reports the first minimizer when the highest monomial
-    # varies slowest, so the scan runs over the monomials in reverse.
-    pairs = monomials(max_exponent)[::-1]
 
     def draw(attempt: int) -> tuple[AutomorphismPair, AvoidanceCertificate]:
         first, second = zip(*(_draw_scalars(seed, attempt, p) for p in window.primes))
@@ -326,7 +324,7 @@ def choose_scalars(
 # Product elements
 
 
-class ProductElement(Record, hidden=("witness",)):
+class ProductElement(Record):
     """A product element: a grid tail plus finitely many explicit coordinates.
 
     ``tail`` maps grid monomials (i, j) to rational coefficients; the term
@@ -335,9 +333,10 @@ class ProductElement(Record, hidden=("witness",)):
     where it does (the pseudo-division bookkeeping).  ``exceptions`` are
     explicit per-prime vectors added on top.  Evaluation sums both parts.
 
-    Structural equality of canonical forms is faithful up to the avoidance
-    certificate: distinct tails that agree at every prime would need a small
-    vanishing relation, which the certificate rules out within its bounds.
+    Equality compares the witness by identity, then the canonical form.
+    Within one witness it is faithful up to the avoidance certificate:
+    distinct tails that agree at every prime would need a small vanishing
+    relation, which the certificate rules out within its bounds.
     """
 
     witness: "SocleWitnessPair"
@@ -431,6 +430,9 @@ class ProductElement(Record, hidden=("witness",)):
         return _assemble(self.witness, tail, value, _den_primes(self) | killed)
 
 
+pseudo_divide = ProductElement.pseudo_divide  # the free-function form, pseudo_divide(x, n)
+
+
 def _vec_add(a: Vector, b: Vector, p: int) -> Vector:
     return tuple((x + y) % p for x, y in zip(a, b))
 
@@ -519,6 +521,7 @@ class SocleWitnessPair(Record, eq=False):
         """The finite-support element with the given explicit coordinates."""
         exceptions = []
         for p in sorted(coords):
+            ensure_prime(p, "coordinate prime")
             if not self.window.source.contains(p):
                 raise ValueError(f"prime {p} outside the support")
             r = self.window.rank(p)
@@ -528,11 +531,6 @@ class SocleWitnessPair(Record, eq=False):
             if any(vec):
                 exceptions.append((p, vec))
         return ProductElement(self, (), tuple(exceptions))
-
-    # -- membership ----------------------------------------------------------
-
-    def membership(self, x: ProductElement, which: str) -> bool:
-        return product_membership(x, which, self)
 
     def to_json(self) -> dict:
         return {
@@ -547,9 +545,7 @@ class SocleWitnessPair(Record, eq=False):
         }
 
 
-def product_membership(
-    x: ProductElement, which: str, w: SocleWitnessPair | None = None
-) -> bool:
+def product_membership(x: ProductElement, which: str, w: SocleWitnessPair) -> bool:
     """Whether x lies in H1/H2: the tail must stay on the designated grid.
 
     Exceptions are irrelevant — both subgroups contain every finite-support
@@ -559,16 +555,11 @@ def product_membership(
     rewrites one grid monomial through others.
     """
     check_grid(which)
-    if w is not None and w is not x.witness:
+    if w is not x.witness:
         raise ValueError("element belongs to a different witness")
     if not x.is_canonical():
         raise ValueError("membership wants a canonical element")
     return all(grid_allows(which, i, j) for (i, j), _ in x.tail)
-
-
-def pseudo_divide(x: ProductElement, n: int) -> ProductElement:
-    """Free-function form of :meth:`ProductElement.pseudo_divide`."""
-    return x.pseudo_divide(n)
 
 
 def build_socle_witness(

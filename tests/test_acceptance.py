@@ -33,11 +33,13 @@ from sb_abelian.witness_padic import (
     apply_scalar,
     build_padic_witness,
     elementary_matrix_probe,
+    grid_membership,
     random_member,
 )
 from sb_abelian.witness_socle import (
     PrimeWindow,
     build_socle_witness,
+    product_membership,
     proper_inclusion_check,
     pseudo_divide,
     random_socle_member,
@@ -161,10 +163,10 @@ def test_criterion_5_completion_witness_probes():
     for _ in range(100):
         x = random_member(w, rng, "H1")
         shifted = apply_scalar(w, "unit1", x)
-        inclusion_ok = inclusion_ok and w.membership(x, "H1") and w.membership(shifted, "H2")
+        inclusion_ok = inclusion_ok and grid_membership(x, "H1", w) and grid_membership(shifted, "H2", w)
 
     outside = GridElement.of(5, {GridMonomial(0, 1, 1): Fraction(1)})
-    exclusion_ok = not w.membership(outside, "H2")
+    exclusion_ok = not grid_membership(outside, "H2", w)
 
     purity_ok = True
     probes = 0
@@ -177,7 +179,7 @@ def test_criterion_5_completion_witness_probes():
         r = w.unit1.truncate(e).residue
         divisible = x.shift(1, 0) - x.scale(r)  # (unit1 - r) * x, valuation >= e
         quotient = divisible.scale(Fraction(1, 5**e))
-        purity_ok = purity_ok and w.membership(divisible, "H1") and w.membership(quotient, "H1")
+        purity_ok = purity_ok and grid_membership(divisible, "H1", w) and grid_membership(quotient, "H1", w)
 
     probe = elementary_matrix_probe(w, seed=0)
     matrix_ok = probe["identity_at_all_levels"] and probe["levels"] == 40
@@ -211,7 +213,7 @@ def test_criterion_6_socle_witness_probes():
         )
 
     base = w.base_point()
-    grids_ok = w.membership(base, "H1") and not w.membership(base.apply_scalar(2), "H2")
+    grids_ok = product_membership(base, "H1", w) and not product_membership(base.apply_scalar(2), "H2", w)
 
     inclusion = proper_inclusion_check(w, max_shift=5)
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from sb_abelian.groupspec import PrimeSet
-from sb_abelian.witness_padic import build_padic_witness, random_member
+from sb_abelian.witness_padic import build_padic_witness, grid_membership, random_member
 from sb_abelian.witness_socle import PrimeWindow, build_socle_witness, random_socle_member
 
 from _gen import grid_coefficient
@@ -97,8 +97,8 @@ def _padic_state(x) -> dict:
         "str": str(x),
         "support": [str(m) for m in x.support],
         "coefficients": [str(grid_coefficient(x, m)) for m in x.support],
-        "H1": _outcome(lambda: PADIC.membership(x, "H1")),
-        "H2": _outcome(lambda: PADIC.membership(x, "H2")),
+        "H1": _outcome(lambda: grid_membership(x, "H1", PADIC)),
+        "H2": _outcome(lambda: grid_membership(x, "H2", PADIC)),
         "sums": [PADIC.coordinate_sum(x, s) for s in range(1, PADIC.k + 1)],
     }
 

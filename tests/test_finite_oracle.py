@@ -141,6 +141,11 @@ def test_ulm_reads_the_p_part_of_a_mixed_group():
         ulm_bruteforce(FiniteAbelianGroup((6,)), 1, 0)
 
 
+def test_ulm_refuses_a_non_prime():
+    with pytest.raises(ValueError, match="need a prime p"):
+        ulm_bruteforce(FiniteAbelianGroup((4, 2)), 4, 0)
+
+
 def test_layer_sizes_match_the_element_sets():
     # reference: |G[p] & p^i G| from the sets of all elements, mixed groups included
     def dim(size, p):

@@ -138,6 +138,9 @@ ARGVS = [
     ["witness", "sumP({5,7}; Zhat) + Z/3"],
     ["classify", "sumP({4}; Z/p^1)"],
     ["classify", "sumP({2,3}; Z/p^0)"],
+    # prime families of completions, spelled by their normal form
+    ["classify", "sumP(all; Zhat)"],
+    ["invariants", "sumP(all\\{5}; Zhat)^2 + Zhat(5)"],
 ]
 
 

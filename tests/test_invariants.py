@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,11 @@ def test_ulm_symbolic_examples():
     assert ulm_invariant(parse_spec("sumK(3; all)"), 3, 7) == Cardinal.of(1)
     assert ulm_invariant(parse_spec("sumP(all\\{2}; Z/p^2)^w"), 5, 1) == ALEPH0
     assert ulm_invariant(parse_spec("sumP(all\\{2}; Z/p^2)^w"), 2, 1) == Cardinal.of(0)
+
+
+def test_ulm_symbolic_refuses_a_non_prime():
+    with pytest.raises(ValueError, match="not a prime"):
+        ulm_invariant(parse_spec("Z/4"), 4, 0)
 
 
 def test_ulm_symbolic_matches_oracle_small_sweep():

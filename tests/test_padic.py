@@ -151,6 +151,14 @@ def test_unit_inverse_example():
     assert matrix_product_mod([[2]], [[63]], 5**3) == [[1]]
 
 
+def test_product_refuses_shapes_that_do_not_multiply():
+    with pytest.raises(ValueError, match="shapes do not multiply"):
+        matrix_product_mod([[1, 2]], [[1]], 5)
+    with pytest.raises(ValueError, match="shapes do not multiply"):
+        matrix_product_mod([[1, 2]], [[1, 2], [3]], 5)  # a ragged row
+    assert matrix_product_mod([[1, 2]], [[1], [3]], 5) == [[2]]
+
+
 def test_scalar_tower_example():
     # the inverse mod 5^3 reduces to the inverses mod 5 and mod 5^2
     top = matrix_inverse_mod([[2]], 5, 3)[0][0]

@@ -11,11 +11,15 @@ construction.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 
-from sb_abelian.primes import factorize, is_prime
+from sb_abelian import primes
+from sb_abelian.primes import factorize, is_prime, p_valuation
 
 _SIEVE_LIMIT = 10**6
 
@@ -154,3 +158,21 @@ def test_one_and_nonpositive():
     for n in (0, -1, -12):
         with pytest.raises(ValueError):
             factorize(n)
+
+
+def test_p_valuation_refuses_a_base_below_two():
+    # a child process turns a hang at p = 1 into a failure
+    probe = "\n".join([
+        "import sys; sys.path.insert(0, sys.argv[1])",
+        "from sb_abelian.primes import p_valuation",
+        "try: p_valuation(8, 1)",
+        "except ValueError as err: print(err)",
+    ])
+    src = str(Path(primes.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          timeout=10)
+    assert (done.returncode, done.stdout) == (
+        0, "valuation needs a base p >= 2, got 1\n"), done.stderr
+    with pytest.raises(ValueError, match="got 0"):
+        p_valuation(8, 0)
+    assert p_valuation(24, 2) == 3

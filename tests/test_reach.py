@@ -22,7 +22,6 @@ UNRUN = {
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__repr__",
     "sb_abelian.groupspec.Cardinal.__repr__",
     "sb_abelian.groupspec.MSplitPreconditionError.__init__",
-    "sb_abelian.groupspec.PAdicPrimeFamily.__str__",
     "sb_abelian.groupspec.Record.__setattr__",
     "sb_abelian.padic.AtLeast.__str__",
     "sb_abelian.padic.PAdicApprox.valuation",

@@ -4,7 +4,6 @@ import copy
 import itertools
 import operator
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -26,6 +25,7 @@ from sb_abelian.witness_socle import (
     ProductElement,
     ReductionOutcome,
     SocleWitnessPair,
+    build_socle_witness,
 )
 
 
@@ -97,14 +97,18 @@ def test_identity_records_compare_by_identity():
     assert r == r and r != ReductionOutcome(*[None] * 7)
 
 
-def test_hidden_field_is_left_out_of_equality_hash_and_repr():
-    w1, w2 = SocleWitnessPair(None, None, None), SocleWitnessPair(None, None, None)
-    tail = (((0, 1), Fraction(1, 2)),)
-    x, y = ProductElement(w1, tail), ProductElement(w2, tail)
-    assert x == y and hash(x) == hash(y)
-    assert x.witness is w1 and y.witness is w2
-    assert repr(x) == "ProductElement(tail=(((0, 1), Fraction(1, 2)),), exceptions=())"
-    assert x != ProductElement(w1, tail, ((3, (1,)),))
+def test_elements_of_two_witnesses_with_one_tail_stay_apart():
+    # the witness is a field like any other: equal tails over different
+    # scalars are different elements, and a set keeps both
+    w1, w2 = (build_socle_witness(PrimeWindow.over(PrimeSet.cofinite({2}), 10), seed=seed,
+                                  max_exponent=1, height_bound=1, threshold=2) for seed in (0, 5))
+    x, y = w1.grid_point(0, 1), w2.grid_point(0, 1)
+    assert (x.tail, x.exceptions) == (y.tail, y.exceptions)
+    assert (x.evaluate(3), y.evaluate(3)) == ((2,), (1,))
+    assert x != y and len({x, y}) == 2
+    assert x == w1.grid_point(0, 1) and hash(x) == hash(w1.grid_point(0, 1))
+    assert repr(x).startswith("ProductElement(witness=SocleWitnessPair(window=")
+    assert x != ProductElement(w1, x.tail, ((3, (1,)),))
 
 
 def test_defaults_fill_trailing_fields():

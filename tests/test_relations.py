@@ -245,6 +245,23 @@ def test_survival_scan_excludes_only_the_zero_vector():
     assert scan.argmin == (-1, 0)
 
 
+@pytest.mark.parametrize("search, message", [
+    # at height 0 or with no monomial only the zero vector is left, so a
+    # search would certify nothing
+    (lambda: survival_scans([[1, 2], [3, 4]], [5, 7], 0, None), "height_bound must be >= 1"),
+    (lambda: first_relation([1, 2], 0, 7), "height_bound must be >= 1"),
+    (lambda: first_relation([1, 2], 1, 0), "modulus must be >= 1"),
+    (lambda: first_relation([1, 2], 1, -5), "modulus must be >= 1"),
+    (lambda: search_space(-1, 2, None), "at least one monomial"),
+    (lambda: survival_scans([], [5, 7], 1, None), "at least one monomial"),
+    (lambda: monomials(-1), "max_exponent must be >= 0"),
+], ids=["scan-height-0", "relation-height-0", "modulus-0", "modulus-minus-5",
+        "negative-positions", "scan-without-monomials", "negative-degree"])
+def test_every_search_refuses_empty_bounds(search, message):
+    with pytest.raises(ValueError, match=message):
+        search()
+
+
 def test_budgets():
     with pytest.raises(BudgetExceeded, match="exceed the budget of 80"):
         search_space(4, 1, 80)

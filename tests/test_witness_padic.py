@@ -56,16 +56,16 @@ def test_element_canonical_form_absorbs_denominator_p_powers():
 
 def test_element_canonical_form_cancels_common_p_factors():
     m = GridMonomial(1, 0, 1)
-    x = GridElement.of(5, {m: 25}, t=1)
+    x = GridElement.of(5, {m: 25}).scale(Fraction(1, 5))
     assert x.t == 0
     assert grid_coefficient(x, m) == 5
-    y = GridElement.of(5, {m: 10, GridMonomial(0, 1, 1): 15}, t=3)
+    y = GridElement.of(5, {m: 10, GridMonomial(0, 1, 1): 15}).scale(Fraction(1, 5**3))
     assert y.t == 2  # one factor of 5 cancels, coefficients 2 and 3 remain
     assert grid_coefficient(y, m) == 2
 
 
 def test_zero_element():
-    z = GridElement.of(5, {GridMonomial(0, 0, 1): 0}, t=4)
+    z = GridElement.of(5, {GridMonomial(0, 0, 1): 0}).scale(Fraction(1, 5**4))
     assert z.is_zero and z.t == 0 and str(z) == "0"
 
 
@@ -84,8 +84,8 @@ def test_element_arithmetic():
 
 def test_element_str():
     x = GridElement.of(
-        5, {GridMonomial(1, 0, 1): 1, GridMonomial(0, 0, 2): Fraction(-2, 3)}, t=1
-    )
+        5, {GridMonomial(1, 0, 1): 1, GridMonomial(0, 0, 2): Fraction(-2, 3)}
+    ).scale(Fraction(1, 5))
     assert str(x) == "5^-1 * (-2/3*e2 + u1*e1)"
 
 

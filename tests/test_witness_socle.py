@@ -186,6 +186,17 @@ def test_automorphism_pair_units_and_tail_rule():
         pair.at(2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: WIT.scalars.at(9),
+    lambda: WIT.base_point().evaluate(4),
+    lambda: WIT.from_coordinates({4: [3]}),
+], ids=["at", "evaluate", "from_coordinates"])
+def test_non_primes_are_refused_past_the_window(call):
+    # 4 and 9 are not excluded from the odd support, but they are not primes
+    with pytest.raises(ValueError, match="not a prime"):
+        call()
+
+
 def test_automorphism_pair_validation():
     w = PrimeWindow.over(ODD_PRIMES, 2)
     with pytest.raises(ValueError):
@@ -332,7 +343,7 @@ def test_cross_witness_arithmetic_rejected():
     with pytest.raises(ValueError, match="different witness"):
         WIT.base_point() + other.base_point()
     with pytest.raises(ValueError, match="different witness"):
-        other.membership(WIT.base_point(), "H1")
+        product_membership(WIT.base_point(), "H1", other)
 
 
 def test_evaluate_outside_support_rejected():
@@ -347,8 +358,8 @@ def test_evaluate_outside_support_rejected():
 
 def test_base_point_in_both_subgroups():
     a = WIT.base_point()
-    assert WIT.membership(a, "H1")
-    assert WIT.membership(a, "H2")
+    assert product_membership(a, "H1", WIT)
+    assert product_membership(a, "H2", WIT)
 
 
 def test_finite_support_elements_lie_in_h2():
@@ -359,23 +370,23 @@ def test_finite_support_elements_lie_in_h2():
 
 def test_second_scalar_moves_base_point_out_of_h2():
     x = WIT.base_point().apply_scalar(2)
-    assert WIT.membership(x, "H1")
-    assert not WIT.membership(x, "H2")
+    assert product_membership(x, "H1", WIT)
+    assert not product_membership(x, "H2", WIT)
 
 
 def test_first_scalar_embeds_h1_into_h2():
     rng = random.Random(43)
     for _ in range(100):
         x = random_socle_member(WIT, rng, "H1")
-        assert WIT.membership(x.apply_scalar(1), "H2")
+        assert product_membership(x.apply_scalar(1), "H2", WIT)
 
 
 def test_h2_contained_in_h1():
     rng = random.Random(47)
     for _ in range(100):
         x = random_socle_member(WIT, rng, "H2")
-        assert WIT.membership(x, "H2")
-        assert WIT.membership(x, "H1")
+        assert product_membership(x, "H2", WIT)
+        assert product_membership(x, "H1", WIT)
 
 
 def test_pseudo_divide_preserves_membership():
@@ -383,8 +394,8 @@ def test_pseudo_divide_preserves_membership():
     rng = random.Random(53)
     for _ in range(20):
         x = random_socle_member(WIT, rng, "H2")
-        assert WIT.membership(x.pseudo_divide(15), "H2")
-        assert WIT.membership(x.pseudo_divide(21), "H1")
+        assert product_membership(x.pseudo_divide(15), "H2", WIT)
+        assert product_membership(x.pseudo_divide(21), "H1", WIT)
 
 
 def test_random_member_on_a_window_of_one_prime():
@@ -395,7 +406,7 @@ def test_random_member_on_a_window_of_one_prime():
     rng = random.Random(0)
     for which in ("H1", "H2"):
         for _ in range(20):
-            assert w.membership(random_socle_member(w, rng, which), which)
+            assert product_membership(random_socle_member(w, rng, which), which, w)
 
 
 def test_element_from_json_rejects_non_canonical():
@@ -408,15 +419,15 @@ def test_element_from_json_rejects_non_canonical():
         ProductElement(WIT, (), ((3, (0,)),)),  # zero exception vector
     ):
         with pytest.raises(ValueError, match="membership wants a canonical element"):
-            product_membership(bad, "H1")
+            product_membership(bad, "H1", WIT)
 
 
 def test_membership_rejects_non_canonical_elements():
     bad = ProductElement(WIT, (((0, 0), Fraction(0)),), ())
     with pytest.raises(ValueError, match="membership wants a canonical element"):
-        product_membership(bad, "H1")
+        product_membership(bad, "H1", WIT)
     with pytest.raises(ValueError, match="one of"):
-        product_membership(WIT.base_point(), "H3")
+        product_membership(WIT.base_point(), "H3", WIT)
 
 
 def test_grid_contains_shapes():
@@ -425,9 +436,9 @@ def test_grid_contains_shapes():
     assert grid_allows("H2", 0, 0)
     assert grid_allows("H2", 4, 2)
     # membership follows the same grids
-    assert product_membership(WIT.grid_point(0, 5), "H1")
-    assert not product_membership(WIT.grid_point(0, 5), "H2")
-    assert product_membership(WIT.grid_point(4, 2), "H2")
+    assert product_membership(WIT.grid_point(0, 5), "H1", WIT)
+    assert not product_membership(WIT.grid_point(0, 5), "H2", WIT)
+    assert product_membership(WIT.grid_point(4, 2), "H2", WIT)
 
 
 # ---------------------------------------------------------------------------

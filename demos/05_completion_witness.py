@@ -12,7 +12,7 @@ import json
 import random
 from fractions import Fraction
 
-from sb_abelian.padic import PAdicApprox
+from sb_abelian.padic import PAdicApprox, valuation_at_least
 from sb_abelian.witness_padic import (
     GridElement,
     GridMonomial,
@@ -62,6 +62,13 @@ print(f"\nmatrix inverse probe: identity at all {probe['levels']} levels: "
 third = PAdicApprox.of_rational(1, 3, 5, 6)
 print(f"\n1/3 as a 5-adic integer: {third} "
       f"(times 3: {PAdicApprox.of(3 * third.residue, 5, 6)})")
+
+# a valuation is exact while the residue is visible, and only a lower bound
+# once the value vanishes to the working precision
+for value in (50, 5**PRECISION):
+    v = PAdicApprox.of(value, 5, 6).valuation()
+    print(f"5-adic valuation of {value} at precision 6: {v} "
+          f"(at least 2: {valuation_at_least(v, 2)})")
 
 print("\nwitness descriptor (abridged):")
 payload = w.to_json()

@@ -23,7 +23,7 @@ from sb_abelian.witness_socle import (
     reduce_unbounded_torsion,
 )
 
-window = PrimeWindow.over(PrimeSet.cofinite([2]), width=10)
+window = PrimeWindow(PrimeSet.cofinite([2]), width=10)
 w = build_socle_witness(window, seed=0, max_exponent=1, height_bound=1, threshold=2)
 print(f"window primes: {w.window.primes}")
 print(f"scalar pair at each window prime: "

@@ -76,18 +76,11 @@ class Record:
     """Base of the package's immutable value classes, in place of frozen dataclasses.
 
     Fields are the class's own annotations; omitted trailing ones default to
-    class attributes.  Equality, hash and order read the field tuple kept at
-    construction.  Class keywords: ``order`` and ``eq`` as for a dataclass.
+    class attributes.  Equality and hash read the tuple of field values.
     """
 
-    def __init_subclass__(cls, eq: bool = True, order: bool = False):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        for name in ("__lt__", "__le__", "__gt__", "__ge__") if order else ():
-            op = getattr(tuple, name)
-            setattr(cls, name, lambda a, b, op=op: NotImplemented if b.__class__ is not a.__class__
-                    else op(a._values, b._values))
 
     def __init__(self, *args, **kwargs):
         cls, fields = self.__class__, self._fields

@@ -94,9 +94,11 @@ class SzmielewInvariants(NamedTuple):
     bounded: bool
 
     def record(self, p: int) -> PrimeRecord:
-        return dict(self.primes).get(p, self.generic)
+        return dict(self.primes).get(ensure_prime(p, "invariant prime"), self.generic)
 
     def ulm(self, p: int, k: int) -> Cardinal:
+        if k < 1:
+            raise ValueError(f"Ulm exponent must be >= 1, got {k}")
         return self.record(p).u(k)
 
     @property

@@ -50,11 +50,15 @@ class SingularModP(ArithmeticError):
     """Matrix is not invertible modulo p."""
 
 
-class AtLeast(Record, order=True):
+class AtLeast(Record):
     """A valuation known only to be >= ``bound`` (the element vanished
     to the full working precision)."""
 
     bound: int
+
+    def __post_init__(self) -> None:
+        if self.bound < 0:
+            raise ValueError(f"valuation bound must be >= 0, got {self.bound}")
 
     def __str__(self) -> str:
         return f">={self.bound}"

@@ -27,7 +27,7 @@ divisible parts along.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .classify import NotApplicableError
 from .groupspec import Cardinal, GroupSpec, Record, split_reduced_divisible
@@ -69,18 +69,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class GridMonomial(Record, order=True):
-    """u1^i * u2^j * e_s."""
+class GridMonomial(NamedTuple):
+    """u1^i * u2^j * e_s; :meth:`GridElement.of` checks i, j >= 0 and s >= 1."""
 
     i: int
     j: int
     s: int
-
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.j < 0:
-            raise ValueError("exponents must be nonnegative")
-        if self.s < 1:
-            raise ValueError("coordinate index starts at 1")
 
     def shift(self, di: int, dj: int) -> "GridMonomial":
         return GridMonomial(self.i + di, self.j + dj, self.s)
@@ -111,6 +105,11 @@ class GridElement(Record):
         from fractions import Fraction
 
         ensure_prime(p, "grid element base")
+        for i, j, s in coeffs:
+            if i < 0 or j < 0:
+                raise ValueError("exponents must be nonnegative")
+            if s < 1:
+                raise ValueError("coordinate index starts at 1")
         return cls(p, tuple(sorted((m, Fraction(c)) for m, c in coeffs.items() if c != 0)))
 
     @property

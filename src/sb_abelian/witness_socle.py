@@ -87,11 +87,11 @@ Vector = tuple[int, ...]
 class PrimeWindow(Record):
     """The finite face of an infinite prime support.
 
-    ``source`` is the cofinite set of primes carrying a block, ``primes``
-    its first W members.  Block ranks are ``generic_rank`` everywhere except
-    the finitely many ``overrides``.
+    ``source`` is the cofinite set of primes carrying a block, ``primes`` its
+    first ``width`` members.  Block ranks are ``generic_rank`` everywhere except
+    the ``overrides``, a tuple of (prime, rank) pairs sorted by prime.
 
-    >>> w = PrimeWindow.over(PrimeSet.cofinite({2}), 4)
+    >>> w = PrimeWindow(PrimeSet.cofinite({2}), 4)
     >>> w.primes
     (3, 5, 7, 11)
     >>> w.rank(13)
@@ -99,48 +99,25 @@ class PrimeWindow(Record):
     """
 
     source: PrimeSet
-    primes: tuple[int, ...]
+    width: int
     generic_rank: int = 1
     overrides: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.primes:
-            raise ValueError("empty window")
+        if self.width < 1:
+            raise ValueError("window width must be >= 1")
         if self.generic_rank < 1:
             raise ValueError("generic rank must be >= 1")
         last = 0
-        for p in self.primes:
-            ensure_prime(p)
-            if p <= last:
-                raise ValueError("window primes must be strictly increasing")
-            if not self.source.contains(p):
-                raise ValueError(f"window prime {p} lies outside the support")
-            last = p
-        seen: set[int] = set()
         for p, r in self.overrides:
-            if p in seen:
-                raise ValueError(f"duplicate rank override at p={p}")
-            seen.add(p)
+            if p <= last:
+                raise ValueError(f"rank override at p={p} out of order or duplicated")
+            last = p
             if r < 1:
                 raise ValueError(f"rank override at p={p} must be >= 1")
             if not self.source.contains(p):
                 raise ValueError(f"rank override at p={p} outside the support")
-
-    @classmethod
-    def over(
-        cls,
-        source: PrimeSet,
-        width: int,
-        generic_rank: int = 1,
-        overrides: Iterable[tuple[int, int]] = (),
-    ) -> "PrimeWindow":
-        if width < 1:
-            raise ValueError("window width must be >= 1")
-        return cls(source, source.first_n(width), generic_rank, tuple(sorted(overrides)))
-
-    @property
-    def width(self) -> int:
-        return len(self.primes)
+        self.__dict__["primes"] = self.source.first_n(self.width)
 
     def rank(self, p: int) -> int:
         for q, r in self.overrides:
@@ -181,8 +158,8 @@ def window_from_socle(spec: GroupSpec, width: int = 50) -> PrimeWindow:
             "needs an infinite support"
         )
     support = PrimeSet.cofinite(p for p, r in ranks if not r.value)
-    overrides = [(p, r.value) for p, r in ranks if r.value]
-    return PrimeWindow.over(support, width, generic.value, overrides)
+    overrides = tuple((p, r.value) for p, r in ranks if r.value)
+    return PrimeWindow(support, width, generic.value, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +167,21 @@ def window_from_socle(spec: GroupSpec, width: int = 50) -> PrimeWindow:
 
 
 class AutomorphismPair(Record):
-    """Two coordinatewise unit scalars, explicit on the window, seeded beyond.
+    """Two coordinatewise unit scalars, drawn per prime from the seed and attempt.
 
     ``first[w]`` and ``second[w]`` are the scalars at ``window.primes[w]``.
-    Outside the window (but inside the support) the scalars come from a
-    deterministic seeded draw with no avoidance guarantee.
+    Outside the window (but inside the support) :meth:`at` draws them the
+    same way, with no avoidance guarantee.
     """
 
     window: PrimeWindow
     seed: int
     attempt: int
-    first: tuple[int, ...]
-    second: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.first) != self.window.width or len(self.second) != self.window.width:
-            raise ValueError("scalar tuples must match the window width")
-        for p, s, t in zip(self.window.primes, self.first, self.second):
-            if not (0 < s < p and 0 < t < p):
-                raise ValueError(f"scalars at p={p} must be units")
-        self.__dict__["_explicit"] = dict(
-            zip(self.window.primes, zip(self.first, self.second)))
+        drawn = [_draw_scalars(self.seed, self.attempt, p) for p in self.window.primes]
+        self.__dict__["first"], self.__dict__["second"] = zip(*drawn)
+        self.__dict__["_explicit"] = dict(zip(self.window.primes, drawn))
 
     def at(self, p: int) -> tuple[int, int]:
         """The (first, second) scalar pair at any prime of the support."""
@@ -298,8 +269,7 @@ def choose_scalars(
         raise RetriesExhausted(f"threshold {threshold} exceeds the window width {window.width}")
 
     def draw(attempt: int) -> tuple[AutomorphismPair, AvoidanceCertificate]:
-        first, second = zip(*(_draw_scalars(seed, attempt, p) for p in window.primes))
-        pair = AutomorphismPair(window, seed, attempt, first, second)
+        pair = AutomorphismPair(window, seed, attempt)
         scan = survival_scans(_monomial_values(pairs, pair), window.primes, height_bound, None)[0]
         return pair, AvoidanceCertificate(
             width=window.width,
@@ -333,7 +303,7 @@ class ProductElement(Record):
     where it does (the pseudo-division bookkeeping).  ``exceptions`` are
     explicit per-prime vectors added on top.  Evaluation sums both parts.
 
-    Equality compares the witness by identity, then the canonical form.
+    Equality compares the witness by value, then the canonical form.
     Within one witness it is faithful up to the avoidance certificate:
     distinct tails that agree at every prime would need a small vanishing
     relation, which the certificate rules out within its bounds.
@@ -372,7 +342,7 @@ class ProductElement(Record):
         return vec
 
     def __add__(self, other: "ProductElement") -> "ProductElement":
-        if self.witness is not other.witness:
+        if self.witness != other.witness:
             raise ValueError("elements belong to different witnesses")
         tail = dict(self.tail)
         for m, c in other.tail:
@@ -494,12 +464,14 @@ def _assemble(
 # The witness pair
 
 
-class SocleWitnessPair(Record, eq=False):
+class SocleWitnessPair(Record):
     """Descriptors for the pair (H1, H2) plus the data its elements evaluate with."""
 
-    window: PrimeWindow
     scalars: AutomorphismPair
     certificate: AvoidanceCertificate
+
+    def __post_init__(self) -> None:
+        self.__dict__["window"] = self.scalars.window  # a plain attribute for inner loops
 
     # -- element constructors ------------------------------------------------
 
@@ -555,7 +527,7 @@ def product_membership(x: ProductElement, which: str, w: SocleWitnessPair) -> bo
     rewrites one grid monomial through others.
     """
     check_grid(which)
-    if w is not x.witness:
+    if w != x.witness:
         raise ValueError("element belongs to a different witness")
     if not x.is_canonical():
         raise ValueError("membership wants a canonical element")
@@ -577,14 +549,13 @@ def build_socle_witness(
     of the product that commutes with both scalars and carries the all-ones
     grid onto the other one.
     """
-    pair, cert = choose_scalars(
+    return SocleWitnessPair(*choose_scalars(
         window,
         max_exponent=max_exponent,
         height_bound=height_bound,
         threshold=threshold,
         seed=seed,
-    )
-    return SocleWitnessPair(window, pair, cert)
+    ))
 
 
 def random_socle_member(
@@ -669,7 +640,7 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
 # The reduction pipeline for unbounded reduced torsion
 
 
-class ReductionOutcome(Record, eq=False):
+class ReductionOutcome(Record):
     """Transcript and witness from the unbounded-torsion reduction."""
 
     spec: GroupSpec

@@ -5,7 +5,8 @@ demos and one ``perfbench/certify.py`` ``certify()`` call, all in one process
 under ``sys.setprofile``, and prints each ``def`` of the package whose code
 never started, with its length in lines, then the totals; a line of a nested
 ``def`` counts once.  A function listed here is reached only by tests, or by
-nothing.
+nothing.  The last line is the line count of ``src/``'s Python files, counted
+as ``wc -l`` counts it: one line per newline.
 
     python tests/reach.py
 
@@ -89,3 +90,5 @@ if __name__ == "__main__":
         print(f"{len(lines):4d}  {name}")
     distinct = {(path, n) for _, path, lines in unrun for n in lines}
     print(f"{len(unrun)} functions, {len(distinct)} lines never run")
+    size = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+    print(f"src/ has {size} lines")

@@ -199,7 +199,7 @@ def test_criterion_5_completion_witness_probes():
 def test_criterion_6_socle_witness_probes():
     started = time.perf_counter()
     budget = 120.0
-    window = PrimeWindow.over(PrimeSet.cofinite([2]), 50)
+    window = PrimeWindow(PrimeSet.cofinite([2]), 50)
     w = build_socle_witness(window, seed=0, max_exponent=2, height_bound=2, threshold=5)
     cert_ok = w.certificate.passed and w.certificate.min_count >= 5
 

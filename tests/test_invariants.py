@@ -51,6 +51,16 @@ def test_ulm_symbolic_matches_oracle_small_sweep():
                 assert sym.value == ulm_bruteforce(group, p, i), (str(spec), i)
 
 
+def test_key_lookups_refuse_a_non_prime_or_an_exponent_below_one():
+    inv = szmielew_invariants(parse_spec("Z/4"))
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        inv.record(4)
+    for p, k in [(4, 1), (1, 0), (2, 0), (2, -3)]:
+        with pytest.raises(ValueError):
+            inv.ulm(p, k)
+    assert inv.ulm(2, 2) == Cardinal.of(1) and inv.record(3).exp == Cardinal.of(0)
+
+
 def test_ulm_table_evaluation():
     inv = szmielew_invariants(parse_spec("Z/4^3 + sumP(all; Z/p^1) + sumK(5; all)^w"))
     assert inv.ulm(2, 2) == Cardinal.of(3)

@@ -45,6 +45,12 @@ def test_valuation_at_least_helper():
     assert not valuation_at_least(1, 2)
     assert valuation_at_least(AtLeast(40), 39)
     assert not valuation_at_least(AtLeast(4), 5)
+    assert valuation_at_least(AtLeast(0), 0)
+
+
+def test_at_least_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="valuation bound must be >= 0, got -1"):
+        AtLeast(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ import sys
 import reach
 
 # Dunders that no entry point calls; the guard that refuses writes to a record;
-# the error of an m-split whose precondition no entry point breaks; and the
-# p-adic valuation helpers, which criterion 7 reads and ROADMAP keeps on purpose.
+# and the error of an m-split whose precondition no entry point breaks.
 UNRUN = {
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__eq__",
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__hash__",
@@ -23,9 +22,6 @@ UNRUN = {
     "sb_abelian.groupspec.Cardinal.__repr__",
     "sb_abelian.groupspec.MSplitPreconditionError.__init__",
     "sb_abelian.groupspec.Record.__setattr__",
-    "sb_abelian.padic.AtLeast.__str__",
-    "sb_abelian.padic.PAdicApprox.valuation",
-    "sb_abelian.padic.valuation_at_least",
     "sb_abelian.witness_padic.GridElement.__str__",
     "sb_abelian.witness_padic.GridMonomial.__str__",
     "sb_abelian.witness_socle.ProductElement.__neg__",

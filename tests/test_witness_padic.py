@@ -38,10 +38,12 @@ def pair():
 
 
 def test_monomial_validation():
-    with pytest.raises(ValueError):
-        GridMonomial(-1, 0, 1)
-    with pytest.raises(ValueError):
-        GridMonomial(0, 0, 0)
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        GridElement.of(5, {GridMonomial(-1, 0, 1): 1})
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        GridElement.of(5, {GridMonomial(0, 0, 1): 1}).shift(0, -1)
+    with pytest.raises(ValueError, match="coordinate index starts at 1"):
+        GridElement.of(5, {GridMonomial(0, 0, 0): 1})
     assert str(GridMonomial(2, 1, 1)) == "u1^2*u2*e1"
     assert str(GridMonomial(0, 0, 3)) == "e3"
     assert GridMonomial(1, 2, 1).shift(1, 0) == GridMonomial(2, 2, 1)

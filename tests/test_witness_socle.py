@@ -30,7 +30,7 @@ ALL_PRIMES = PrimeSet.cofinite()
 # One witness shared by most element-level tests.  Small bounds keep the
 # exhaustive scan at 80 candidate polynomials, so this is essentially free.
 WIT = build_socle_witness(
-    PrimeWindow.over(ODD_PRIMES, 10),
+    PrimeWindow(ODD_PRIMES, 10),
     seed=0,
     max_exponent=1,
     height_bound=1,
@@ -44,33 +44,29 @@ WIT = build_socle_witness(
 
 
 def test_window_over_takes_first_primes():
-    w = PrimeWindow.over(ODD_PRIMES, 4)
+    w = PrimeWindow(ODD_PRIMES, 4)
     assert w.primes == (3, 5, 7, 11)
     assert w.width == 4
     assert w.rank(3) == 1 and w.rank(101) == 1
 
 
 def test_window_rank_overrides():
-    w = PrimeWindow.over(ODD_PRIMES, 3, generic_rank=2, overrides=[(5, 7)])
+    w = PrimeWindow(ODD_PRIMES, 3, generic_rank=2, overrides=((5, 7),))
     assert w.rank(5) == 7
     assert w.rank(3) == 2
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        PrimeWindow.over(ODD_PRIMES, 0)
-    with pytest.raises(ValueError):
-        PrimeWindow(ODD_PRIMES, (5, 3), 1, ())  # out of order
-    with pytest.raises(ValueError):
-        PrimeWindow(ODD_PRIMES, (2, 3), 1, ())  # 2 not in the support
-    with pytest.raises(ValueError):
-        PrimeWindow(ODD_PRIMES, (3, 5), 0, ())
-    with pytest.raises(ValueError):
-        PrimeWindow(ODD_PRIMES, (3, 5), 1, ((5, 0),))
-    with pytest.raises(ValueError):
-        PrimeWindow(ODD_PRIMES, (3, 5), 1, ((2, 1),))
-    with pytest.raises(ValueError):
-        PrimeWindow(ODD_PRIMES, (3, 5), 1, ((7, 2), (7, 3)))
+    for args, message in [
+        ((0,), "width must be >= 1"),
+        ((2, 0), "generic rank must be >= 1"),
+        ((2, 1, ((7, 2), (5, 3))), "p=5 out of order"),
+        ((2, 1, ((7, 2), (7, 3))), "p=7 out of order or duplicated"),
+        ((2, 1, ((5, 0),)), "p=5 must be >= 1"),
+        ((2, 1, ((2, 1),)), "p=2 outside the support"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PrimeWindow(ODD_PRIMES, *args)
 
 
 def test_window_from_socle_single_family():
@@ -109,7 +105,7 @@ def test_window_from_socle_rejects_non_socle_input():
 
 def test_choose_scalars_small_example():
     # five-prime window including 2, tight bounds: still findable
-    w = PrimeWindow.over(ALL_PRIMES, 5)
+    w = PrimeWindow(ALL_PRIMES, 5)
     assert w.primes == (2, 3, 5, 7, 11)
     pair, cert = choose_scalars(
         w, max_exponent=1, height_bound=1, threshold=2, seed=1
@@ -123,7 +119,7 @@ def test_choose_scalars_small_example():
 
 
 def test_choose_scalars_deterministic():
-    w = PrimeWindow.over(ODD_PRIMES, 8)
+    w = PrimeWindow(ODD_PRIMES, 8)
     a = choose_scalars(w, max_exponent=1, height_bound=1, threshold=2, seed=3)
     b = choose_scalars(w, max_exponent=1, height_bound=1, threshold=2, seed=3)
     assert a == b
@@ -132,7 +128,7 @@ def test_choose_scalars_deterministic():
 def test_choose_scalars_unmeetable_threshold_fails():
     # the only units mod 3 are 1 and -1, so x - 1 or x + 1 vanishes at p = 3
     # and no draw survives at all 8 window primes
-    w = PrimeWindow.over(ODD_PRIMES, 8)
+    w = PrimeWindow(ODD_PRIMES, 8)
     with pytest.raises(RetriesExhausted) as info:
         choose_scalars(w, max_exponent=1, height_bound=1, threshold=8, seed=0)
     assert info.value.attempts == 8
@@ -141,21 +137,21 @@ def test_choose_scalars_unmeetable_threshold_fails():
 
 
 def test_choose_scalars_constant_polynomials_trivially_pass():
-    w = PrimeWindow.over(ODD_PRIMES, 5)
+    w = PrimeWindow(ODD_PRIMES, 5)
     _, cert = choose_scalars(w, max_exponent=0, height_bound=1, threshold=2, seed=0)
     # +-1 never vanishes at any odd prime
     assert cert.min_count == w.width
 
 
 def test_choose_scalars_threshold_beyond_width():
-    w = PrimeWindow.over(ODD_PRIMES, 3)
+    w = PrimeWindow(ODD_PRIMES, 3)
     with pytest.raises(RetriesExhausted, match="exceeds the window width") as info:
         choose_scalars(w, threshold=4, max_exponent=1, height_bound=1)
     assert info.value.attempts == 0 and info.value.certificates == ()
 
 
 def test_choose_scalars_validation():
-    w = PrimeWindow.over(ODD_PRIMES, 3)
+    w = PrimeWindow(ODD_PRIMES, 3)
     with pytest.raises(ValueError):
         choose_scalars(w, max_exponent=-1)
     with pytest.raises(ValueError):
@@ -198,11 +194,17 @@ def test_non_primes_are_refused_past_the_window(call):
 
 
 def test_automorphism_pair_validation():
-    w = PrimeWindow.over(ODD_PRIMES, 2)
-    with pytest.raises(ValueError):
-        AutomorphismPair(w, 0, 0, (1,), (1, 1))
-    with pytest.raises(ValueError):
-        AutomorphismPair(w, 0, 0, (0, 1), (1, 1))
+    # the pair holds only its inputs: the window scalars are drawn from them
+    w = PrimeWindow(ODD_PRIMES, 6)
+    pair = AutomorphismPair(w, 4, 2)
+    assert len(pair.first) == len(pair.second) == w.width
+    for p, s, t in zip(w.primes, pair.first, pair.second):
+        assert 0 < s < p and 0 < t < p
+        assert pair.at(p) == (s, t)
+    again = AutomorphismPair(w, 4, 2)
+    assert pair == again and (pair.first, pair.second) == (again.first, again.second)
+    with pytest.raises(TypeError):
+        AutomorphismPair(w, 0, 0, (1,) * 6, (1,) * 6)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def test_from_coordinates_validation():
 
 def test_cross_witness_arithmetic_rejected():
     other = build_socle_witness(
-        PrimeWindow.over(ODD_PRIMES, 10),
+        PrimeWindow(ODD_PRIMES, 10),
         seed=5,
         max_exponent=1,
         height_bound=1,
@@ -399,9 +401,9 @@ def test_pseudo_divide_preserves_membership():
 
 
 def test_random_member_on_a_window_of_one_prime():
-    # PrimeWindow.over allows a window of one prime, so the denominators must
+    # PrimeWindow allows a window of one prime, so the denominators must
     # not need a second
-    w = build_socle_witness(PrimeWindow.over(ALL_PRIMES, 1), max_exponent=0,
+    w = build_socle_witness(PrimeWindow(ALL_PRIMES, 1), max_exponent=0,
                             height_bound=1, threshold=1)
     rng = random.Random(0)
     for which in ("H1", "H2"):
@@ -469,7 +471,7 @@ def test_proper_inclusion_check_passes_at_test_scale():
 
 def test_proper_inclusion_check_refuses_a_negative_max_shift():
     # no shift would be scanned, and an empty check would pass
-    w = build_socle_witness(PrimeWindow.over(ALL_PRIMES, 20), max_exponent=2,
+    w = build_socle_witness(PrimeWindow(ALL_PRIMES, 20), max_exponent=2,
                             height_bound=2, threshold=3)
     with pytest.raises(ValueError, match="max_shift must be nonnegative, got -1"):
         proper_inclusion_check(w, max_shift=-1)

@@ -30,7 +30,9 @@ import random
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .classify import NotApplicableError
-from .groupspec import Cardinal, GroupSpec, Record, split_reduced_divisible
+from .groupspec import (
+    Cardinal, GroupSpec, PAdicPrimeFamily, PrimeSet, Record, normalize, split_reduced_divisible,
+)
 from .invariants import szmielew_invariants
 from .padic import (
     IndependenceCertificate,
@@ -397,17 +399,21 @@ class MixedGroupWitness(Record):
     """A completion-part witness carried through fixed torsion/divisible parts.
 
     For a spec K + C + D (completions, reduced torsion, divisible), the two
-    non-isomorphic sides are H1 + C + D and H2 + C + D: an isomorphism would
-    restrict to the torsion-free reduced cores and identify H1 with H2.
+    non-isomorphic sides are H1 + R + C + D and H2 + R + C + D, where R is
+    the ``completion`` remainder that no component pair covers: an
+    isomorphism would restrict to the torsion-free reduced cores and
+    identify H1 with H2.
     """
 
     base: GroupSpec
     torsion: GroupSpec
     divisible: GroupSpec
+    completion: GroupSpec
     core: MultiPrimeWitness
 
     def to_json(self) -> dict:
-        return {
+        shared = {} if self.completion.is_trivial else {"shared_completion": str(self.completion)}
+        return shared | {
             "base": str(self.base),
             "shared_torsion": str(self.torsion),
             "shared_divisible": str(self.divisible),
@@ -430,27 +436,44 @@ def mixed_group_witness(
     the witness on the completion part.
 
     The completion powers are the values Exp(p) of the completion part's
-    Szmielew key.  Requires at least one completion summand; a power at every
-    prime of a cofinite set (a prime family) or an infinite power has no
-    finite componentwise descriptor and is rejected.
+    Szmielew key: a component pair is built at each listed prime whose power
+    is nonzero.  Where the generic power m is nonzero, the completions range
+    over a prime family, and one more pair is built at q, the least prime the
+    key does not list, with power m; the rest, R = sumP(all minus the listed
+    primes and q; Zhat)^m, is carried unchanged on both sides.  Maps between
+    the pair at q and R vanish both ways, so an isomorphism of the sides
+    still restricts to the pair at q:
+
+    * the pair at q is reduced at q and divisible by every other prime, and
+      R is divisible by q and reduced at each of its own primes;
+    * so an image of the pair in R is divisible by every power of each of
+      R's primes, and each of its components is 0; an image of R in the pair
+      is divisible by every power of q, so it is 0.
+
+    The listed primes are apart from each other and from q and R in the same
+    way (:class:`MultiPrimeWitness`).  Requires at least one completion
+    summand; an infinite power has no finite descriptor and is rejected.
     """
     k_part, c_part, d_part = split_reduced_divisible(spec)
     if k_part.is_trivial:
         raise NotApplicableError(f"{spec} has no completion summand")
     key = szmielew_invariants(k_part)
+    exps = [(p, rec.exp) for p, rec in key.primes]
+    remainder = normalize([])
     if key.generic.exp != Cardinal.of(0):
-        raise NotApplicableError(
-            "completion summands ranging over a prime family cannot be "
-            "assembled componentwise; pick finitely many primes"
-        )
+        unlisted = PrimeSet.cofinite(p for p, _ in exps)
+        q = unlisted.first_n(1)[0]
+        exps.append((q, key.generic.exp))
+        remainder = normalize([(PAdicPrimeFamily(unlisted.remove([q])), key.generic.exp)])
     pairs = []
-    for p, rec in key.primes:
-        if not rec.exp.is_finite:
+    for p, exp in sorted(exps):
+        if not exp.is_finite:
             raise NotApplicableError(
                 f"completion power at p={p} has infinite multiplicity; "
                 "a concrete witness needs a finite power"
             )
-        pairs.append((p, rec.exp.value))
+        if exp.value:
+            pairs.append((p, exp.value))
     core = multi_prime_witness(
         pairs,
         seed=seed,
@@ -458,4 +481,5 @@ def mixed_group_witness(
         height_bound=height_bound,
         precision=precision,
     )
-    return MixedGroupWitness(base=spec, torsion=c_part, divisible=d_part, core=core)
+    return MixedGroupWitness(base=spec, torsion=c_part, divisible=d_part,
+                             completion=remainder, core=core)

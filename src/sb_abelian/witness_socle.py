@@ -108,6 +108,9 @@ class PrimeWindow(Record):
             raise ValueError("window width must be >= 1")
         if self.generic_rank < 1:
             raise ValueError("generic rank must be >= 1")
+        if not (isinstance(self.overrides, tuple)
+                and all(isinstance(pair, tuple) for pair in self.overrides)):
+            raise ValueError("rank overrides must be a tuple of (prime, rank) tuples")
         last = 0
         for p, r in self.overrides:
             if p <= last:
@@ -303,42 +306,24 @@ class ProductElement(Record):
     where it does (the pseudo-division bookkeeping).  ``exceptions`` are
     explicit per-prime vectors added on top.  Evaluation sums both parts.
 
-    Equality compares the witness by value, then the canonical form.
-    Within one witness it is faithful up to the avoidance certificate:
-    distinct tails that agree at every prime would need a small vanishing
-    relation, which the certificate rules out within its bounds.
+    Every operation returns the canonical form that ``_assemble`` builds,
+    and equality compares the witness by value, then that form.  Within one
+    witness it is faithful up to the avoidance certificate: distinct tails
+    that agree at every prime would need a small vanishing relation, which
+    the certificate rules out within its bounds.
     """
 
     witness: "SocleWitnessPair"
     tail: tuple[tuple[tuple[int, int], Fraction], ...] = ()
     exceptions: tuple[tuple[int, Vector], ...] = ()
 
-    def is_canonical(self) -> bool:
-        prev: tuple[int, int] | None = None
-        for (i, j), c in self.tail:
-            if i < 0 or j < 0 or c == 0:
-                return False
-            if prev is not None and (i, j) <= prev:
-                return False
-            prev = (i, j)
-        last = 0
-        for p, vec in self.exceptions:
-            if p <= last or not self.witness.window.source.contains(p):
-                return False
-            last = p
-            if len(vec) != self.witness.window.rank(p):
-                return False
-            if not any(vec) or any(not 0 <= c < p for c in vec):
-                return False
-        return True
-
     def evaluate(self, p: int) -> Vector:
         if not self.witness.window.source.contains(p):
             raise ValueError(f"prime {p} outside the support")
-        vec = _tail_value(self.witness, self.tail, p)
+        vec = (_tail_value(self.witness, self.tail, p),) * self.witness.window.rank(p)
         for q, extra in self.exceptions:
             if q == p:
-                vec = _vec_add(vec, extra, p)
+                vec = tuple((a + b) % p for a, b in zip(vec, extra))
         return vec
 
     def __add__(self, other: "ProductElement") -> "ProductElement":
@@ -347,12 +332,7 @@ class ProductElement(Record):
         tail = dict(self.tail)
         for m, c in other.tail:
             tail[m] = tail.get(m, 0) + c
-        return _assemble(
-            self.witness,
-            tail,
-            lambda p: _vec_add(self.evaluate(p), other.evaluate(p), p),
-            _den_primes(self, other),
-        )
+        return _assemble(((self, _one), (other, _one)), tail)
 
     def __sub__(self, other: "ProductElement") -> "ProductElement":
         return self + other.scale(-1)
@@ -361,7 +341,7 @@ class ProductElement(Record):
         return self.scale(-1)
 
     def scale(self, n: int) -> "ProductElement":
-        return self._linear({m: c * n for m, c in self.tail}, lambda p: n)
+        return _assemble(((self, lambda p: n),), {m: c * n for m, c in self.tail})
 
     def apply_scalar(self, which: int) -> "ProductElement":
         """Apply the first (which=1) or second (which=2) automorphism."""
@@ -370,7 +350,7 @@ class ProductElement(Record):
         tail = {
             ((i + 1, j) if which == 1 else (i, j + 1)): c for (i, j), c in self.tail
         }
-        return self._linear(tail, lambda p: self.witness.scalars.at(p)[which - 1])
+        return _assemble(((self, lambda p: self.witness.scalars.at(p)[which - 1]),), tail)
 
     def pseudo_divide(self, n: int) -> "ProductElement":
         """Divide by n, zeroing the components at support primes dividing n.
@@ -381,35 +361,16 @@ class ProductElement(Record):
         """
         if not isinstance(n, int) or n < 1:
             raise ValueError("pseudo-division wants an integer n >= 1")
-        return self._linear(
-            {m: c / n for m, c in self.tail}, lambda p: pow(n, -1, p), _prime_factors(n))
-
-    def _linear(
-        self, tail: Mapping[tuple[int, int], Fraction], factor: Callable[[int], int],
-        killed: frozenset[int] = frozenset(),
-    ) -> "ProductElement":
-        """The element with ``tail`` whose value at p is ``factor(p)`` times
-        this one's, or zero at the ``killed`` primes."""
-
-        def value(p: int) -> Vector:
-            if p in killed:
-                return (0,) * self.witness.window.rank(p)
-            lam = factor(p)
-            return tuple(lam * v % p for v in self.evaluate(p))
-
-        return _assemble(self.witness, tail, value, _den_primes(self) | killed)
+        return _assemble(((self, lambda p: pow(n, -1, p)),),
+                         {m: c / n for m, c in self.tail}, _prime_factors(n))
 
 
 pseudo_divide = ProductElement.pseudo_divide  # the free-function form, pseudo_divide(x, n)
 
 
-def _vec_add(a: Vector, b: Vector, p: int) -> Vector:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
 def _tail_value(
     w: "SocleWitnessPair", tail: Iterable[tuple[tuple[int, int], Fraction]], p: int
-) -> Vector:
+) -> int:
     s, t = w.scalars.at(p)
     total = 0
     for (i, j), c in tail:
@@ -417,16 +378,7 @@ def _tail_value(
             continue
         scal = c.numerator * pow(c.denominator, -1, p) % p
         total = (total + scal * pow(s, i, p) * pow(t, j, p)) % p
-    return (total,) * w.window.rank(p)
-
-
-def _den_primes(*elements: ProductElement) -> set[int]:
-    out: set[int] = set()
-    for x in elements:
-        out.update(p for p, _ in x.exceptions)
-        for _, c in x.tail:
-            out.update(_prime_factors(c.denominator))
-    return out
+    return total
 
 
 @functools.lru_cache(maxsize=4096)
@@ -434,27 +386,43 @@ def _prime_factors(n: int) -> frozenset[int]:
     return frozenset(factorize(n))
 
 
-def _assemble(
-    w: "SocleWitnessPair",
-    tail_map: Mapping[tuple[int, int], Fraction],
-    true_value: Callable[[int], Vector],
-    probe_primes: Iterable[int],
-) -> ProductElement:
-    """Build the canonical element with the given tail and exact values.
+def _one(p: int) -> int:
+    return 1
 
-    Wherever the tail's face value disagrees with ``true_value`` (which can
-    only happen at the finitely many ``probe_primes`` — denominator support,
-    zeroed components, old exceptions), the difference is folded into the
-    exception map.
+
+def _assemble(
+    parts: Sequence[tuple[ProductElement, Callable[[int], int]]],
+    tail_map: Mapping[tuple[int, int], Fraction],
+    killed: Iterable[int] = (),
+) -> ProductElement:
+    """The canonical element with tail ``tail_map`` whose value at a prime p
+    is the sum of factor(p) * x(p) over the (x, factor) ``parts``, or zero at
+    the ``killed`` primes.
+
+    Canonical: the tail sorted by monomial with no zero coefficient, and an
+    exception at a prime exactly where the tail's face value there differs
+    from the true value, holding the difference.  That can happen only at
+    the parts' denominator and exception primes and the killed ones, so
+    those are the primes probed, inside the support.
     """
+    w = parts[0][0].witness
+    probes = set(killed)
+    for x, _ in parts:
+        probes.update(p for p, _ in x.exceptions)
+        for _, c in x.tail:
+            probes.update(_prime_factors(c.denominator))
     tail = tuple(sorted((m, c) for m, c in tail_map.items() if c != 0))
     exceptions: list[tuple[int, Vector]] = []
-    for p in sorted(set(probe_primes)):
+    for p in sorted(probes):
         if not w.window.source.contains(p):
             continue
-        want = true_value(p)
+        want = [0] * w.window.rank(p)
+        if p not in killed:
+            for x, factor in parts:
+                lam = factor(p)
+                want = [a + lam * v for a, v in zip(want, x.evaluate(p))]
         have = _tail_value(w, tail, p)
-        diff = tuple((a - b) % p for a, b in zip(want, have))
+        diff = tuple((a - have) % p for a in want)
         if any(diff):
             exceptions.append((p, diff))
     return ProductElement(w, tail, tuple(exceptions))
@@ -529,7 +497,9 @@ def product_membership(x: ProductElement, which: str, w: SocleWitnessPair) -> bo
     check_grid(which)
     if w != x.witness:
         raise ValueError("element belongs to a different witness")
-    if not x.is_canonical():
+    if not (all(i >= 0 and j >= 0 for (i, j), _ in x.tail)
+            and all(len(vec) == w.window.rank(p) for p, vec in x.exceptions)
+            and x == _assemble(((x, _one),), dict(x.tail))):
         raise ValueError("membership wants a canonical element")
     return all(grid_allows(which, i, j) for (i, j), _ in x.tail)
 
@@ -641,7 +611,11 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
 
 
 class ReductionOutcome(Record):
-    """Transcript and witness from the unbounded-torsion reduction."""
+    """Transcript and witness from the unbounded-torsion reduction.
+
+    It compares by value but cannot be hashed: the transcript is a tuple of
+    the JSON dicts it prints.
+    """
 
     spec: GroupSpec
     modulus: int

@@ -1,6 +1,6 @@
 """Spec generators shared by property and acceptance tests: seeded random
-specs, every finite abelian group up to an order, and every normal form of at
-most two summands built from a fixed list of atoms over the primes 2 and 3.
+specs, every finite abelian group up to an order, and every normal form of a
+few summands built from small atoms (by default, two over the primes 2 and 3).
 Also the readers that only tests need: subgroups of a finite group, a spec's
 multiplicity of one summand, and the coefficients of witness elements."""
 
@@ -166,23 +166,40 @@ def iter_primes_upto(bound: int) -> Iterator[int]:
         yield p
 
 
-_SMALL_SETS = ("{2}", "{3}", "{2,3}", "all", "all\\{2}", "all\\{3}", "all\\{2,3}")
-SMALL_ATOMS = (
-    "Z/2", "Z/4", "Z/3", "Z/9", "Prufer(2)", "Prufer(3)", "Q", "Zhat(2)", "Zhat(3)",
-    *(f"sumP({s}; Z/p^{k})" for s in _SMALL_SETS for k in (1, 2)),
-    *(f"sumP({s}; Zhat)" for s in _SMALL_SETS),
-    *(f"sumK({p}; {e})" for p in (2, 3) for e in ("all", "{1}", "{2}", "{1,2}")),
-)
+def _listed_subsets(items: Sequence[int]) -> list[str]:
+    """Each nonempty subset of ``items`` written as a listed set, ``{a,b}``:
+    by size, then in order."""
+    return ["{" + ",".join(map(str, subset)) + "}"
+            for r in range(1, len(items) + 1) for subset in itertools.combinations(items, r)]
 
 
-def small_spec_texts() -> list[str]:
-    """One spec text per normal form of one or two distinct terms, each term an
-    atom of ``SMALL_ATOMS`` at multiplicity 1, 2 or w; the first text met for
-    each normal form is kept, in a fixed order.  There are 3,410 of them."""
-    terms = [atom + mult for atom in SMALL_ATOMS for mult in ("", "^2", "^w")]
+def small_atoms(primes: Sequence[int] = (2, 3), max_k: int = 2) -> list[str]:
+    """The atoms over ``primes`` with exponents up to ``max_k``: cyclic, Prufer,
+    Q and completion summands, and prime and exponent families over every
+    finite, full and cofinite set drawn from them."""
+    listed = _listed_subsets(primes)
+    sets = [*listed, "all", *(f"all\\{s}" for s in listed)]
+    exps = _listed_subsets(range(1, max_k + 1))
+    return [
+        *(f"Z/{p ** k}" for p in primes for k in range(1, max_k + 1)),
+        *(f"Prufer({p})" for p in primes), "Q", *(f"Zhat({p})" for p in primes),
+        *(f"sumP({s}; Z/p^{k})" for s in sets for k in range(1, max_k + 1)),
+        *(f"sumP({s}; Zhat)" for s in sets),
+        *(f"sumK({p}; {e})" for p in primes for e in ("all", *exps)),
+    ]
+
+
+def small_spec_texts(primes: Sequence[int] = (2, 3), max_k: int = 2, terms: int = 2) -> list[str]:
+    """One spec text per normal form of one to ``terms`` distinct terms, each
+    term an atom of ``small_atoms(primes, max_k)`` at multiplicity 1, 2 or w;
+    the first text met for each normal form is kept, in a fixed order.  The
+    defaults give 3,410 texts."""
+    atoms = [atom + mult for atom in small_atoms(primes, max_k) for mult in ("", "^2", "^w")]
     kept: dict[GroupSpec, str] = {}
-    for text in itertools.chain(terms, map(" + ".join, itertools.combinations(terms, 2))):
-        kept.setdefault(parse_spec(text), text)
+    for n in range(1, terms + 1):
+        for combo in itertools.combinations(atoms, n):
+            text = " + ".join(combo)
+            kept.setdefault(parse_spec(text), text)
     return list(kept.values())
 
 

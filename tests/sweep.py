@@ -1,14 +1,17 @@
 """Run ``witness`` on every small normal form that is superstable without SB,
 and tally how each run ended.
 
-The population is ``_gen.small_spec_texts()``: every normal form of at most two
-summands built from its atoms over the primes 2 and 3.  Each spec that
-``classify`` places between superstable and omega-stable gets one ``witness``
-run with the default flags, in-process through ``run_cli``.  The script prints
-one line per exit code and stderr message with its count, then the totals and
-the wall time.  It is a report, not a gate.
+The population is ``_gen.small_spec_texts(primes, max_k, terms)``: every normal
+form of at most ``terms`` summands built from its atoms over ``primes`` with
+exponents up to ``max_k``, by default two summands over the primes 2 and 3 with
+k <= 2 (3,410 specs).  Each spec that ``classify`` places between superstable
+and omega-stable gets one ``witness`` run with the default flags, in-process
+through ``run_cli``.  The script prints one line per exit code and stderr
+message with its count, then the totals and the wall time.  It is a report,
+not a gate.
 
     python tests/sweep.py
+    python tests/sweep.py --primes 2,3,5 --max-k 3 --terms 2
 
 It imports only the standard library, the package and ``_gen``.  All its work
 runs under the ``__main__`` check, because the test run imports every module in
@@ -17,6 +20,7 @@ runs under the ``__main__`` check, because the test run imports every module in
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import sys
@@ -33,7 +37,13 @@ if __name__ == "__main__":
     from sb_abelian.classify import StabilityClass, stability_class
     from sb_abelian.cli import run_cli
 
-    middle = [text for text in small_spec_texts()
+    parser = argparse.ArgumentParser(description="witness on every small spec without SB")
+    parser.add_argument("--primes", default="2,3", help="comma-separated (default 2,3)")
+    parser.add_argument("--max-k", type=int, default=2, help="largest exponent (default 2)")
+    parser.add_argument("--terms", type=int, default=2, help="most summands (default 2)")
+    args = parser.parse_args()
+    population = small_spec_texts(tuple(map(int, args.primes.split(","))), args.max_k, args.terms)
+    middle = [text for text in population
               if stability_class(parse_spec(text)) is StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE]
     tally: Counter[tuple[int, str]] = Counter()
     slowest = (0.0, "")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sb_abelian.classify import StabilityClass, stability_class
 from sb_abelian.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -19,6 +20,7 @@ from sb_abelian.cli import (
     run_cli,
 )
 from sb_abelian.finite_oracle import realize, subgroup_closure
+from sb_abelian.groupspec import PAdicPrimeFamily, parse_spec
 from sb_abelian.primes import EXACT_BOUND
 
 from _gen import finite_abelian_specs, scaled_set, small_spec_texts
@@ -91,6 +93,20 @@ def test_classify_agreement_holds_on_every_small_normal_form(capsys):
         routes[body["route"]] = routes.get(body["route"], 0) + 1
     assert routes == {None: 448, "ExternalNonSuperstable": 1509, "PAdicWitness": 789,
                       "SocleWitness": 664}
+
+
+def test_witness_builds_on_a_slice_of_the_small_normal_forms(capsys):
+    # every superstable, not omega-stable form with a prime family of
+    # completions, and a fixed stride of the others (tests/sweep.py runs all)
+    middle = [text for text in small_spec_texts()
+              if stability_class(parse_spec(text)) is StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE]
+    family = [text for text in middle
+              if any(isinstance(fam, PAdicPrimeFamily) for fam, _ in parse_spec(text).entries)]
+    rest = [text for text in middle if text not in family]
+    assert (len(family), len(rest)) == (476, 977)
+    for text in family + rest[::10]:
+        code, _, err = run(capsys, "witness", text)
+        assert code == EXIT_OK, (text, err)
 
 
 def test_invariants_payload(capsys):
@@ -264,7 +280,8 @@ def test_witness_errors_keep_their_exit_classes():
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["witness", "sumP(all; Zhat)"], "ranging over a prime family"),
+    # a finite power over a prime family is built; an infinite one is not superstable
+    (["witness", "sumP(all; Zhat)^w"], "the theory is not superstable"),
 ], ids=["prime_family_completion"])
 def test_witness_precondition_errors_exit_3(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

@@ -141,6 +141,10 @@ ARGVS = [
     # prime families of completions, spelled by their normal form
     ["classify", "sumP(all; Zhat)"],
     ["invariants", "sumP(all\\{5}; Zhat)^2 + Zhat(5)"],
+    # witnesses over prime families of completions: a pair at the least
+    # unlisted prime, the rest of the family carried as shared_completion
+    ["witness", "sumP(all\\{5}; Zhat) + Z/3"],
+    ["witness", "sumP(all; Zhat) + Q"],
 ]
 
 

@@ -350,5 +350,15 @@ def test_mixed_group_witness_guards():
         mixed_group_witness(parse_spec("Z/2^w"))
     with pytest.raises(NotApplicableError, match="p=5 has infinite multiplicity"):
         mixed_group_witness(parse_spec("Zhat(5)^w"))
-    with pytest.raises(NotApplicableError, match="ranging over a prime family"):
-        mixed_group_witness(parse_spec("sumP(all; Zhat)"))
+    with pytest.raises(NotApplicableError, match="p=2 has infinite multiplicity"):
+        mixed_group_witness(parse_spec("sumP(all; Zhat)^w"))
+    # a finite power over a prime family is built: a pair at the least
+    # unlisted prime, and the rest of the family carried on both sides
+    mg = mixed_group_witness(parse_spec("sumP(all\\{2}; Zhat)^2 + Zhat(2) + Zhat(7)^3 + Z/9"),
+                             precision=20)
+    assert [(c.p, c.k) for c in mg.core.components] == [(2, 1), (3, 2), (7, 5)]
+    assert str(mg.completion) == "sumP(all\\{2,3,7}; Zhat)^2"
+    assert mg.to_json()["shared_completion"] == "sumP(all\\{2,3,7}; Zhat)^2"
+    assert str(mg.torsion) == "Z/9"
+    # with no prime family there is no remainder, and no key for it
+    assert "shared_completion" not in mixed_group_witness(parse_spec("Zhat(5)")).to_json()

@@ -64,6 +64,9 @@ def test_window_validation():
         ((2, 1, ((7, 2), (7, 3))), "p=7 out of order or duplicated"),
         ((2, 1, ((5, 0),)), "p=5 must be >= 1"),
         ((2, 1, ((2, 1),)), "p=2 outside the support"),
+        # a list would give a window unequal to the tuple form, and unhashable
+        ((3, 1, [(5, 2)]), "must be a tuple of"),
+        ((3, 1, ([5, 2],)), "must be a tuple of"),
     ]:
         with pytest.raises(ValueError, match=message):
             PrimeWindow(ODD_PRIMES, *args)
@@ -419,9 +422,28 @@ def test_element_from_json_rejects_non_canonical():
         ProductElement(WIT, (((0, 0), Fraction(0)),), ()),  # zero coefficient
         ProductElement(WIT, (((1, 0), one), ((0, 0), one)), ()),  # unsorted tail
         ProductElement(WIT, (), ((3, (0,)),)),  # zero exception vector
+        ProductElement(WIT, (((-1, 0), one),), ()),  # negative grid exponent
+        ProductElement(WIT, (), ((3, (3,)),)),  # coordinate not reduced mod p
+        ProductElement(WIT, (), ((5, (1,)), (3, (1,)))),  # unsorted exceptions
+        ProductElement(WIT, (), ((2, (1,)),)),  # prime outside the support
     ):
         with pytest.raises(ValueError, match="membership wants a canonical element"):
             product_membership(bad, "H1", WIT)
+
+
+def test_membership_refuses_an_exception_at_a_non_prime():
+    bad = ProductElement(WIT, (), ((4, (1,)),))
+    for refused in (lambda: bad.evaluate(4), lambda: product_membership(bad, "H1", WIT)):
+        with pytest.raises(ValueError, match="4 is not a prime number"):
+            refused()
+
+
+def test_membership_refuses_an_exception_vector_shorter_than_its_block():
+    w = build_socle_witness(PrimeWindow(ODD_PRIMES, 10, generic_rank=2), seed=0,
+                            max_exponent=1, height_bound=1, threshold=2)
+    assert product_membership(ProductElement(w, (), ((3, (1, 0)),)), "H2", w)
+    with pytest.raises(ValueError, match="membership wants a canonical element"):
+        product_membership(ProductElement(w, (), ((3, (1,)),)), "H2", w)
 
 
 def test_membership_rejects_non_canonical_elements():

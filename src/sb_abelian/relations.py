@@ -8,20 +8,29 @@ the first monomial varies slowest, each coefficient runs from -B to B.
 
 The monomials split into a high and a low half, each half's residues are
 tabulated once, and a vector vanishes exactly when its halves satisfy
-L = -R (Horowitz-Sahni).  The socle scan counts this for every vector.  It
-walks the high halves (rows) in blocks: per prime it joins the low halves' row
-masks along a block's rows into one int for bit-sliced counters, tallied and
-dropped before the next block; T targets split one target's block T ways, so a
-scan of any size holds one single-target block's counters.  The module also
-holds :func:`terms` and the RNG, grid shapes and retry loop both routes share.
+L = -R (Horowitz-Sahni).  The socle scan counts this for every vector in
+bit-sliced counters over Python ints, a row per high half and a lane per low
+half.  The rows that share a prefix of the high monomials form a group, whose
+mask at a prime depends only on the prefix's residue plus the target: per
+block of groups, each prime builds one table of masks, one per residue that a
+group or target asks for, and every (group, target) pair adds its lookup into
+its own counters.  The scan without a target tallies an exact histogram; a
+target scan descends its counters' bit planes for the top count only.  Groups
+and blocks are sized from one lane budget, which T targets split T ways, so a
+scan of any size holds one single-target block's counters.  A scan of several
+blocks keeps, within a memo, the smallest primes' low masks and the other
+primes' residues across its blocks.  The module also holds
+:func:`terms` and the RNG, grid shapes and retry loop both routes share.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .groupspec import BudgetExceeded
 
@@ -34,8 +43,9 @@ __all__ = [
 Vector = tuple[int, ...]
 
 SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
-_BLOCK_BITS = 1 << 20  # lanes of a block over all targets: ops on larger ints leave the cache
-_MEMO_BYTES = 1 << 23  # row masks kept across blocks (8 MB); past it a prime rebuilds its own
+_BLOCK_BITS = 1 << 20  # lanes of counters one block holds, over all its targets
+_LOOKUPS = 8  # a group's mask holds at most 1/_LOOKUPS of a block's lanes
+_MEMO_BYTES = 1 << 23  # masks, then residues, kept across blocks (8 MB); past it, per block
 GRID_NAMES = ("H1", "H2")
 GRIDS = {"H1": "all (i, j)", "H2": "i >= 1, plus (0, 0)"}  # grid_allows, as witnesses print it
 RETRIES = 8  # seeded draws a witness route tries before it gives up
@@ -193,7 +203,8 @@ def first_relation(values: Sequence[int], height: int, modulus: int) -> Vector |
 
 class Survival(NamedTuple):
     """Survival counts of a scan: ``histogram`` holds (count, vectors) pairs
-    with vectors > 0; ``argmin`` is the first vector of minimal count."""
+    with vectors > 0, and is empty for a scan with targets; ``argmin`` is the
+    first vector of minimal count."""
 
     candidates: int
     min_count: int
@@ -209,19 +220,15 @@ def _add(levels: list[list[int]], mask: int) -> None:
             level.append(mask)
             return
         a, b = level
-        level[:] = [a ^ b ^ mask]
-        mask = a & b | (a ^ b) & mask
+        ab = a ^ b
+        level[:] = [ab ^ mask]
+        mask = a & b | ab & mask
     levels.append([mask])
 
 
-def _tally(levels: list[list[int]], lanes: int) -> tuple[dict[int, int], tuple[int, int]]:
-    """({count: number of its lanes} within ``lanes``, (largest count, its first lane)).
-
-    The levels are emptied into bit planes as they are added, and the planes
-    are walked depth first from the top plane down, the higher count first: at
-    most one mask per plane is held, only counts that occur form, and the first
-    leaf has the largest count.
-    """
+def _planes(levels: list[list[int]]) -> list[int]:
+    """Empty carry-save counters into bit planes: a lane's count has bit j set
+    exactly where plane j does."""
     planes, carry = [], 0
     for level in levels:
         a, b, c = (*level, carry, 0, 0)[:3]
@@ -229,6 +236,17 @@ def _tally(levels: list[list[int]], lanes: int) -> tuple[dict[int, int], tuple[i
         planes.append(a ^ b ^ c)
         carry = a & b | (a ^ b) & c
     planes.append(carry)
+    return planes
+
+
+def _tally(levels: list[list[int]], lanes: int) -> tuple[dict[int, int], tuple[int, int]]:
+    """({count: number of its lanes} within ``lanes``, (largest count, its first lane)).
+
+    The planes are walked depth first from the top plane down, the higher count
+    first: at most one mask per plane is held, only counts that occur form, and
+    the first leaf has the largest count.
+    """
+    planes = _planes(levels)
     totals: dict[int, int] = {}
     first = (-1, -1)
     stack = [(len(planes), 0, lanes)] if lanes else []
@@ -247,77 +265,147 @@ def _tally(levels: list[list[int]], lanes: int) -> tuple[dict[int, int], tuple[i
     return totals, first
 
 
+def _top(levels: list[list[int]], lanes: int) -> tuple[int, int]:
+    """(largest count within ``lanes``, its first lane), by one descent of the
+    planes from the top: keep the lanes with the next bit set, if any."""
+    count = 0
+    for j, plane in reversed(list(enumerate(_planes(levels)))):
+        one = lanes & plane
+        if one:
+            lanes, count = one, count | 1 << j
+    return count, (lanes & -lanes).bit_length() - 1
+
+
+def _prime_residues(
+    values: Sequence[Sequence[int]], height: int, split: int, cut: int, w: int, p: int,
+) -> tuple[list[int], list[int], list[int]]:
+    """The -residues at p = primes[w] of the group prefixes (the first ``cut``
+    monomials) and of a group's rows (the rest of the high half), and the
+    residues of the low half."""
+    coeffs = range(-height, height + 1)
+    return (_residues([-row[w] for row in values[:cut]], p, coeffs, [0]),
+            _residues([-row[w] for row in values[cut:split]], p, coeffs, [0]),
+            _residues([row[w] for row in values[split:]], p, coeffs, [0]))
+
+
+def _packed(residues: list[int], p: int) -> array:
+    """Residues mod p as an array of 16-bit (or, past them, 32-bit) integers."""
+    return array("H" if p < 1 << 16 else "I", residues)
+
+
+def _prime_masks(
+    values: Sequence[Sequence[int]], height: int, split: int, cut: int,
+    columns: Sequence[tuple[int, int, Sequence | None]],
+) -> Iterator[tuple[tuple[Sequence[int], Sequence[int], list], int]]:
+    """For each (w, p, found) of ``columns`` in turn: the prime's group prefix and
+    row residues, the low half's mask per residue, and the bytes those masks own.
+    ``found`` holds the prime's residues if they were kept.  The lane masks are
+    built on the first prime and go with the generator."""
+    n_low = (2 * height + 1) ** (len(values) - split)
+    size = (n_low + 7) // 8
+    bits = [(lane >> 3, 1 << (lane & 7)) for lane in range(n_low)]
+    empty, units = bytes(size), [(1 << lane).to_bytes(size, "little") for lane in range(n_low)]
+    for w, p, found in columns:
+        prefix, suffix, low = found or _prime_residues(values, height, split, cut, w, p)
+        masks, owned = [empty] * p, 0
+        for r, unit, (at, bit) in zip(low, units, bits):
+            mask = masks[r]
+            if mask is empty:  # a residue's first lane shares its unit mask
+                masks[r] = unit
+            else:
+                if mask.__class__ is bytes:
+                    mask, owned = bytearray(mask), owned + 1
+                    masks[r] = mask
+                mask[at] |= bit
+        yield (prefix, suffix, masks), 8 * p + size * owned
+
+
 def survival_scans(
     values: Sequence[Sequence[int]], primes: Sequence[int], height: int,
     targets: Sequence[Sequence[int]] | None,
 ) -> list[Survival]:
     """For each target t and every c in [-height, height]^n, count the window primes
     p_w where sum_k c_k values[k][w] - t[w] is nonzero mod p_w, sharing each prime's
-    residues and row masks over one value table.
+    residues, masks and tables over one value table.
 
     None scans once without a target, and then the zero vector is left out; c and
     -c vanish at the same primes, so only the vectors before it are scanned, each
-    counted twice.  Over :data:`SCAN_BUDGET` vectors raises :class:`BudgetExceeded`.
+    counted twice, and the histogram is exact.  With targets only the minimum and
+    its first vector are found.  Over :data:`SCAN_BUDGET` vectors raises
+    :class:`BudgetExceeded`.
     """
-    # A vector is a (row, lane) pair of its high and smaller low half.  A row's
-    # residue is its prefix's plus its suffix's, so a block computes only its own.
+    # A vector is a (row, lane) pair of its high and smaller low half.  A group is
+    # the rows that share their first ``cut`` coefficients: its mask depends only
+    # on that prefix's residue plus the target, so one table per prime and block
+    # serves every group and target that asks for the same residue.
     n, width, half = len(values), len(primes), targets is None
     targets = [[0] * width] if half else targets
     candidates = search_space(n, height, SCAN_BUDGET)
-    split, coeffs = n - n // 2, range(-height, height + 1)
-    cut = split - split // 2  # the prefix's monomials
-    n_high, n_low = (2 * height + 1) ** split, (2 * height + 1) ** (n - split)
-    n_suffix = (2 * height + 1) ** (split - cut)
-    size, bits = (n_low + 7) // 8, [(lane >> 3, 1 << (lane & 7)) for lane in range(n_low)]
-    empty, units = bytes(size), [(1 << lane).to_bytes(size, "little") for lane in range(n_low)]
-    rows, last = (n_high // 2 + 1, n_low // 2) if half else (n_high, n_low)
+    base, split = 2 * height + 1, n - n // 2
+    n_low = base ** (n - split)
+    size = (n_low + 7) // 8
+    row_bits = 8 * size
+    rows, last = (base ** split // 2 + 1, n_low // 2) if half else (base ** split, n_low)
+    share = max(1, _BLOCK_BITS // len(targets))  # one target's lanes of a block
+    cut = split  # the shortest prefix, of at least one monomial, whose groups are small
+    while cut > 1 and base ** (split - cut + 1) * row_bits * _LOOKUPS <= _BLOCK_BITS:
+        cut -= 1
+    group = base ** (split - cut)  # rows of a group
+    n_groups = -(-rows // group)
+    n_blocks = -(-n_groups // max(1, share // (group * row_bits)))  # a share per target
+    block = -(-n_groups // n_blocks)  # groups of a block, as even as they go
     full, tail = (((1 << k) - 1).to_bytes(size, "little") for k in (n_low, last))
-    block = max(1, _BLOCK_BITS // len(targets) // (8 * size))  # rows of one block
-    memo: dict[int, tuple[list[int], list[int], list]] = {}
-    room = _MEMO_BYTES if rows > block else 0
+    end = rows - (n_groups - 1) * group  # rows of the last group
+    lanes = (int.from_bytes(full * group, "little"),
+             int.from_bytes(full * (end - 1) + tail, "little"))  # a group's; the last one's
+    columns = list(enumerate(primes))
+    # A scan of several blocks builds once what the memo holds: the smallest
+    # primes' masks, while every later prime's residues still fit, then those
+    kept: list = []  # per prime from the first: its masks, then its residues
+    n_masks = 0
+    if n_blocks > 1:
+        room, spare = _MEMO_BYTES, 2 * (base ** cut + group + n_low)  # a prime's residues
+        for w, ((prefix, suffix, masks), cost) in enumerate(_prime_masks(
+                values, height, split, cut, [(w, p, None) for w, p in columns])):
+            if cost + spare * (width - 1 - w) > room:
+                break
+            kept.append((_packed(prefix, primes[w]), _packed(suffix, primes[w]), masks))
+            room -= cost
+        n_masks = len(kept)
+        for w, p in columns[n_masks:n_masks + room // spare]:
+            kept.append([_packed(residues, p)
+                         for residues in _prime_residues(values, height, split, cut, w, p)])
     hist, best = [Counter() for _ in targets], [(-1, 0)] * len(targets)
-    for lo in range(0, rows, block):
-        hi = min(rows, lo + block)
-        start, stop = lo // n_suffix, (hi - 1) // n_suffix + 1
-        levels: list[list[list[int]]] = [[] for _ in targets]
-        for w, p in enumerate(primes):
-            if w in memo:
-                prefix, suffix, masks = memo[w]
-            else:
-                # -residues of the row prefixes (without a target, none past the
-                # zero vector) and suffixes, and the low half's mask per residue
-                first = [-c * values[0][w] % p for c in (range(-height, 1) if half else coeffs)]
-                prefix = _residues([-row[w] for row in values[1:cut]], p, coeffs, first)
-                suffix = _residues([-row[w] for row in values[cut:split]], p, coeffs, [0])
-                low = _residues([row[w] for row in values[split:]], p, coeffs, [0])
-                masks, owned = [empty] * p, 0
-                for r, unit, (at, bit) in zip(low, units, bits):
-                    mask = masks[r]
-                    if mask is empty:  # a residue's first lane shares its unit mask
-                        masks[r] = unit
-                    else:
-                        if mask.__class__ is bytes:
-                            mask, owned = bytearray(mask), owned + 1
-                            masks[r] = mask
-                        mask[at] |= bit
-                cost = 8 * p + size * owned
-                if cost <= room:
-                    memo[w], room = (prefix, suffix, masks), room - cost
-            high = [(a + b) % p for a in prefix[start:stop] for b in suffix]
-            high = high[lo - start * n_suffix:hi - start * n_suffix]
-            for target, counters in zip(targets, levels):
-                t = target[w] % p  # lanes whose low residue is t - high residue
-                rotated = masks[t:] + masks[:t]
-                _add(counters, int.from_bytes(b"".join(map(rotated.__getitem__, high)), "little"))
-        lanes = int.from_bytes(full * (hi - lo - 1) + (tail if hi == rows else full), "little")
-        for k, counters in enumerate(levels):
-            totals, (top, lane) = _tally(counters, lanes)
-            hist[k].update(totals)
-            if top > best[k][0]:
-                best[k] = (top, lo * 8 * size + lane)
+    for lo in range(0, n_groups, block):
+        counters = [[[] for _ in targets] for _ in range(lo, min(n_groups, lo + block))]
+        fresh = (masks for masks, _ in _prime_masks(values, height, split, cut, [
+            (w, p, kept[w] if w < len(kept) else None) for w, p in columns[n_masks:]]))
+        for (w, p), (prefix, suffix, masks) in zip(columns, chain(kept[:n_masks], fresh)):
+            # residue: the mask of a group that asks for it, for whole groups and the last
+            kinds = ({}, suffix), ({}, suffix[:end])
+            for i, (r, group_counters) in enumerate(zip(prefix[lo:lo + block], counters), lo):
+                table, own = kinds[i == n_groups - 1]
+                for target, levels in zip(targets, group_counters):
+                    s = (r + target[w]) % p  # lanes whose low residue is s - row residue
+                    mask = table.get(s)
+                    if mask is None:
+                        t = s - p  # masks[t + x] is masks[(s + x) % p]
+                        mask = table[s] = int.from_bytes(
+                            b"".join([masks[t + x] for x in own]), "little")
+                    _add(levels, mask)
+        for i, group_counters in enumerate(counters, lo):
+            within = lanes[i == n_groups - 1]
+            for k, levels in enumerate(group_counters):
+                if half:
+                    totals, (top, lane) = _tally(levels, within)
+                    hist[k].update(totals)
+                else:
+                    top, lane = _top(levels, within)
+                if top > best[k][0]:
+                    best[k] = (top, i * group * row_bits + lane)
     return [
         Survival(candidates - half, width - top,
-                 _decode(lane // (8 * size) * n_low + lane % (8 * size), n, height),
+                 _decode(lane // row_bits * n_low + lane % row_bits, n, height),
                  tuple(sorted((width - v, k * (1 + half)) for v, k in counts.items())))
         for counts, (top, lane) in zip(hist, best)
     ]

@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .classify import NotApplicableError, StabilityClass, stability_class
@@ -118,6 +119,7 @@ class PrimeWindow(Record):
             last = p
             if r < 1:
                 raise ValueError(f"rank override at p={p} must be >= 1")
+            ensure_prime(p, "rank override")  # the support test below takes a prime
             if not self.source.contains(p):
                 raise ValueError(f"rank override at p={p} outside the support")
         self.__dict__["primes"] = self.source.first_n(self.width)
@@ -318,9 +320,10 @@ class ProductElement(Record):
     exceptions: tuple[tuple[int, Vector], ...] = ()
 
     def evaluate(self, p: int) -> Vector:
-        if not self.witness.window.source.contains(p):
+        window = self.witness.window
+        if not window.source.contains(p):
             raise ValueError(f"prime {p} outside the support")
-        vec = (_tail_value(self.witness, self.tail, p),) * self.witness.window.rank(p)
+        vec = (_tail_value(self.tail, *self.witness.scalars.at(p), p),) * window.rank(p)
         for q, extra in self.exceptions:
             if q == p:
                 vec = tuple((a + b) % p for a, b in zip(vec, extra))
@@ -369,9 +372,9 @@ pseudo_divide = ProductElement.pseudo_divide  # the free-function form, pseudo_d
 
 
 def _tail_value(
-    w: "SocleWitnessPair", tail: Iterable[tuple[tuple[int, int], Fraction]], p: int
+    tail: Iterable[tuple[tuple[int, int], Fraction]], s: int, t: int, p: int
 ) -> int:
-    s, t = w.scalars.at(p)
+    """The tail's face value at p, where the scalars are s and t."""
     total = 0
     for (i, j), c in tail:
         if c.denominator % p == 0:
@@ -408,21 +411,31 @@ def _assemble(
     w = parts[0][0].witness
     probes = set(killed)
     for x, _ in parts:
-        probes.update(p for p, _ in x.exceptions)
+        probes.update(dict(x.exceptions))
         for _, c in x.tail:
-            probes.update(_prime_factors(c.denominator))
-    tail = tuple(sorted((m, c) for m, c in tail_map.items() if c != 0))
+            d = c.denominator
+            if d != 1:
+                probes.update(_prime_factors(d))
+    tail = tuple(sorted(filter(itemgetter(1), tail_map.items())))  # no zero coefficient
     exceptions: list[tuple[int, Vector]] = []
+    window, scalars = w.window, w.scalars
     for p in sorted(probes):
-        if not w.window.source.contains(p):
+        if not window.source.contains(p):
             continue
-        want = [0] * w.window.rank(p)
+        s, t = scalars.at(p)
+        total, extras = 0, [0] * window.rank(p)  # the parts' tails, and their exceptions
         if p not in killed:
             for x, factor in parts:
                 lam = factor(p)
-                want = [a + lam * v for a, v in zip(want, x.evaluate(p))]
-        have = _tail_value(w, tail, p)
-        diff = tuple((a - have) % p for a in want)
+                for (i, j), c in x.tail:
+                    d = c.denominator
+                    if d % p:
+                        total += lam * c.numerator * pow(d, -1, p) * pow(s, i, p) * pow(t, j, p)
+                for q, extra in x.exceptions:
+                    if q == p:
+                        extras = [a + lam * b for a, b in zip(extras, extra)]
+        total -= _tail_value(tail, s, t, p)
+        diff = tuple((total + a) % p for a in extras)
         if any(diff):
             exceptions.append((p, diff))
     return ProductElement(w, tail, tuple(exceptions))

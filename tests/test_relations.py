@@ -61,6 +61,25 @@ def brute_scan(values, primes, height, target=None):
     return sum(counts.values()), best[0], best[1], tuple(sorted(counts.items()))
 
 
+def scanned(values, primes, height, target=None):
+    """What a scan reports: brute_scan's, with no histogram for a target."""
+    found = brute_scan(values, primes, height, target)
+    return found if target is None else (*found[:3], ())
+
+
+def group_rows(n, height):
+    """Rows of a group of survival_scans at the module's lane budget: the rows that
+    share the fewest leading coefficients, at least one, whose mask holds at most
+    1/_LOOKUPS of the budget's lanes."""
+    base, split = 2 * height + 1, n - n // 2
+    row_bits = (base ** (n - split) + 7) // 8 * 8
+    cut = split
+    while cut > 1 and base ** (split - cut + 1) * row_bits * relations._LOOKUPS <= (
+            relations._BLOCK_BITS):
+        cut -= 1
+    return base ** (split - cut)
+
+
 def random_values(rng, n, primes):
     return [[rng.randrange(p) for p in primes] for _ in range(n)]
 
@@ -117,7 +136,8 @@ def test_padic_pigeonhole_relation_is_found():
 
 
 # ---------------------------------------------------------------------------
-# survival_scans: exact histogram and first minimizer over a prime window
+# survival_scans: exact histogram (without a target) and first minimizer over a
+# prime window
 
 
 @pytest.mark.parametrize("n,height,primes", [
@@ -138,31 +158,34 @@ def test_survival_scan_matches_brute_force(n, height, primes):
 
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
-    # a small block splits the rows over many blocks: one target's block holds
-    # ``block`` rows of one byte, and fewer rows of two bytes or for several
-    # targets; the row masks are kept for every prime, or rebuilt in every block
+    # a small lane budget splits the rows over many groups and blocks: one
+    # target's block holds ``block`` rows of one byte, and fewer rows of two
+    # bytes or for several targets.  A group fills its share once (the largest
+    # groups), twice, or many times (single rows); the memo keeps every prime's
+    # masks, some primes' masks and the others' residues, or nothing
     monkeypatch.setattr(relations, "_BLOCK_BITS", 8 * block)
     primes = (2, 3, 5, 7)
     zero_later = argmin_later = False
-    for memo in (1 << 20, 0):
+    for lookups, memo in ((1, 1 << 20), (2, 150), (1, 0), (1 << 20, 0)):
+        monkeypatch.setattr(relations, "_LOOKUPS", lookups)
         monkeypatch.setattr(relations, "_MEMO_BYTES", memo)
         rng = random.Random(f"block:{block}")
         for n in (3, 4, 5):
             values = random_values(rng, n, primes)
-            assert tuple(survival_scans(values, primes, 1, None)[0]) == brute_scan(values, primes, 1)
+            assert tuple(survival_scans(values, primes, 1, None)[0]) == scanned(values, primes, 1)
             target = [rng.randrange(p) for p in primes]
-            assert tuple(survival_scans(values, primes, 1, [target])[0]) == brute_scan(
+            assert tuple(survival_scans(values, primes, 1, [target])[0]) == scanned(
                 values, primes, 1, target)
             targets = [target, [0] * len(primes), [rng.randrange(p) for p in primes]]
             scans = survival_scans(values, primes, 1, targets)
-            assert [tuple(s) for s in scans] == [brute_scan(values, primes, 1, t) for t in targets]
-            # rows are the high halves, numbered in order; the zero vector's is the middle one
-            split = n - n // 2
-            rows = max(1, block // ((3 ** (n - split) + 7) // 8 * len(targets)))  # of a block
-            zero_later |= 3**split // 2 >= rows
+            assert [tuple(s) for s in scans] == [scanned(values, primes, 1, t) for t in targets]
+            # rows are the high halves, numbered in order; the zero vector's is the
+            # middle one
+            split, first = n - n // 2, group_rows(n, 1)
+            zero_later |= 3**split // 2 >= first
             argmin_later |= any(
-                sum((c + 1) * 3 ** (split - 1 - k) for k, c in enumerate(s.argmin[:split])) >= rows
-                for s in scans)
+                sum((c + 1) * 3 ** (split - 1 - k) for k, c in enumerate(s.argmin[:split]))
+                >= first for s in scans)
     assert zero_later and argmin_later
 
 
@@ -187,7 +210,7 @@ def test_survival_scan_with_target():
         values = random_values(rng, n, primes)
         target = [rng.randrange(p) for p in primes]
         scan = survival_scans(values, primes, 1, [target])[0]
-        assert tuple(scan) == brute_scan(values, primes, 1, target)
+        assert tuple(scan) == scanned(values, primes, 1, target)
         assert scan.candidates == 3**n
     # a target equal to one monomial is hit exactly by that monomial
     scan = survival_scans([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], primes, 1, [[2, 3, 4, 5, 6]])[0]
@@ -206,7 +229,7 @@ def test_survival_scans_equal_one_scan_per_target():
         scans = survival_scans(values, primes, height, targets)
         assert scans == [survival_scans(values, primes, height, [t])[0] for t in targets]
         assert [tuple(s) for s in scans] == [
-            brute_scan(values, primes, height, t) for t in targets]
+            scanned(values, primes, height, t) for t in targets]
 
 
 # past 256: primes wider than a byte, and windows whose counts need 9 bits
@@ -231,7 +254,7 @@ def scan_cases(draw):
 def test_survival_scan_matches_brute_force_on_random_tables(case):
     values, primes, height, target = case
     targets = None if target is None else [target]
-    assert tuple(survival_scans(values, primes, height, targets)[0]) == brute_scan(
+    assert tuple(survival_scans(values, primes, height, targets)[0]) == scanned(
         values, primes, height, target)
 
 
@@ -341,7 +364,8 @@ def test_seeded_rng_takes_sha256_from_sha2(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# _tally: counts and the first lane of the largest count, against a per-lane sum
+# _tally and _top: counts and the first lane of the largest count, against a
+# per-lane sum
 
 
 @st.composite
@@ -363,6 +387,19 @@ def test_tally_matches_per_lane_counts(case):
     assert totals == Counter(counts.values())
     top = max(counts.values(), default=-1)
     assert first == (top, min((lane for lane, c in counts.items() if c == top), default=-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(carry_save_levels())
+def test_top_matches_per_lane_counts(case):
+    # the descent a target scan runs: the largest count within nonzero lanes
+    width, levels, lanes = case
+    counts = {lane: sum((m >> lane & 1) << j for j, level in enumerate(levels) for m in level)
+              for lane in range(width) if lanes >> lane & 1}
+    if counts:
+        top = max(counts.values())
+        assert relations._top(levels, lanes) == (
+            top, min(lane for lane, c in counts.items() if c == top))
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -64,6 +64,9 @@ def test_window_validation():
         ((2, 1, ((7, 2), (7, 3))), "p=7 out of order or duplicated"),
         ((2, 1, ((5, 0),)), "p=5 must be >= 1"),
         ((2, 1, ((2, 1),)), "p=2 outside the support"),
+        # the support holds every odd number but only odd primes
+        ((3, 1, ((4, 2),)), "rank override: 4 is not a prime number"),
+        ((3, 1, ((9, 2),)), "rank override: 9 is not a prime number"),
         # a list would give a window unequal to the tuple form, and unhashable
         ((3, 1, [(5, 2)]), "must be a tuple of"),
         ((3, 1, ([5, 2],)), "must be a tuple of"),

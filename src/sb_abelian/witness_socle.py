@@ -28,10 +28,10 @@ no fewer than `threshold` window primes.  The resulting certificate travels
 with the witness, and every membership or separation verdict downstream is
 relative to it.
 
-`reduce_unbounded_torsion` runs the pipeline for group descriptions whose
-reduced part has torsion of unbounded order: reject non-superstable input,
-split off the finitely many bounded types of infinite multiplicity, take
-the socle of what remains, and build the witness pair over that socle.  The
+`reduce_unbounded_torsion` runs the pipeline for the group descriptions
+that :func:`~.classify.has_sb` sends down the socle route: split off the
+finitely many bounded types of infinite multiplicity, take the socle of
+what remains, and build the witness pair over that socle.  The
 multiplicities it needs (the primes carrying a type of infinite multiplicity,
 the block ranks of the socle) are Ulm values read off the Szmielew key.  The
 lift back to the original group (the unique pure subgroup with the
@@ -46,7 +46,7 @@ import random
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .classify import NotApplicableError, StabilityClass, stability_class
+from .classify import NotApplicableError, StabilityClass, WitnessRoute, has_sb
 from .groupspec import (
     GroupSpec, PrimeSet, Record, m_split, normalize, socle, split_reduced_divisible,
 )
@@ -624,19 +624,51 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
 
 
 class ReductionOutcome(Record):
-    """Transcript and witness from the unbounded-torsion reduction.
+    """What the unbounded-torsion reduction split off, the unbounded
+    ``remainder`` and the witness pair built over its socle.
 
-    It compares by value but cannot be hashed: the transcript is a tuple of
-    the JSON dicts it prints.
+    ``transcript`` renders the reduction's steps, in order, from these fields.
     """
 
     spec: GroupSpec
     modulus: int
     carried_bounded: GroupSpec
     carried_divisible: GroupSpec
-    socle_part: GroupSpec
+    remainder: GroupSpec
     witness: SocleWitnessPair
-    transcript: tuple[dict, ...]
+
+    @property
+    def socle_part(self) -> GroupSpec:
+        return socle(self.remainder)
+
+    @property
+    def transcript(self) -> list[dict]:
+        cert = self.witness.certificate
+        carried = [{
+            "step": "carried-divisible",
+            "part": str(self.carried_divisible),
+            "note": "divisible summand carried through unchanged; torsion "
+            "recovery next to a divisible complement is read as: for every "
+            "modulus, each torsion-part member is congruent to a torsion "
+            "element modulo divisible elements (recorded, not asserted)",
+        }] if self.carried_divisible.entries else []
+        return [
+            # the socle route is taken only by superstable theories that are
+            # not divisible plus bounded, so not omega-stable
+            {"step": "stability-gate", "class": StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE.value,
+             "note": "exponents bounded at every prime; infinite multiplicity "
+             "confined to finitely many primes"},
+            *carried,
+            {"step": "bounded-split", "modulus": self.modulus, "bounded": str(self.carried_bounded),
+             "remainder": str(self.remainder), "trivial": self.modulus == 1},
+            {"step": "socle", "socle": str(self.socle_part)},
+            {"step": "window", **self.witness.window.to_json()},
+            {"step": "witness", "attempt": cert.attempt, "min_count": cert.min_count,
+             "threshold": cert.threshold},
+            {"step": "lift", "note": "each grid subgroup lifts to the unique pure subgroup of "
+             "the unbounded remainder having it as socle; the lift is recorded "
+             "symbolically — the witness pair itself lives in the socle product"},
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -647,7 +679,7 @@ class ReductionOutcome(Record):
             "carried_divisible": str(self.carried_divisible),
             "socle": str(self.socle_part),
             "witness": self.witness.to_json(),
-            "transcript": list(self.transcript),
+            "transcript": self.transcript,
         }
 
 
@@ -660,101 +692,31 @@ def reduce_unbounded_torsion(
     height_bound: int = 2,
     threshold: int = 5,
 ) -> ReductionOutcome:
-    """Reduce a superstable description with unbounded reduced torsion to a
-    socle witness.
+    """Reduce a description on the socle route to a socle witness.
 
-    Steps, all recorded in the transcript: reject non-superstable input;
-    carry any divisible summand; split off the finitely many bounded types
-    of infinite multiplicity (modulus M); take the socle of the unbounded
-    remainder; build the witness pair over its prime window; note the
-    symbolic lift back through pure subgroups.
+    :func:`~.classify.has_sb` decides the route; any other verdict raises
+    ``NotApplicableError`` with its reason.  Then: carry any divisible
+    summand; split off the finitely many bounded types of infinite
+    multiplicity (modulus M); take the socle of the unbounded remainder;
+    build the witness pair over its prime window.
     """
     spec = normalize(list(spec.entries))
-    transcript: list[dict] = []
-    cls = stability_class(spec)
-    if cls is StabilityClass.NOT_SUPERSTABLE:
-        raise NotApplicableError(
-            "a fixed prime carries unbounded exponents, or infinitely many "
-            "primes carry summands of infinite multiplicity"
-        )
-    transcript.append(
-        {
-            "step": "stability-gate",
-            "class": cls.value,
-            "note": "exponents bounded at every prime; infinite multiplicity "
-            "confined to finitely many primes",
-        }
-    )
-    k_part, c_part, d_part = split_reduced_divisible(spec)
-    if k_part.entries:
-        raise NotApplicableError(
-            "completion summands present; use the completion-grid route"
-        )
-    key = szmielew_invariants(c_part)
-    if key.bounded:
-        raise NotApplicableError(
-            "reduced torsion has bounded exponent; nothing to reduce"
-        )
-    if d_part.entries:
-        transcript.append(
-            {
-                "step": "carried-divisible",
-                "part": str(d_part),
-                "note": "divisible summand carried through unchanged; torsion "
-                "recovery next to a divisible complement is read as: for every "
-                "modulus, each torsion-part member is congruent to a torsion "
-                "element modulo divisible elements (recorded, not asserted)",
-            }
-        )
-    # past the stability gate only finitely many listed primes carry a type
-    # of infinite multiplicity; each is split off up to its largest exponent
+    verdict = has_sb(spec)
+    if verdict.route is not WitnessRoute.SOCLE_WITNESS:
+        raise NotApplicableError(verdict.reason)
+    _, torsion, divisible = split_reduced_divisible(spec)
+    # on the socle route only finitely many listed primes carry a type of
+    # infinite multiplicity; each is split off up to its largest exponent
     modulus = math.prod(
-        p ** rec.ulm[-1][0] for p, rec in key.primes
+        p ** rec.ulm[-1][0] for p, rec in szmielew_invariants(torsion).primes
         if any(not u.is_finite for _, u in rec.ulm)
     )
-    split = m_split(c_part, modulus)
-    transcript.append(
-        {
-            "step": "bounded-split",
-            "modulus": modulus,
-            "bounded": str(split.torsion),
-            "remainder": str(split.complement),
-            "trivial": modulus == 1,
-        }
-    )
-    socle_part = socle(split.complement)
-    transcript.append({"step": "socle", "socle": str(socle_part)})
-    window = window_from_socle(socle_part, width)
-    transcript.append({"step": "window", **window.to_json()})
+    split = m_split(torsion, modulus)
     witness = build_socle_witness(
-        window,
+        window_from_socle(socle(split.complement), width),
         seed=seed,
         max_exponent=max_exponent,
         height_bound=height_bound,
         threshold=threshold,
     )
-    transcript.append(
-        {
-            "step": "witness",
-            "attempt": witness.certificate.attempt,
-            "min_count": witness.certificate.min_count,
-            "threshold": witness.certificate.threshold,
-        }
-    )
-    transcript.append(
-        {
-            "step": "lift",
-            "note": "each grid subgroup lifts to the unique pure subgroup of "
-            "the unbounded remainder having it as socle; the lift is recorded "
-            "symbolically — the witness pair itself lives in the socle product",
-        }
-    )
-    return ReductionOutcome(
-        spec=spec,
-        modulus=modulus,
-        carried_bounded=split.torsion,
-        carried_divisible=d_part,
-        socle_part=socle_part,
-        witness=witness,
-        transcript=tuple(transcript),
-    )
+    return ReductionOutcome(spec, modulus, split.torsion, divisible, split.complement, witness)

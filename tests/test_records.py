@@ -114,8 +114,9 @@ def test_witnesses_built_from_equal_inputs_are_equal():
     assert product_membership(y, "H1", a) and not product_membership(y, "H2", a)
     r = reduce_unbounded_torsion(parse_spec("sumP(all; Z/p^1)"), width=10, max_exponent=1,
                                  height_bound=1, threshold=2)
-    assert r == reduce_unbounded_torsion(parse_spec("sumP(all; Z/p^1)"), width=10,
-                                         max_exponent=1, height_bound=1, threshold=2)
+    r2 = reduce_unbounded_torsion(parse_spec("sumP(all; Z/p^1)"), width=10, max_exponent=1,
+                                  height_bound=1, threshold=2)
+    assert r == r2 and hash(r) == hash(r2) and len({r, r2}) == 1
 
 
 def test_elements_of_two_witnesses_with_one_tail_stay_apart():

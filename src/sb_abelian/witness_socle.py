@@ -33,9 +33,9 @@ that :func:`~.classify.has_sb` sends down the socle route: split off the
 finitely many bounded types of infinite multiplicity, take the socle of
 what remains, and build the witness pair over that socle.  The
 multiplicities it needs (the primes carrying a type of infinite multiplicity,
-the block ranks of the socle) are Ulm values read off the Szmielew key.  The
-lift back to the original group (the unique pure subgroup with the
-constructed socle) is recorded symbolically in the transcript.
+the block ranks of the socle) are Ulm values read off the Szmielew key.  No
+lift of the pair back to pure subgroups of the original group is
+constructed; the transcript's last step says so.
 """
 
 from __future__ import annotations
@@ -665,9 +665,9 @@ class ReductionOutcome(Record):
             {"step": "window", **self.witness.window.to_json()},
             {"step": "witness", "attempt": cert.attempt, "min_count": cert.min_count,
              "threshold": cert.threshold},
-            {"step": "lift", "note": "each grid subgroup lifts to the unique pure subgroup of "
-             "the unbounded remainder having it as socle; the lift is recorded "
-             "symbolically — the witness pair itself lives in the socle product"},
+            {"step": "lift", "note": "the witness pair lives in the socle product of the "
+             "unbounded remainder; no lift of its grid subgroups to pure subgroups of the "
+             "remainder is constructed"},
         ]
 
     def to_json(self) -> dict:

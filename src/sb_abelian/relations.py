@@ -16,10 +16,12 @@ block of groups, each prime builds one table of masks, one per residue that a
 group or target asks for, and every (group, target) pair adds its lookup into
 its own counters.  The scan without a target tallies an exact histogram; a
 target scan descends its counters' bit planes for the top count only.  Groups
-and blocks are sized from one lane budget, which T targets split T ways, so a
-scan of any size holds one single-target block's counters.  A scan of several
-blocks keeps, within a memo, the smallest primes' low masks and the other
-primes' residues across its blocks.  The module also holds
+and blocks are sized from one lane budget, which T targets split T ways.  Past
+the number of targets that hold one group each within it, the targets are
+scanned in batches of that many, so a scan of any size holds about one
+single-target block's counters.  A scan of several blocks or batches keeps,
+within a memo, the smallest primes' low masks and the other primes' residues
+across them.  The module also holds
 :func:`terms` and the RNG, grid shapes and retry loop both routes share.
 """
 
@@ -29,7 +31,7 @@ import random
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .groupspec import BudgetExceeded
@@ -346,24 +348,26 @@ def survival_scans(
     size = (n_low + 7) // 8
     row_bits = 8 * size
     rows, last = (base ** split // 2 + 1, n_low // 2) if half else (base ** split, n_low)
-    share = max(1, _BLOCK_BITS // len(targets))  # one target's lanes of a block
     cut = split  # the shortest prefix, of at least one monomial, whose groups are small
     while cut > 1 and base ** (split - cut + 1) * row_bits * _LOOKUPS <= _BLOCK_BITS:
         cut -= 1
     group = base ** (split - cut)  # rows of a group
     n_groups = -(-rows // group)
-    n_blocks = -(-n_groups // max(1, share // (group * row_bits)))  # a share per target
+    # targets whose counters one block holds for at least one group each; more
+    # are scanned in batches of that many, and a batch splits a block's lanes
+    batch = min(len(targets), max(1, _BLOCK_BITS // (group * row_bits)))
+    n_blocks = -(-n_groups // max(1, _BLOCK_BITS // batch // (group * row_bits)))
     block = -(-n_groups // n_blocks)  # groups of a block, as even as they go
     full, tail = (((1 << k) - 1).to_bytes(size, "little") for k in (n_low, last))
     end = rows - (n_groups - 1) * group  # rows of the last group
     lanes = (int.from_bytes(full * group, "little"),
              int.from_bytes(full * (end - 1) + tail, "little"))  # a group's; the last one's
     columns = list(enumerate(primes))
-    # A scan of several blocks builds once what the memo holds: the smallest
+    # A scan of several blocks or batches builds once what the memo holds: the smallest
     # primes' masks, while every later prime's residues still fit, then those
     kept: list = []  # per prime from the first: its masks, then its residues
     n_masks = 0
-    if n_blocks > 1:
+    if n_blocks > 1 or batch < len(targets):
         room, spare = _MEMO_BYTES, 2 * (base ** cut + group + n_low)  # a prime's residues
         for w, ((prefix, suffix, masks), cost) in enumerate(_prime_masks(
                 values, height, split, cut, [(w, p, None) for w, p in columns])):
@@ -376,8 +380,9 @@ def survival_scans(
             kept.append([_packed(residues, p)
                          for residues in _prime_residues(values, height, split, cut, w, p)])
     hist, best = [Counter() for _ in targets], [(-1, 0)] * len(targets)
-    for lo in range(0, n_groups, block):
-        counters = [[[] for _ in targets] for _ in range(lo, min(n_groups, lo + block))]
+    for first, lo in product(range(0, len(targets), batch), range(0, n_groups, block)):
+        ours = targets[first:first + batch]
+        counters = [[[] for _ in ours] for _ in range(lo, min(n_groups, lo + block))]
         fresh = (masks for masks, _ in _prime_masks(values, height, split, cut, [
             (w, p, kept[w] if w < len(kept) else None) for w, p in columns[n_masks:]]))
         for (w, p), (prefix, suffix, masks) in zip(columns, chain(kept[:n_masks], fresh)):
@@ -385,7 +390,7 @@ def survival_scans(
             kinds = ({}, suffix), ({}, suffix[:end])
             for i, (r, group_counters) in enumerate(zip(prefix[lo:lo + block], counters), lo):
                 table, own = kinds[i == n_groups - 1]
-                for target, levels in zip(targets, group_counters):
+                for target, levels in zip(ours, group_counters):
                     s = (r + target[w]) % p  # lanes whose low residue is s - row residue
                     mask = table.get(s)
                     if mask is None:
@@ -395,7 +400,7 @@ def survival_scans(
                     _add(levels, mask)
         for i, group_counters in enumerate(counters, lo):
             within = lanes[i == n_groups - 1]
-            for k, levels in enumerate(group_counters):
+            for k, levels in enumerate(group_counters, first):
                 if half:
                     totals, (top, lane) = _tally(levels, within)
                     hist[k].update(totals)

@@ -599,7 +599,9 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
     Shifts that allow the same monomials share one :func:`survival_scans` call,
     one target each.  Every shift from d on allows them all, so this runs at
     most d + 1 scans: three at d = 2.  A scan's T targets split one target's
-    block of rows T ways, so it holds no more counters than the avoidance scan.
+    block of rows T ways, or run in batches that one block holds (past 13 at
+    W = 16 and d = B = 2), so it holds about as many counters as the avoidance
+    scan at any ``max_shift``.
     """
     if max_shift < 0:
         raise ValueError(f"max_shift must be nonnegative, got {max_shift}")

@@ -53,12 +53,12 @@ def check(python: str) -> tuple[bool, str]:
     """(whether ``python`` reproduces the corpus and runs the module, its line)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     child = subprocess.run([python, "-c", "import matrix; matrix.replay_corpus()"],
-                           env=env, capture_output=True, text=True, encoding="utf-8")
+                           env=env, capture_output=True, encoding="utf-8")
     if child.returncode:
         return False, f"{python}: replay exited {child.returncode}: {child.stderr.strip()}"
     found = json.loads(child.stdout)
     entry = subprocess.run([python, "-m", "sb_abelian", *ENTRY_ARGV],
-                           env=env, capture_output=True, text=True, encoding="utf-8")
+                           env=env, capture_output=True, encoding="utf-8")
     same = entry.returncode == 0 and entry.stdout == found["entry_stdout"]
     line = (f"{python}: Python {found['version']}, {len(found['differ'])} of "
             f"{found['entries']} golden entries differ; -m sb_abelian "

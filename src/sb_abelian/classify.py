@@ -24,6 +24,7 @@ pair.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 from .groupspec import (
@@ -51,7 +52,6 @@ __all__ = [
     "CONTINUUM",
     "NonUnipotentWitness",
     "UnipotenceReport",
-    "NotApplicableError",
     "basic_predicates",
     "stability_class",
     "divisible_plus_bounded",
@@ -136,6 +136,7 @@ class SbVerdict(Record):
     reason: str
 
 
+@functools.lru_cache(maxsize=4096)
 def has_sb(spec: GroupSpec) -> SbVerdict:
     """Decide the Schroeder-Bernstein property and pick a witness route.
 

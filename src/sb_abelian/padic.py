@@ -24,11 +24,10 @@ from typing import Sequence
 
 from .groupspec import Record
 from .primes import ensure_prime, p_valuation
-from .relations import BudgetExceeded, first_relation, monomials, search_space, seeded_rng, terms
+from .relations import first_relation, monomials, search_space, seeded_rng, terms
 
 __all__ = [
     "AtLeast",
-    "BudgetExceeded",
     "DEFAULT_INDEPENDENCE_BUDGET",
     "IndependenceCertificate",
     "NonUnitError",

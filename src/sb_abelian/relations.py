@@ -4,7 +4,9 @@ Both witness routes ask which q(x, y) = sum c_ij x^i y^j, with exponents at
 most d and |c_ij| <= B, vanish (or hit a target) at given values: the p-adic
 route mod p**N, the socle route at each prime of a window.  This is the only
 module that enumerates coefficient vectors.  Their order is lexicographic:
-the first monomial varies slowest, each coefficient runs from -B to B.
+the first monomial varies slowest, each coefficient runs from -B to B.  A
+vector and its negative vanish together, so a search without a target looks
+only before the zero vector, the middle of that order.
 
 The monomials split into a high and a low half, each half's residues are
 tabulated once, and a vector vanishes exactly when its halves satisfy
@@ -14,15 +16,16 @@ half.  The rows that share a prefix of the high monomials form a group, whose
 mask at a prime depends only on the prefix's residue plus the target: per
 block of groups, each prime builds one table of masks, one per residue that a
 group or target asks for, and every (group, target) pair adds its lookup into
-its own counters.  The scan without a target tallies an exact histogram; a
-target scan descends its counters' bit planes for the top count only.  Groups
-and blocks are sized from one lane budget, which T targets split T ways.  Past
-the number of targets that hold one group each within it, the targets are
-scanned in batches of that many, so a scan of any size holds about one
-single-target block's counters.  A scan of several blocks or batches keeps,
-within a memo, the smallest primes' low masks and the other primes' residues
-across them.  The module also holds
-:func:`terms` and the RNG, grid shapes and retry loop both routes share.
+its own counters.  One depth-first walk of a group's counters' bit planes
+yields each count that occurs, the largest first: the scan without a target
+adds them all into an exact histogram, and a target scan stops at the first.
+Groups and blocks are sized from one lane budget, which T targets split T
+ways.  Past the number of targets that hold one group each within it, the
+targets are scanned in batches of that many, so a scan of any size holds about
+one single-target block's counters.  A scan of several blocks or batches
+keeps, within a memo, the smallest primes' low masks and the other primes'
+residues across them.  The module also holds :func:`terms` and the RNG, grid
+shapes and retry loop both routes share.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .groupspec import BudgetExceeded
 
 __all__ = [
-    "BudgetExceeded", "GRIDS", "RETRIES", "RetriesExhausted", "SCAN_BUDGET", "Survival",
-    "check_grid", "first_passing", "first_relation", "grid_allows", "monomials", "relation_str",
-    "search_space", "seeded_rng", "survival_scans", "terms",
+    "GRIDS", "RETRIES", "RetriesExhausted", "SCAN_BUDGET", "Survival", "check_grid",
+    "first_passing", "first_relation", "grid_allows", "monomials", "relation_str", "search_space",
+    "seeded_rng", "survival_scans", "terms",
 ]
 
 Vector = tuple[int, ...]
@@ -193,12 +196,13 @@ def first_relation(values: Sequence[int], height: int, modulus: int) -> Vector |
     first: dict[int, int] = {}
     for index, r in enumerate(low):
         first.setdefault(r, index)
-    # beside the zero high half, the low half must be nonzero itself
-    root = first[0] if first[0] != low_zero else next(
-        (k for k in range(low_zero + 1, len(low)) if low[k] == 0), None)
-    for index, r in enumerate(high):
-        match = root if index == high_zero else first.get(-r % modulus)
-        if match is not None:
+    # c and -c vanish together, and the one that leads with a negative coefficient
+    # comes first, so the first nonzero vanishing vector precedes the zero vector:
+    # no high half past the zero one is searched, and beside the zero high half
+    # only a low half before the zero low vector counts (first[0] is never past it)
+    for index, r in enumerate(high[:high_zero + 1]):
+        match = first.get(-r % modulus)
+        if match is not None and (index, match) != (high_zero, low_zero):
             return _decode(index, split, height) + _decode(match, n - split, height)
     return None
 
@@ -241,41 +245,22 @@ def _planes(levels: list[list[int]]) -> list[int]:
     return planes
 
 
-def _tally(levels: list[list[int]], lanes: int) -> tuple[dict[int, int], tuple[int, int]]:
-    """({count: number of its lanes} within ``lanes``, (largest count, its first lane)).
-
-    The planes are walked depth first from the top plane down, the higher count
-    first: at most one mask per plane is held, only counts that occur form, and
-    the first leaf has the largest count.
-    """
+def _leaves(levels: list[list[int]], lanes: int) -> Iterator[tuple[int, int]]:
+    """(count, mask of its lanes) for each count that occurs within ``lanes``, the
+    largest first: the planes are walked depth first from the top plane down, the
+    higher count first, holding at most one mask per plane."""
     planes = _planes(levels)
-    totals: dict[int, int] = {}
-    first = (-1, -1)
     stack = [(len(planes), 0, lanes)] if lanes else []
     while stack:
         j, count, mask = stack.pop()
         if not j:
-            if not totals:
-                first = (count, (mask & -mask).bit_length() - 1)
-            totals[count] = mask.bit_count()
+            yield count, mask
             continue
         one = mask & planes[j - 1]
         if one != mask:
             stack.append((j - 1, count, mask ^ one))
         if one:
             stack.append((j - 1, count | 1 << j - 1, one))
-    return totals, first
-
-
-def _top(levels: list[list[int]], lanes: int) -> tuple[int, int]:
-    """(largest count within ``lanes``, its first lane), by one descent of the
-    planes from the top: keep the lanes with the next bit set, if any."""
-    count = 0
-    for j, plane in reversed(list(enumerate(_planes(levels)))):
-        one = lanes & plane
-        if one:
-            lanes, count = one, count | 1 << j
-    return count, (lanes & -lanes).bit_length() - 1
 
 
 def _prime_residues(
@@ -401,13 +386,12 @@ def survival_scans(
         for i, group_counters in enumerate(counters, lo):
             within = lanes[i == n_groups - 1]
             for k, levels in enumerate(group_counters, first):
-                if half:
-                    totals, (top, lane) = _tally(levels, within)
-                    hist[k].update(totals)
-                else:
-                    top, lane = _top(levels, within)
-                if top > best[k][0]:
-                    best[k] = (top, i * group * row_bits + lane)
+                for top, mask in _leaves(levels, within):  # the first leaf has the top count
+                    if top > best[k][0]:
+                        best[k] = (top, i * group * row_bits + (mask & -mask).bit_length() - 1)
+                    if not half:
+                        break
+                    hist[k][top] += mask.bit_count()
     return [
         Survival(candidates - half, width - top,
                  _decode(lane // row_bits * n_low + lane % row_bits, n, height),

@@ -29,9 +29,9 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .classify import NotApplicableError
 from .groupspec import (
-    Cardinal, GroupSpec, PAdicPrimeFamily, PrimeSet, Record, normalize, split_reduced_divisible,
+    Cardinal, GroupSpec, NotApplicableError, PAdicPrimeFamily, PrimeSet, Record, normalize,
+    split_reduced_divisible,
 )
 from .invariants import szmielew_invariants
 from .padic import (

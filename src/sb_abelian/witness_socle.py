@@ -46,9 +46,10 @@ import random
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .classify import NotApplicableError, StabilityClass, WitnessRoute, has_sb
+from .classify import StabilityClass, WitnessRoute, has_sb
 from .groupspec import (
-    GroupSpec, PrimeSet, Record, m_split, normalize, socle, split_reduced_divisible,
+    GroupSpec, NotApplicableError, PrimeSet, Record, m_split, normalize, socle,
+    split_reduced_divisible,
 )
 from .invariants import szmielew_invariants
 from .primes import ensure_prime, factorize

@@ -2,15 +2,25 @@
 specs, every finite abelian group up to an order, and every normal form of a
 few summands built from small atoms (by default, two over the primes 2 and 3).
 Also the readers that only tests need: subgroups of a finite group, a spec's
-multiplicity of one summand, and the coefficients of witness elements."""
+multiplicity of one summand, and the coefficients of witness elements.  Last,
+the computations of the four pinned digests (element arithmetic of both
+routes, the elementary-matrix probe and the routes' multiplicities): their
+tests compare them with the pinned constants, and ``tests/matrix.py`` runs them
+under each interpreter, so this module imports only the standard library and
+the package."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
+from sb_abelian import witness_padic, witness_socle
 from sb_abelian.groupspec import (
     Cardinal,
     Cyclic,
@@ -27,6 +37,7 @@ from sb_abelian.groupspec import (
     direct_sum,
     normalize,
     parse_spec,
+    socle,
 )
 from sb_abelian.primes import primes
 
@@ -231,3 +242,196 @@ def product_coefficient(x, i: int, j: int) -> Fraction:
 def product_support(x) -> tuple[tuple[int, int], ...]:
     """The monomials (i, j) of a ``ProductElement``'s tail, in order."""
     return tuple(m for m, _ in x.tail)
+
+
+# ---------------------------------------------------------------------------
+# pinned digests: each is the sha256 of seeded rows as sorted-key JSON
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as err:  # the error class is part of the pinned outcome
+        return type(err).__name__
+
+
+@contextlib.contextmanager
+def patched(module, name: str, value):
+    """``module.name`` set to ``value`` within the block, and put back after it."""
+    original = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
+def _socle_state(w, x) -> dict:
+    primes = sorted(set(w.window.primes[:20]) | {p for p, _ in x.exceptions})
+    return {
+        "tail": [[list(m), str(c)] for m, c in x.tail],
+        "exceptions": [[p, list(vec)] for p, vec in x.exceptions],
+        "values": [[p, list(x.evaluate(p))] for p in primes],
+    }
+
+
+def _socle_step(w, x, rng: random.Random):
+    op = rng.choice(("add", "sub", "scale", "apply_scalar", "pseudo_divide"))
+    if op == "add":
+        return op, x + witness_socle.random_socle_member(w, rng, rng.choice(("H1", "H2")))
+    if op == "sub":
+        return op, x - witness_socle.random_socle_member(w, rng, rng.choice(("H1", "H2")))
+    if op == "scale":
+        n = rng.choice((-4, -3, -1, 0, 2, 3, 5, 7, 15))
+        return f"scale {n}", x.scale(n)
+    if op == "apply_scalar":
+        which = rng.choice((1, 2))
+        return f"apply_scalar {which}", x.apply_scalar(which)
+    n = rng.choice((1, 2, 3, 5, 6, 7, 13, 35, 39))
+    return f"pseudo_divide {n}", x.pseudo_divide(n)
+
+
+def socle_element_digest() -> str:
+    """Seeded operation sequences on socle product elements: each element's
+    tail, exceptions and values at primes."""
+    w = witness_socle.build_socle_witness(
+        witness_socle.PrimeWindow(PrimeSet.cofinite({2}), 24, overrides=((5, 2), (13, 3))),
+        seed=3, max_exponent=1, height_bound=1, threshold=2,
+    )
+    rows = []
+    for seed in range(40):
+        rng = random.Random(f"socle-elements:{seed}")
+        x = witness_socle.random_socle_member(w, rng, rng.choice(("H1", "H2")))
+        rows.append(["start", _socle_state(w, x)])
+        for _ in range(8):
+            op, x = _socle_step(w, x, rng)
+            rows.append([op, _socle_state(w, x)])
+    return _digest(rows)
+
+
+def _padic_state(w, x) -> dict:
+    return {
+        "t": x.t,
+        "str": str(x),
+        "support": [str(m) for m in x.support],
+        "coefficients": [str(grid_coefficient(x, m)) for m in x.support],
+        "H1": _outcome(lambda: witness_padic.grid_membership(x, "H1", w)),
+        "H2": _outcome(lambda: witness_padic.grid_membership(x, "H2", w)),
+        "sums": [w.coordinate_sum(x, s) for s in range(1, w.k + 1)],
+    }
+
+
+def _padic_step(w, x, rng: random.Random):
+    op = rng.choice(("add", "sub", "shift", "scale"))
+    if op == "add":
+        return op, x + witness_padic.random_member(w, rng, rng.choice(("H1", "H2")))
+    if op == "sub":
+        return op, x - witness_padic.random_member(w, rng, rng.choice(("H1", "H2")))
+    if op == "shift":
+        di, dj = rng.randint(0, 2), rng.randint(0, 2)
+        return f"shift {di} {dj}", x.shift(di, dj)
+    q = Fraction(rng.choice((-10, -3, 1, 2, 5, 7, 25)), rng.choice((1, 5, 10, 25, 3)))
+    return f"scale {q}", x.scale(q)
+
+
+def padic_element_digest() -> str:
+    """Seeded operation sequences on p-adic grid elements: each element's
+    denominator exponent, rendering, support, coefficients, memberships and
+    coordinate sums."""
+    w = witness_padic.build_padic_witness(5, 2)
+    rows = []
+    for seed in range(60):
+        rng = random.Random(f"padic-elements:{seed}")
+        x = witness_padic.random_member(w, rng, rng.choice(("H1", "H2")))
+        rows.append(["start", _padic_state(w, x)])
+        for _ in range(8):
+            op, x = _padic_step(w, x, rng)
+            rows.append([op, _padic_state(w, x)])
+    return _digest(rows)
+
+
+def probe_digest() -> str:
+    """Elementary-matrix probes over a grid of primes, ranks, precisions and
+    seeds; a ``ValueError`` if any probe misses the identity at some level."""
+    probes = [
+        witness_padic.elementary_matrix_probe(SimpleNamespace(p=p, k=k, precision=n), seed=s)
+        for p in (2, 3, 5, 7, 101)
+        for k in range(1, 5)
+        for n in (1, 2, 3, 7, 40)
+        for s in range(6)
+    ]
+    if not all(probe["identity_at_all_levels"] for probe in probes):
+        raise ValueError("a probe missed the identity")
+    return _digest(probes)
+
+
+def _route_spec(rng: random.Random, kinds: str) -> GroupSpec:
+    """Up to four summands drawn from ``kinds``: c(yclic), f(amily),
+    s(ocle cyclic), S(ocle family), z (completion), Z (completion family)
+    and d(ivisible)."""
+    entries = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(kinds)
+        p = rng.choice(_PRIMES)
+        k = rng.randint(1, 3) if kind in "cf" else 1
+        mult = Cardinal.of(rng.randint(1, 3)) if rng.random() < 0.8 else Cardinal.aleph(0)
+        if kind in "cs":
+            fams = [Cyclic(p, k)]
+        elif kind in "fS":
+            fams = prime_family(random_prime_set(rng, _PRIMES),
+                                lambda s: CyclicPrimeFamily(s, k), lambda q: Cyclic(q, k))
+        elif kind == "z":
+            fams = [PAdicComplete(p)]
+        elif kind == "Z":
+            fams = prime_family(random_prime_set(rng, _PRIMES), PAdicPrimeFamily, PAdicComplete)
+        else:
+            fams, mult = [Rationals() if rng.random() < 0.5 else Prufer(p)], Cardinal.of(1)
+        entries += [(fam, mult) for fam in fams]
+    return normalize(entries)
+
+
+def _modulus(spec: GroupSpec) -> list:
+    """The moduli the socle reduction splits ``spec`` by, and the modulus it
+    ends with, with the witness build stubbed out."""
+    seen = []
+    real_split = witness_socle.m_split
+
+    def split(part, m):
+        seen.append(m)
+        return real_split(part, m)
+
+    stub = SimpleNamespace(certificate=SimpleNamespace(attempt=0, min_count=0, threshold=0))
+    with patched(witness_socle, "m_split", split), patched(
+            witness_socle, "build_socle_witness", lambda *a, **kw: stub):
+        ended = _outcome(lambda: witness_socle.reduce_unbounded_torsion(spec, width=6).modulus)
+    return [seen, ended]
+
+
+def _pairs(spec: GroupSpec):
+    """The completion (p, k) pairs the p-adic route reads off ``spec``."""
+    with patched(witness_padic, "multi_prime_witness", lambda pairs, **kw: list(pairs)):
+        return _outcome(lambda: witness_padic.mixed_group_witness(spec).core)
+
+
+def route_digest() -> str:
+    """The socle windows, bounded-split moduli and completion pairs that the
+    two routes read off seeded specs and their socles."""
+    rows = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        specs = (random_spec(rng), _route_spec(rng, "cfd"), _route_spec(rng, "sSsS"),
+                 _route_spec(rng, "zZzcd"))
+        for spec in specs:
+            rows.append({
+                "spec": str(spec),
+                "window": _outcome(lambda: witness_socle.window_from_socle(spec, 6).to_json()),
+                "socle_window": _outcome(
+                    lambda: witness_socle.window_from_socle(socle(spec), 6).to_json()),
+                "modulus": _modulus(spec),
+                "pairs": _pairs(spec),
+            })
+    return _digest(rows)

@@ -2,21 +2,23 @@
 
 For each interpreter path given, a child process of that interpreter replays
 every entry of ``golden_corpus.json`` through ``run_cli`` and counts the
-entries whose exit code, stdout or stderr differ.  Then
-``python -m sb_abelian classify Q`` runs as a process of its own, and its
-stdout is compared with the child's in-process ``run_cli`` of the same argv.
-It prints one line per interpreter and exits 1 if any line shows a
-difference:
+entries whose exit code, stdout or stderr differ, and recomputes the four
+pinned digests through ``_gen``; each is compared with the constant its test
+pins.  Then ``python -m sb_abelian classify Q`` runs as a process of its own,
+and its stdout is compared with the child's in-process ``run_cli`` of the same
+argv.  It prints one line per interpreter, naming each entry and digest that
+differs, and exits 1 if any line shows a difference:
 
     python tests/matrix.py /usr/bin/python3.10 /usr/bin/python3.13
 
-It imports only the standard library, and its children the package.  All its
-work runs under the ``__main__`` check, because the test run imports every
-module in ``tests/``.
+It imports only the standard library, and its children the package and
+``_gen``.  All its work runs under the ``__main__`` check, because the test run
+imports every module in ``tests/``.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -28,6 +30,20 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 ENTRY_ARGV = ["classify", "Q"]
+# each pinned digest: the test file that pins it, and the _gen function computing it
+DIGESTS = {
+    "SOCLE_DIGEST": ("test_element_arithmetic.py", "socle_element_digest"),
+    "PADIC_DIGEST": ("test_element_arithmetic.py", "padic_element_digest"),
+    "PROBE_DIGEST": ("test_witness_padic.py", "probe_digest"),
+    "ROUTE_DIGEST": ("test_route_multiplicities.py", "route_digest"),
+}
+
+
+def pinned(name: str, test_file: str) -> str:
+    """The string constant ``name`` that ``test_file`` assigns at module level."""
+    tree = ast.parse((TESTS / test_file).read_text(encoding="utf-8"))
+    return next(node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == [name])
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -40,13 +56,19 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def replay_corpus() -> None:
-    """Replay the corpus in this interpreter; print its version, the number of
-    entries, the argvs that differ and ``ENTRY_ARGV``'s stdout, as JSON."""
+    """Replay the corpus and recompute the digests in this interpreter; print its
+    version, the number of entries, the argvs and digests that differ and
+    ``ENTRY_ARGV``'s stdout, as JSON."""
+    import _gen
+
     entries = json.loads((TESTS / "golden_corpus.json").read_text(encoding="utf-8"))
     differ = [entry["argv"] for entry in entries
               if _run(entry["argv"]) != (entry["code"], entry["stdout"], entry["stderr"])]
+    digests = [name for name, (test_file, compute) in DIGESTS.items()
+               if getattr(_gen, compute)() != pinned(name, test_file)]
     print(json.dumps({"version": sys.version.split()[0], "entries": len(entries),
-                      "differ": differ, "entry_stdout": _run(ENTRY_ARGV)[1]}))
+                      "differ": differ, "digests": digests,
+                      "entry_stdout": _run(ENTRY_ARGV)[1]}))
 
 
 def check(python: str) -> tuple[bool, str]:
@@ -61,12 +83,14 @@ def check(python: str) -> tuple[bool, str]:
                            env=env, capture_output=True, encoding="utf-8")
     same = entry.returncode == 0 and entry.stdout == found["entry_stdout"]
     line = (f"{python}: Python {found['version']}, {len(found['differ'])} of "
-            f"{found['entries']} golden entries differ; -m sb_abelian "
-            f"{' '.join(ENTRY_ARGV)} exits {entry.returncode}, stdout "
-            f"{'as' if same else 'unlike'} run_cli")
+            f"{found['entries']} golden entries differ, {len(found['digests'])} of "
+            f"{len(DIGESTS)} digests differ; -m sb_abelian {' '.join(ENTRY_ARGV)} exits "
+            f"{entry.returncode}, stdout {'as' if same else 'unlike'} run_cli")
     for argv in found["differ"]:
         line += f"\n  differs: {json.dumps(argv, ensure_ascii=False)}"
-    return not found["differ"] and same, line
+    for name in found["digests"]:
+        line += f"\n  differs: {name}"
+    return not found["differ"] and not found["digests"] and same, line
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sb_abelian.classify import (
     CONTINUUM,
-    NotApplicableError,
     StabilityClass,
     WitnessRoute,
     connected_component_index,
@@ -17,7 +16,7 @@ from sb_abelian.classify import (
     unipotence_report,
 )
 from sb_abelian.finite_oracle import realize
-from sb_abelian.groupspec import direct_sum, parse_spec
+from sb_abelian.groupspec import NotApplicableError, direct_sum, parse_spec
 
 from _gen import random_spec, scaled_set
 

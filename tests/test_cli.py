@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sb_abelian import classify
 from sb_abelian.classify import StabilityClass, stability_class
 from sb_abelian.cli import (
     EXIT_BUDGET,
@@ -166,6 +167,22 @@ def test_witness_socle_route(capsys):
     assert steps == ["stability-gate", "bounded-split", "socle", "window", "witness", "lift"]
 
 
+def test_socle_witness_decides_sb_once(capsys, monkeypatch):
+    # the CLI routes by has_sb, and the socle reduction asks it again for the same
+    # spec: the cached verdict is read, so condition 3 runs once per witness
+    calls = []
+    real = classify.divisible_plus_bounded
+    monkeypatch.setattr(classify, "divisible_plus_bounded",
+                        lambda spec: calls.append(spec) or real(spec))
+    classify.has_sb.cache_clear()
+    body = run_json(
+        capsys, "witness", "sumP(all\\{2}; Z/p^1)",
+        "--window", "10", "--degree", "1", "--height", "1", "--threshold", "2",
+    )
+    assert body["route"] == "SocleWitness"
+    assert calls == [parse_spec("sumP(all\\{2}; Z/p^1)")]
+
+
 def test_witness_forced_route_flag(capsys):
     # the route comes only from the classifier: there is no flag to force one
     code, out, err = run(capsys, "witness", "Zhat(5)", "--route", "padic")
@@ -264,14 +281,10 @@ def test_witness_import_leaves_dataclasses_unloaded():
 
 def test_witness_errors_keep_their_exit_classes():
     # run_cli maps NotApplicableError to 3 and BudgetExceeded to 4 before ValueError to 2
-    from sb_abelian import groupspec
-    from sb_abelian.classify import NotApplicableError
     from sb_abelian.finite_oracle import OrderBoundError
-    from sb_abelian.groupspec import MSplitPreconditionError
-    from sb_abelian.relations import BudgetExceeded, RetriesExhausted
+    from sb_abelian.groupspec import BudgetExceeded, MSplitPreconditionError, NotApplicableError
+    from sb_abelian.relations import RetriesExhausted
 
-    assert NotApplicableError is groupspec.NotApplicableError
-    assert BudgetExceeded is groupspec.BudgetExceeded
     assert issubclass(MSplitPreconditionError, NotApplicableError)
     assert issubclass(NotApplicableError, ValueError)
     for cls in (RetriesExhausted, OrderBoundError):

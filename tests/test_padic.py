@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sb_abelian.padic import (
     AtLeast,
-    BudgetExceeded,
     NonUnitError,
     PAdicApprox,
     SingularModP,
@@ -17,6 +16,7 @@ from sb_abelian.padic import (
     seeded_unit,
     valuation_at_least,
 )
+from sb_abelian.groupspec import BudgetExceeded
 from sb_abelian.relations import monomials, relation_str, terms
 
 

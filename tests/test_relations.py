@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sb_abelian import relations
-from sb_abelian.groupspec import parse_spec
+from sb_abelian.groupspec import BudgetExceeded, parse_spec
 from sb_abelian.padic import independence_certificate, seeded_unit
 from sb_abelian.primes import primes as all_primes
 from sb_abelian.relations import (
     RETRIES,
     SCAN_BUDGET,
-    BudgetExceeded,
     RetriesExhausted,
     first_passing,
     first_relation,
@@ -364,7 +363,7 @@ def test_seeded_rng_takes_sha256_from_sha2(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# _tally and _top: counts and the first lane of the largest count, against a
+# _leaves: each count that occurs with its lanes, largest first, against a
 # per-lane sum
 
 
@@ -379,27 +378,13 @@ def carry_save_levels(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(carry_save_levels())
-def test_tally_matches_per_lane_counts(case):
+def test_leaves_are_the_occurring_counts_in_descending_order(case):
     width, levels, lanes = case
     counts = {lane: sum((m >> lane & 1) << j for j, level in enumerate(levels) for m in level)
               for lane in range(width) if lanes >> lane & 1}
-    totals, first = relations._tally(levels, lanes)
-    assert totals == Counter(counts.values())
-    top = max(counts.values(), default=-1)
-    assert first == (top, min((lane for lane, c in counts.items() if c == top), default=-1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(carry_save_levels())
-def test_top_matches_per_lane_counts(case):
-    # the descent a target scan runs: the largest count within nonzero lanes
-    width, levels, lanes = case
-    counts = {lane: sum((m >> lane & 1) << j for j, level in enumerate(levels) for m in level)
-              for lane in range(width) if lanes >> lane & 1}
-    if counts:
-        top = max(counts.values())
-        assert relations._top(levels, lanes) == (
-            top, min(lane for lane, c in counts.items() if c == top))
+    expected = [(count, sum(1 << lane for lane, c in counts.items() if c == count))
+                for count in sorted(set(counts.values()), reverse=True)]
+    assert list(relations._leaves(levels, lanes)) == expected
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sb_abelian.classify import NotApplicableError
-from sb_abelian.groupspec import PrimeSet, parse_spec
+from sb_abelian.groupspec import NotApplicableError, PrimeSet, parse_spec
 from sb_abelian.relations import RetriesExhausted, grid_allows
 from sb_abelian.witness_socle import (
     AutomorphismPair,

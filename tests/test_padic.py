@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sb_abelian.groupspec import BudgetExceeded
 from sb_abelian.padic import (
     AtLeast,
     NonUnitError,
@@ -16,7 +17,6 @@ from sb_abelian.padic import (
     seeded_unit,
     valuation_at_least,
 )
-from sb_abelian.groupspec import BudgetExceeded
 from sb_abelian.relations import monomials, relation_str, terms
 
 

@@ -387,6 +387,37 @@ def test_leaves_are_the_occurring_counts_in_descending_order(case):
     assert list(relations._leaves(levels, lanes)) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(carry_save_levels())
+def test_tally_matches_per_lane_counts(case):
+    # the scan without a target: every leaf's lanes added into a histogram
+    width, levels, lanes = case
+    counts = {lane: sum((m >> lane & 1) << j for j, level in enumerate(levels) for m in level)
+              for lane in range(width) if lanes >> lane & 1}
+    totals = Counter()
+    for count, mask in relations._leaves(levels, lanes):
+        totals[count] += mask.bit_count()
+    assert totals == Counter(counts.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(carry_save_levels())
+def test_top_matches_per_lane_counts(case):
+    # the descent a target scan runs: the first leaf holds the largest count,
+    # and its lowest lane is the first lane with that count
+    width, levels, lanes = case
+    counts = {lane: sum((m >> lane & 1) << j for j, level in enumerate(levels) for m in level)
+              for lane in range(width) if lanes >> lane & 1}
+    first = next(relations._leaves(levels, lanes), None)
+    if not counts:
+        assert first is None
+        return
+    top = max(counts.values())
+    count, mask = first
+    assert (count, (mask & -mask).bit_length() - 1) == (
+        top, min(lane for lane, c in counts.items() if c == top))
+
+
 def traced_peak(fn, *args, **kwargs):
     """(fn's result, the peak of memory traced during the call)."""
     tracemalloc.start()

@@ -3,11 +3,11 @@ specs, every finite abelian group up to an order, and every normal form of a
 few summands built from small atoms (by default, two over the primes 2 and 3).
 Also the readers that only tests need: subgroups of a finite group, a spec's
 multiplicity of one summand, and the coefficients of witness elements.  Last,
-the computations of the four pinned digests (element arithmetic of both
-routes, the elementary-matrix probe and the routes' multiplicities): their
-tests compare them with the pinned constants, and ``tests/matrix.py`` runs them
-under each interpreter, so this module imports only the standard library and
-the package."""
+the computations of the five pinned digests (element arithmetic of both
+routes, the elementary-matrix probe, the routes' multiplicities and the
+parser's outcomes on fuzzed texts): their tests compare them with the pinned
+constants, and ``tests/matrix.py`` runs them under each interpreter, so this
+module imports only the standard library and the package."""
 
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from sb_abelian.groupspec import (
     PrimeSet,
     Prufer,
     Rationals,
+    SpecSyntaxError,
     Summand,
     direct_sum,
     normalize,
@@ -435,3 +436,85 @@ def route_digest() -> str:
                 "pairs": _pairs(spec),
             })
     return _digest(rows)
+
+
+# spec texts as the fuzz draws them: numbers on both sides of each bound,
+# whitespace between tokens and stray characters
+_MODULI = ("0", "1", "2", "4", "6", "9", "12", "97", "360", "1" * 30)
+_PRIMES_TEXT = ("0", "1", "2", "3", "4", "5", "7", "13", "97", "1" * 30)
+_EXPONENTS = ("0", "1", "2", "3", "51", "52", "81", "82", "1" * 30)
+_PADDING = ("", "", "", "", "", "", " ", "  ", "\t", "\n")
+_EDITS = "Z/^()+{},;\\wQ0123456789 \taelphtusmPKx-"
+
+
+def _number(rng: random.Random, pool: Sequence[str]) -> str:
+    """A member of ``pool``, or now and then a digit string past the digit limit."""
+    return "9" * 4301 if rng.random() < 0.002 else rng.choice(pool)
+
+
+def _members(rng: random.Random, pool: Sequence[str]) -> list[str]:
+    """The tokens of a listed set after its opening brace."""
+    tokens = [_number(rng, pool)]
+    for _ in range(rng.randrange(3)):
+        tokens += [",", _number(rng, pool)]
+    return tokens + ["}"]
+
+
+def _term_tokens(rng: random.Random) -> list[str]:
+    """One atom of a random grammar form, with a multiplicity or none."""
+    form = rng.randrange(8)
+    if form == 0:
+        tokens = ["Z/", _number(rng, _MODULI)]
+    elif form in (1, 2):
+        tokens = [("Prufer(", "Zhat(")[form - 1], _number(rng, _PRIMES_TEXT), ")"]
+    elif form == 3:
+        tokens = ["Q"]
+    elif form in (4, 5):
+        primes = rng.choice((["all"], ["all", "\\{", *_members(rng, _PRIMES_TEXT)],
+                             ["{", *_members(rng, _PRIMES_TEXT)]))
+        tail = ["Z/p^", _number(rng, _EXPONENTS)] if form == 4 else ["Zhat"]
+        tokens = ["sumP(", *primes, ";", *tail, ")"]
+    else:
+        exps = ["all"] if form == 6 else ["{", *_members(rng, _EXPONENTS)]
+        tokens = ["sumK(", _number(rng, _PRIMES_TEXT), ";", *exps, ")"]
+    mult = rng.choice(([], ["^", "2"], ["^", "w"], ["^", "aleph(", "1", ")"],
+                       ["^", _number(rng, _MODULI)]))
+    return tokens + mult
+
+
+def fuzzed_spec_text(rng: random.Random) -> str:
+    """The trivial group or one to three terms of random grammar forms, padded
+    with random whitespace between tokens, then zero to three random
+    character insertions, deletions or replacements."""
+    tokens = ["0"] if rng.random() < 0.02 else _term_tokens(rng)
+    for _ in range(rng.randrange(3)):
+        tokens += ["+", *_term_tokens(rng)]
+    text = "".join(rng.choice(_PADDING) + token for token in tokens) + rng.choice(_PADDING)
+    for _ in range(rng.randrange(4)):
+        at, edit = rng.randrange(len(text) + 1), rng.randrange(3)
+        if edit == 0 or at == len(text):
+            text = text[:at] + rng.choice(_EDITS) + text[at:]
+        else:
+            text = text[:at] + (rng.choice(_EDITS) if edit == 1 else "") + text[at + 1:]
+    return text
+
+
+def parse_outcome(text: str) -> str | list:
+    """The normal form ``parse_spec`` returns for ``text``, or the class,
+    message and position of what it raises."""
+    try:
+        return str(parse_spec(text))
+    except SpecSyntaxError as err:
+        return [type(err).__name__, str(err), err.position]
+
+
+def parse_rows() -> list[list]:
+    """20,000 seeded fuzzed texts, each with its parse outcome."""
+    rng = random.Random("parse")
+    return [[text, parse_outcome(text)] for text in
+            (fuzzed_spec_text(rng) for _ in range(20_000))]
+
+
+def parse_digest() -> str:
+    """The parser's outcomes on 20,000 seeded fuzzed texts."""
+    return _digest(parse_rows())

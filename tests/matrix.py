@@ -2,7 +2,7 @@
 
 For each interpreter path given, a child process of that interpreter replays
 every entry of ``golden_corpus.json`` through ``run_cli`` and counts the
-entries whose exit code, stdout or stderr differ, and recomputes the four
+entries whose exit code, stdout or stderr differ, and recomputes the five
 pinned digests through ``_gen``; each is compared with the constant its test
 pins.  Then ``python -m sb_abelian classify Q`` runs as a process of its own,
 and its stdout is compared with the child's in-process ``run_cli`` of the same
@@ -36,6 +36,7 @@ DIGESTS = {
     "PADIC_DIGEST": ("test_element_arithmetic.py", "padic_element_digest"),
     "PROBE_DIGEST": ("test_witness_padic.py", "probe_digest"),
     "ROUTE_DIGEST": ("test_route_multiplicities.py", "route_digest"),
+    "PARSE_DIGEST": ("test_groupspec.py", "parse_digest"),
 }
 
 

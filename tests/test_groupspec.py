@@ -37,7 +37,14 @@ from sb_abelian.finite_oracle import (
 )
 from sb_abelian.primes import EXACT_BOUND
 
-from _gen import finite_abelian_specs, multiplicity, random_entries, random_spec, torsion_set
+from _gen import (
+    finite_abelian_specs,
+    multiplicity,
+    parse_digest,
+    random_entries,
+    random_spec,
+    torsion_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +170,17 @@ def test_sumP_exponent_is_bounded_like_a_modulus():
         with pytest.raises(SpecSyntaxError, match=f"sumP exponent: {p}\\^k must be below") as exc:
             parse_spec(text)
         assert exc.value.position == text.index("^") + 1, text
+
+
+# sha256 of the normal form, or the error class, message and position, that
+# the parser gives each of 20,000 seeded fuzzed texts: valid and mutated texts
+# over every grammar form (``_gen.parse_digest``)
+PARSE_DIGEST = "601bbae085c916d2b9060cd317be27e637ecb9fd80c942b3c3e18265d240874a"
+
+
+def test_parse_outcomes_on_fuzzed_texts_are_pinned():
+    digest = parse_digest()
+    assert digest == PARSE_DIGEST, digest
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ sum), which the grammar above cannot spell.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
 
@@ -572,12 +572,10 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self, literal: str) -> bool:
-        return self.text.startswith(literal, self.pos)
-
     def accept(self, literal: str) -> bool:
+        """Skip whitespace, then consume ``literal`` if it comes next."""
         self.skip_ws()
-        if self.peek(literal):
+        if self.text.startswith(literal, self.pos):
             self.pos += len(literal)
             return True
         return False
@@ -586,7 +584,9 @@ class _Parser:
         if not self.accept(literal):
             raise self.error(f"expected {literal!r}")
 
-    def nat(self) -> int:
+    def nat(self, context: str | None = None) -> tuple[int, int]:
+        """A number and the position of its first digit.  Given a context, the
+        number must be below ``EXACT_BOUND``, where primality tests are exact."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -595,150 +595,117 @@ class _Parser:
             raise self.error("expected a number")
         if self.pos - start > _MAX_DIGITS:
             raise SpecSyntaxError(f"numbers are limited to {_MAX_DIGITS} digits", start)
-        return int(self.text[start : self.pos])
-
-    def bounded_nat(self, context: str) -> int:
-        """A number below ``EXACT_BOUND``, where primality tests are exact."""
-        self.skip_ws()
-        at = self.pos
-        n = self.nat()
-        if n >= EXACT_BOUND:
-            raise SpecSyntaxError(f"{context} must be below {EXACT_BOUND}", at)
-        return n
+        n = int(self.text[start : self.pos])
+        if context is not None and n >= EXACT_BOUND:
+            raise SpecSyntaxError(f"{context} must be below {EXACT_BOUND}", start)
+        return n, start
 
     def prime(self, context: str) -> int:
-        self.skip_ws()
-        at = self.pos
-        n = self.bounded_nat(context)
+        n, at = self.nat(context)
         try:
             return ensure_prime(n, context)
         except ValueError as exc:
             raise SpecSyntaxError(str(exc), at) from None
 
-    def primeset(self) -> PrimeSet | list[int]:
-        """A cofinite set, or the increasing members of a finite one."""
-        self.skip_ws()
-        if self.accept("all"):
-            if self.accept("\\{"):
-                excluded = [self.prime("excluded prime")]
-                while self.accept(","):
-                    excluded.append(self.prime("excluded prime"))
-                self.expect("}")
-                return PrimeSet.cofinite(excluded)
-            return ALL_PRIMES
-        if self.accept("{"):
-            members = [self.prime("prime set member")]
-            while self.accept(","):
-                members.append(self.prime("prime set member"))
-            self.expect("}")
-            return sorted(set(members))
-        raise self.error("expected a prime set")
-
     def exponent(self, p: int, context: str = "sumK") -> int:
         """An exponent k with p**k below ``EXACT_BOUND``, the bound on a Z/ modulus."""
-        self.skip_ws()
-        at = self.pos
-        k = self.nat()
+        k, at = self.nat()
         # p >= 2, so an exponent past the bound's bit length overshoots it
         if k >= EXACT_BOUND.bit_length() or p**k >= EXACT_BOUND:
             raise SpecSyntaxError(f"{context} exponent: {p}^k must be below {EXACT_BOUND}", at)
         return k
 
-    def expset(self, p: int) -> list[int] | None:
-        """``None`` for ``all``, or the increasing members of a finite set."""
-        self.skip_ws()
-        if self.accept("all"):
-            return None
-        if self.accept("{"):
-            at = self.pos
-            exps = [self.exponent(p)]
-            while self.accept(","):
-                exps.append(self.exponent(p))
-            self.expect("}")
-            if any(k < 1 for k in exps):
-                raise SpecSyntaxError("exponents must be >= 1", at)
-            return sorted(set(exps))
-        raise self.error("expected an exponent set")
+    def listed(self, item: Callable[[], int]) -> list[int]:
+        """``item ("," item)* "}"``: the increasing distinct items."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect("}")
+        return sorted(set(items))
 
-    def atom(self) -> list[Entry]:
-        self.skip_ws()
+    def primeset(self) -> PrimeSet | list[int]:
+        """A cofinite set, or the increasing members of a finite one."""
+        if self.accept("all"):
+            if self.accept("\\{"):
+                return PrimeSet.cofinite(self.listed(lambda: self.prime("excluded prime")))
+            return ALL_PRIMES
+        if self.accept("{"):
+            return self.listed(lambda: self.prime("prime set member"))
+        raise self.error("expected a prime set")
+
+    def atom(self) -> list[Summand]:
         if self.accept("Zhat("):
             p = self.prime("Zhat argument")
             self.expect(")")
-            return [(PAdicComplete(p), _ONE)]
+            return [PAdicComplete(p)]
         if self.accept("Z/"):
             at = self.pos
-            n = self.bounded_nat("Z/ modulus")
+            n, _ = self.nat("Z/ modulus")
             if n in (0, 1):
                 raise SpecSyntaxError(f"Z/{n} is not a valid modulus", at)
-            return [(Cyclic(p, k), _ONE) for p, k in sorted(factorize(n).items())]
+            return [Cyclic(p, k) for p, k in sorted(factorize(n).items())]
         if self.accept("Prufer("):
             p = self.prime("Prufer argument")
             self.expect(")")
-            return [(Prufer(p), _ONE)]
+            return [Prufer(p)]
         if self.accept("Q"):
-            return [(Rationals(), _ONE)]
+            return [Rationals()]
         if self.accept("sumP("):
             ps = self.primeset()
-            listed = not isinstance(ps, PrimeSet)
+            finite = not isinstance(ps, PrimeSet)
             self.expect(";")
-            self.skip_ws()
             if self.accept("Zhat"):
                 self.expect(")")
-                if listed:
-                    return [(PAdicComplete(p), _ONE) for p in ps]
-                return [(PAdicPrimeFamily(ps), _ONE)]
+                return [PAdicComplete(p) for p in ps] if finite else [PAdicPrimeFamily(ps)]
             if self.accept("Z/p^"):
                 at = self.pos
                 # bounded at the largest listed prime, or the least prime of a cofinite set
-                k = self.exponent(ps[-1] if listed else ps.first_n(1)[0], "sumP")
+                k = self.exponent(ps[-1] if finite else ps.first_n(1)[0], "sumP")
                 if k < 1:
                     raise SpecSyntaxError("exponent must be >= 1", at)
                 self.expect(")")
-                if listed:
-                    return [(Cyclic(p, k), _ONE) for p in ps]
-                return [(CyclicPrimeFamily(ps, k), _ONE)]
+                return [Cyclic(p, k) for p in ps] if finite else [CyclicPrimeFamily(ps, k)]
             raise self.error("expected 'Z/p^k' or 'Zhat'")
         if self.accept("sumK("):
             p = self.prime("sumK prime")
             self.expect(";")
-            exps = self.expset(p)
+            if self.accept("all"):
+                self.expect(")")
+                return [CyclicExponentFamily(p)]
+            if not self.accept("{"):
+                raise self.error("expected an exponent set")
+            at = self.pos
+            exps = self.listed(lambda: self.exponent(p))
+            if exps[0] < 1:
+                raise SpecSyntaxError("exponents must be >= 1", at)
             self.expect(")")
-            if exps is None:
-                return [(CyclicExponentFamily(p), _ONE)]
-            return [(Cyclic(p, k), _ONE) for k in exps]
+            return [Cyclic(p, k) for k in exps]
         raise self.error("expected a summand")
 
     def mult(self) -> Cardinal:
-        self.skip_ws()
         if self.accept("aleph("):
-            i = self.nat()
+            i, _ = self.nat()
             self.expect(")")
             return Cardinal.aleph(i)
         if self.accept("w"):
             return ALEPH0
-        return Cardinal.of(self.nat())
+        return Cardinal.of(self.nat()[0])
 
     def term(self) -> list[Entry]:
-        entries = self.atom()
-        if self.accept("^"):
-            m = self.mult()
-            entries = [(fam, m) for fam, _ in entries]
-        return entries
+        summands = self.atom()
+        mult = self.mult() if self.accept("^") else _ONE
+        return [(fam, mult) for fam in summands]
 
     def spec(self) -> GroupSpec:
-        self.skip_ws()
         if self.accept("0"):
-            self.skip_ws()
-            if self.pos != len(self.text):
-                raise self.error("trailing input after '0'")
-            return GroupSpec(())
-        entries = self.term()
-        while self.accept("+"):
-            entries.extend(self.term())
+            entries, trailing = [], "trailing input after '0'"
+        else:
+            entries, trailing = self.term(), "trailing input"
+            while self.accept("+"):
+                entries.extend(self.term())
         self.skip_ws()
         if self.pos != len(self.text):
-            raise self.error("trailing input")
+            raise self.error(trailing)
         return normalize(entries)
 
 

@@ -608,8 +608,11 @@ class _Parser:
             raise SpecSyntaxError(str(exc), at) from None
 
     def exponent(self, p: int, context: str = "sumK") -> int:
-        """An exponent k with p**k below ``EXACT_BOUND``, the bound on a Z/ modulus."""
+        """An exponent k >= 1 with p**k below ``EXACT_BOUND``, the bound on a Z/ modulus."""
         k, at = self.nat()
+        if k < 1:
+            raise SpecSyntaxError("exponents must be >= 1" if context == "sumK"
+                                  else "exponent must be >= 1", at)
         # p >= 2, so an exponent past the bound's bit length overshoots it
         if k >= EXACT_BOUND.bit_length() or p**k >= EXACT_BOUND:
             raise SpecSyntaxError(f"{context} exponent: {p}^k must be below {EXACT_BOUND}", at)
@@ -639,8 +642,7 @@ class _Parser:
             self.expect(")")
             return [PAdicComplete(p)]
         if self.accept("Z/"):
-            at = self.pos
-            n, _ = self.nat("Z/ modulus")
+            n, at = self.nat("Z/ modulus")
             if n in (0, 1):
                 raise SpecSyntaxError(f"Z/{n} is not a valid modulus", at)
             return [Cyclic(p, k) for p, k in sorted(factorize(n).items())]
@@ -658,11 +660,8 @@ class _Parser:
                 self.expect(")")
                 return [PAdicComplete(p) for p in ps] if finite else [PAdicPrimeFamily(ps)]
             if self.accept("Z/p^"):
-                at = self.pos
                 # bounded at the largest listed prime, or the least prime of a cofinite set
                 k = self.exponent(ps[-1] if finite else ps.first_n(1)[0], "sumP")
-                if k < 1:
-                    raise SpecSyntaxError("exponent must be >= 1", at)
                 self.expect(")")
                 return [Cyclic(p, k) for p in ps] if finite else [CyclicPrimeFamily(ps, k)]
             raise self.error("expected 'Z/p^k' or 'Zhat'")
@@ -674,10 +673,7 @@ class _Parser:
                 return [CyclicExponentFamily(p)]
             if not self.accept("{"):
                 raise self.error("expected an exponent set")
-            at = self.pos
             exps = self.listed(lambda: self.exponent(p))
-            if exps[0] < 1:
-                raise SpecSyntaxError("exponents must be >= 1", at)
             self.expect(")")
             return [Cyclic(p, k) for k in exps]
         raise self.error("expected a summand")

@@ -1,7 +1,8 @@
 """Hypothesis properties of the CLI contract.
 
 * The spec parser either returns a spec or raises ``SpecSyntaxError`` whose
-  position lies inside the input.
+  position is the end of the input or a character of it that is not
+  whitespace.
 * The CLI's JSON renderer writes what ``json.dumps(..., sort_keys=True)``
   writes, indented and on one line, or raises the same ``ValueError`` on an
   int too long to print.
@@ -45,6 +46,7 @@ def test_parse_spec_returns_a_spec_or_points_inside_the_input(text):
         spec = parse_spec(text)
     except SpecSyntaxError as bad:
         assert 0 <= bad.position <= len(text), (text, bad.position)
+        assert bad.position == len(text) or not text[bad.position].isspace(), (text, bad.position)
     else:
         assert isinstance(spec, GroupSpec)
 

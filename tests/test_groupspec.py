@@ -172,10 +172,23 @@ def test_sumP_exponent_is_bounded_like_a_modulus():
         assert exc.value.position == text.index("^") + 1, text
 
 
+@pytest.mark.parametrize("text, message, at", [
+    ("Z/ 1", "Z/1 is not a valid modulus", 3),
+    ("sumP(all; Z/p^ 0)", "exponent must be >= 1", 15),
+    ("sumK(2; {3, 0})", "exponents must be >= 1", 12),
+    # the exponents are checked left to right: the zero before the overlarge one
+    ("sumK(2; {0, 99999999999999999999})", "exponents must be >= 1", 9),
+])
+def test_number_errors_point_at_the_number(text, message, at):
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == f"{message} (at position {at})"
+
+
 # sha256 of the normal form, or the error class, message and position, that
 # the parser gives each of 20,000 seeded fuzzed texts: valid and mutated texts
 # over every grammar form (``_gen.parse_digest``)
-PARSE_DIGEST = "601bbae085c916d2b9060cd317be27e637ecb9fd80c942b3c3e18265d240874a"
+PARSE_DIGEST = "cea0087ab33d835ed7de2272969c60bae331e78fa6faa8280dae3be9d416931b"
 
 
 def test_parse_outcomes_on_fuzzed_texts_are_pinned():

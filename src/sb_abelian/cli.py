@@ -48,7 +48,6 @@ from .classify import (
     WitnessRoute,
     basic_predicates,
     connected_component_index,
-    divisible_plus_bounded,
     has_sb,
     stability_class,
     unipotence_report,
@@ -102,7 +101,7 @@ def _classify(args: SimpleNamespace) -> dict:
     cls = stability_class(spec)
     omega = cls is StabilityClass.OMEGA_STABLE
     superstable = cls is not StabilityClass.NOT_SUPERSTABLE
-    condition3 = divisible_plus_bounded(spec)
+    condition3 = verdict.has_sb  # has_sb decides SB by condition 3
     condition4 = superstable and unipotence_report(spec).unipotent_all
     agreement = verdict.has_sb == omega == condition3 == condition4
     preds = basic_predicates(spec)

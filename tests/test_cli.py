@@ -77,6 +77,21 @@ def test_classify_not_superstable(capsys):
     assert body["connected_component_index"] == "2^aleph(0)"
 
 
+def test_classify_decides_condition_3_once(capsys):
+    # has_sb decides SB by condition 3, and the agreement line reads it from the
+    # verdict; the profile hook counts calls however a module bound the name
+    code, calls = classify.divisible_plus_bounded.__code__, []
+    classify.has_sb.cache_clear()
+    sys.setprofile(lambda frame, event, arg:
+                   event == "call" and frame.f_code is code and calls.append(frame))
+    try:
+        body = run_json(capsys, "classify", "sumP(all; Z/p^1)")
+    finally:
+        sys.setprofile(None)
+    assert body["condition3"] is False
+    assert len(calls) == 1
+
+
 def test_classify_agreement_holds_on_assorted_specs(capsys):
     for text in ["0", "Q", "Z/12^aleph(1)", "Zhat(2) + Q^w",
                  "sumP(all; Z/p^1)", "Prufer(7)^w + Z/49"]:

@@ -553,7 +553,8 @@ _MAX_DIGITS = 4300
 
 
 class SpecSyntaxError(ValueError):
-    """Parse failure; ``position`` is the 0-based offset in the input."""
+    """Parse failure; ``position`` is the 0-based offset in the input of the
+    offending token's first character (a number's first digit), or its length."""
 
     def __init__(self, message: str, position: int):
         self.position = position

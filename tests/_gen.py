@@ -499,7 +499,7 @@ def fuzzed_spec_text(rng: random.Random) -> str:
     return text
 
 
-def parse_outcome(text: str) -> str | list:
+def _parse_outcome(text: str) -> str | list:
     """The normal form ``parse_spec`` returns for ``text``, or the class,
     message and position of what it raises."""
     try:
@@ -508,13 +508,8 @@ def parse_outcome(text: str) -> str | list:
         return [type(err).__name__, str(err), err.position]
 
 
-def parse_rows() -> list[list]:
-    """20,000 seeded fuzzed texts, each with its parse outcome."""
-    rng = random.Random("parse")
-    return [[text, parse_outcome(text)] for text in
-            (fuzzed_spec_text(rng) for _ in range(20_000))]
-
-
 def parse_digest() -> str:
-    """The parser's outcomes on 20,000 seeded fuzzed texts."""
-    return _digest(parse_rows())
+    """20,000 seeded fuzzed texts, each with the parser's outcome on it."""
+    rng = random.Random("parse")
+    texts = [fuzzed_spec_text(rng) for _ in range(20_000)]
+    return _digest([[text, _parse_outcome(text)] for text in texts])

@@ -164,31 +164,20 @@ def _witness(args: SimpleNamespace) -> dict:
         )
     if verdict.route is WitnessRoute.EXTERNAL_NON_SUPERSTABLE:
         raise NotApplicableError(verdict.reason)
+    bounds = {"seed": args.seed, "max_exponent": args.degree, "height_bound": args.height}
     # imported here so that every other command starts without them; the
     # builder is looked up on its module at call time, so that a wrapper
     # installed on the module (a tracer, a test double) applies
     if verdict.route is WitnessRoute.PADIC_WITNESS:
         from . import witness_padic
 
-        built = witness_padic.mixed_group_witness(
-            spec,
-            seed=args.seed,
-            max_exponent=args.degree,
-            height_bound=args.height,
-            precision=args.precision,
-        ).to_json()
+        built = witness_padic.mixed_group_witness(spec, precision=args.precision, **bounds)
     else:
         from . import witness_socle
 
         built = witness_socle.reduce_unbounded_torsion(
-            spec,
-            width=args.window,
-            seed=args.seed,
-            max_exponent=args.degree,
-            height_bound=args.height,
-            threshold=args.threshold,
-        ).to_json()
-    return {"spec": str(spec), "route": verdict.route.value, "witness": built}
+            spec, width=args.window, threshold=args.threshold, **bounds)
+    return {"spec": str(spec), "route": verdict.route.value, "witness": built.to_json()}
 
 
 def _oracle_ulm(args: SimpleNamespace) -> dict:

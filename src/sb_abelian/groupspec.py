@@ -590,7 +590,7 @@ class _Parser:
         number must be below ``EXACT_BOUND``, where primality tests are exact."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")

@@ -256,9 +256,8 @@ def independence_certificate(
     xs, ys = ([pow(v, i, modulus) for i in range(max_exponent + 1)] for v in (x, y))
     values = [a * b % modulus for a in xs for b in ys]  # ``pairs`` runs i slowest, then j
     found = first_relation(values, height_bound, modulus)
-    violation = None if found is None else terms(pairs, found)
-    if violation and violation[0][2] < 0:
-        violation = tuple((i, j, -c) for i, j, c in violation)
+    # the first relation leads with a negative coefficient; the certificate shows its negation
+    violation = None if found is None else terms(pairs, [-c for c in found])
     return IndependenceCertificate(
         p=g1.p,
         max_exponent=max_exponent,

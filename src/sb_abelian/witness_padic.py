@@ -369,30 +369,22 @@ class MultiPrimeWitness(Record):
 
 
 def multi_prime_witness(
-    pairs: Sequence[tuple[int, int]],
-    seed: int = 0,
-    max_exponent: int = 2,
-    height_bound: int = 2,
-    precision: int = 40,
+    pairs: Sequence[tuple[int, int]], seed: int = 0, **bounds: int
 ) -> MultiPrimeWitness:
-    """Witness pairs for a direct sum of completion powers, one per prime."""
+    """Witness pairs for a direct sum of completion powers, one per prime.
+
+    The pair at ``pairs[idx]`` is drawn with ``seed + idx``.  The keywords
+    ``max_exponent``, ``height_bound`` and ``precision`` pass unchanged to
+    :func:`build_padic_witness`, which defines them and their defaults.
+    """
     if not pairs:
         raise ValueError("at least one (prime, power) component is required")
     primes = [p for p, _ in pairs]
     if len(set(primes)) != len(primes):
         raise NotApplicableError(f"repeated primes in {primes}")
-    components = tuple(
-        build_padic_witness(
-            p,
-            k,
-            seed=seed + idx,
-            max_exponent=max_exponent,
-            height_bound=height_bound,
-            precision=precision,
-        )
-        for idx, (p, k) in enumerate(pairs)
-    )
-    return MultiPrimeWitness(components)
+    return MultiPrimeWitness(tuple(
+        build_padic_witness(p, k, seed=seed + idx, **bounds) for idx, (p, k) in enumerate(pairs)
+    ))
 
 
 class MixedGroupWitness(Record):
@@ -425,13 +417,7 @@ class MixedGroupWitness(Record):
         }
 
 
-def mixed_group_witness(
-    spec: GroupSpec,
-    seed: int = 0,
-    max_exponent: int = 2,
-    height_bound: int = 2,
-    precision: int = 40,
-) -> MixedGroupWitness:
+def mixed_group_witness(spec: GroupSpec, **bounds: int) -> MixedGroupWitness:
     """Split a spec into completion + torsion + divisible parts and build
     the witness on the completion part.
 
@@ -453,6 +439,10 @@ def mixed_group_witness(
     The listed primes are apart from each other and from q and R in the same
     way (:class:`MultiPrimeWitness`).  Requires at least one completion
     summand; an infinite power has no finite descriptor and is rejected.
+
+    The keywords ``seed``, ``max_exponent``, ``height_bound`` and
+    ``precision`` pass unchanged to :func:`multi_prime_witness` (which
+    defines ``seed``) and on to :func:`build_padic_witness` (the rest).
     """
     k_part, c_part, d_part = split_reduced_divisible(spec)
     if k_part.is_trivial:
@@ -474,12 +464,5 @@ def mixed_group_witness(
             )
         if exp.value:
             pairs.append((p, exp.value))
-    core = multi_prime_witness(
-        pairs,
-        seed=seed,
-        max_exponent=max_exponent,
-        height_bound=height_bound,
-        precision=precision,
-    )
     return MixedGroupWitness(base=spec, torsion=c_part, divisible=d_part,
-                             completion=remainder, core=core)
+                             completion=remainder, core=multi_prime_witness(pairs, **bounds))

@@ -518,28 +518,19 @@ def product_membership(x: ProductElement, which: str, w: SocleWitnessPair) -> bo
     return all(grid_allows(which, i, j) for (i, j), _ in x.tail)
 
 
-def build_socle_witness(
-    window: PrimeWindow,
-    *,
-    seed: int = 0,
-    max_exponent: int = 2,
-    height_bound: int = 2,
-    threshold: int = 5,
-) -> SocleWitnessPair:
+def build_socle_witness(window: PrimeWindow, **bounds: int) -> SocleWitnessPair:
     """Choose certified scalars and assemble the witness pair descriptor.
+
+    The keywords ``seed``, ``max_exponent``, ``height_bound`` and
+    ``threshold`` pass unchanged to :func:`choose_scalars`, which defines
+    them and their defaults.
 
     The base point is all-ones.  Any base point with no zero coordinate gives
     an isomorphic pair: scaling each coordinate by a unit is an automorphism
     of the product that commutes with both scalars and carries the all-ones
     grid onto the other one.
     """
-    return SocleWitnessPair(*choose_scalars(
-        window,
-        max_exponent=max_exponent,
-        height_bound=height_bound,
-        threshold=threshold,
-        seed=seed,
-    ))
+    return SocleWitnessPair(*choose_scalars(window, **bounds))
 
 
 def random_socle_member(
@@ -687,13 +678,7 @@ class ReductionOutcome(Record):
 
 
 def reduce_unbounded_torsion(
-    spec: GroupSpec,
-    *,
-    width: int = 50,
-    seed: int = 0,
-    max_exponent: int = 2,
-    height_bound: int = 2,
-    threshold: int = 5,
+    spec: GroupSpec, *, width: int = 50, **bounds: int
 ) -> ReductionOutcome:
     """Reduce a description on the socle route to a socle witness.
 
@@ -701,7 +686,11 @@ def reduce_unbounded_torsion(
     ``NotApplicableError`` with its reason.  Then: carry any divisible
     summand; split off the finitely many bounded types of infinite
     multiplicity (modulus M); take the socle of the unbounded remainder;
-    build the witness pair over its prime window.
+    build the witness pair over its prime window of ``width`` primes.
+
+    The keywords ``seed``, ``max_exponent``, ``height_bound`` and
+    ``threshold`` pass unchanged to :func:`build_socle_witness` and on to
+    :func:`choose_scalars`, which defines them and their defaults.
     """
     spec = normalize(list(spec.entries))
     verdict = has_sb(spec)
@@ -715,11 +704,5 @@ def reduce_unbounded_torsion(
         if any(not u.is_finite for _, u in rec.ulm)
     )
     split = m_split(torsion, modulus)
-    witness = build_socle_witness(
-        window_from_socle(socle(split.complement), width),
-        seed=seed,
-        max_exponent=max_exponent,
-        height_bound=height_bound,
-        threshold=threshold,
-    )
+    witness = build_socle_witness(window_from_socle(socle(split.complement), width), **bounds)
     return ReductionOutcome(spec, modulus, split.torsion, divisible, split.complement, witness)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import resource
@@ -180,6 +181,25 @@ def test_witness_socle_route(capsys):
     assert wit["modulus"] == 1
     steps = [entry["step"] for entry in wit["transcript"]]
     assert steps == ["stability-gate", "bounded-split", "socle", "window", "witness", "lift"]
+
+
+def test_witness_flag_defaults_are_the_library_defaults():
+    # the flag table is the one second home of the bounds' defaults: each flag's
+    # default is the default of the keyword it feeds, on every route that reads it
+    from sb_abelian import cli, witness_padic, witness_socle
+
+    flags = {flag.name: flag.default for flag in cli.COMMANDS[("witness",)].flags}
+    fed = {
+        witness_padic.build_padic_witness: {"--precision": "precision", "--degree": "max_exponent",
+                                            "--height": "height_bound", "--seed": "seed"},
+        witness_socle.choose_scalars: {"--threshold": "threshold", "--degree": "max_exponent",
+                                       "--height": "height_bound", "--seed": "seed"},
+        witness_socle.reduce_unbounded_torsion: {"--window": "width"},
+    }
+    for function, keywords in fed.items():
+        parameters = inspect.signature(function).parameters
+        for flag, keyword in keywords.items():
+            assert flags[flag] == parameters[keyword].default, (function.__name__, flag)
 
 
 def test_socle_witness_decides_sb_once(capsys, monkeypatch):

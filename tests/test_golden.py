@@ -145,6 +145,8 @@ ARGVS = [
     # unlisted prime, the rest of the family carried as shared_completion
     ["witness", "sumP(all\\{5}; Zhat) + Z/3"],
     ["witness", "sumP(all; Zhat) + Q"],
+    # numbers are ASCII digits: a superscript two is not a number
+    ["classify", "Z/²"],
 ]
 
 

@@ -178,6 +178,11 @@ def test_sumP_exponent_is_bounded_like_a_modulus():
     ("sumK(2; {3, 0})", "exponents must be >= 1", 12),
     # the exponents are checked left to right: the zero before the overlarge one
     ("sumK(2; {0, 99999999999999999999})", "exponents must be >= 1", 9),
+    # numbers are ASCII digits: not a superscript, which int() refuses, nor
+    # another script's decimal digit, which int() reads
+    ("Z/\u00b2", "expected a number", 2),
+    ("Z/\u0663", "expected a number", 2),
+    ("Q^\u0663", "expected a number", 2),
 ])
 def test_number_errors_point_at_the_number(text, message, at):
     with pytest.raises(SpecSyntaxError) as exc:

@@ -350,3 +350,16 @@ def test_mixed_group_witness_guards():
     assert str(mg.torsion) == "Z/9"
     # with no prime family there is no remainder, and no key for it
     assert "shared_completion" not in mixed_group_witness(parse_spec("Zhat(5)")).to_json()
+
+
+@pytest.mark.parametrize("build", [
+    lambda **kw: mixed_group_witness(parse_spec("Zhat(5) + Z/9"), **kw),
+    lambda **kw: multi_prime_witness([(5, 2), (7, 1)], **kw),
+], ids=["mixed_group_witness", "multi_prime_witness"])
+def test_forwarded_bounds_reach_build_padic_witness(build):
+    # each builds with these bounds, and a misspelt keyword is refused where
+    # the bounds are defined, not dropped on the way
+    build(precision=20)
+    with pytest.raises(TypeError, match=r"build_padic_witness\(\) got an unexpected keyword "
+                                        r"argument 'bogus'"):
+        build(precision=20, bogus=1)

@@ -531,6 +531,20 @@ def _reduce(text, **kw):
     return reduce_unbounded_torsion(parse_spec(text), **kw)
 
 
+@pytest.mark.parametrize("build", [
+    lambda **kw: reduce_unbounded_torsion(parse_spec("sumP(all; Z/p^1)"), width=10, **kw),
+    lambda **kw: build_socle_witness(PrimeWindow(ODD_PRIMES, 10), **kw),
+], ids=["reduce_unbounded_torsion", "build_socle_witness"])
+def test_forwarded_bounds_reach_choose_scalars(build):
+    # each builds with these bounds, and a misspelt keyword is refused where
+    # the bounds are defined, not dropped on the way
+    bounds = {"max_exponent": 1, "height_bound": 1, "threshold": 2}
+    build(**bounds)
+    with pytest.raises(TypeError, match=r"choose_scalars\(\) got an unexpected keyword "
+                                        r"argument 'bogus'"):
+        build(**bounds, bogus=1)
+
+
 def test_reduce_plain_family_is_already_a_socle():
     out = _reduce("sumP(all\\{2}; Z/p^1)")
     assert out.modulus == 1

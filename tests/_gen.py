@@ -2,10 +2,12 @@
 specs, every finite abelian group up to an order, and every normal form of a
 few summands built from small atoms (by default, two over the primes 2 and 3).
 Also the readers that only tests need: subgroups of a finite group, a spec's
-multiplicity of one summand, and the coefficients of witness elements.  Last,
-the computations of the five pinned digests (element arithmetic of both
-routes, the elementary-matrix probe, the routes' multiplicities and the
-parser's outcomes on fuzzed texts): their tests compare them with the pinned
+multiplicity of one summand, and the coefficients of witness elements; and
+``run_argv``, the one in-process CLI runner of the test tools.  Last, the
+computations of the eight pinned digests (element arithmetic of both routes,
+the elementary-matrix probe, the routes' multiplicities, the parser's outcomes
+on fuzzed texts, and the ``classify``, ``invariants`` and ``witness`` outputs
+over the small population): their tests compare them with the pinned
 constants, and ``tests/matrix.py`` runs them under each interpreter, so this
 module imports only the standard library and the package."""
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -21,6 +24,8 @@ from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from sb_abelian import witness_padic, witness_socle
+from sb_abelian.classify import StabilityClass, stability_class
+from sb_abelian.cli import run_cli
 from sb_abelian.groupspec import (
     Cardinal,
     Cyclic,
@@ -213,6 +218,14 @@ def small_spec_texts(primes: Sequence[int] = (2, 3), max_k: int = 2, terms: int 
             text = " + ".join(combo)
             kept.setdefault(parse_spec(text), text)
     return list(kept.values())
+
+
+def run_argv(argv: Sequence[str]) -> tuple[int, str, str]:
+    """Run one argv through ``run_cli`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def scaled_set(group, c: int) -> frozenset:
@@ -513,3 +526,30 @@ def parse_digest() -> str:
     rng = random.Random("parse")
     texts = [fuzzed_spec_text(rng) for _ in range(20_000)]
     return _digest([[text, _parse_outcome(text)] for text in texts])
+
+
+def cli_digest(argvs) -> str:
+    """The sha256 over each argv with its exit code, stdout and stderr, in order."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(json.dumps([list(argv), *run_argv(argv)]).encode())
+    return digest.hexdigest()
+
+
+def classify_digest() -> str:
+    """``classify`` on each of the 3,410 small spec texts."""
+    return cli_digest(["classify", text] for text in small_spec_texts())
+
+
+def invariants_digest() -> str:
+    """``invariants`` on each of the 3,410 small spec texts."""
+    return cli_digest(["invariants", text] for text in small_spec_texts())
+
+
+def witness_digest() -> str:
+    """``witness`` with the default flags on every eighth of the 1,453 small
+    spec texts that are superstable but not omega-stable: 182 runs, on both
+    routes."""
+    middle = [text for text in small_spec_texts()
+              if stability_class(parse_spec(text)) is StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE]
+    return cli_digest(["witness", text] for text in middle[::8])

@@ -1,8 +1,8 @@
 """Replay the golden corpus under each of several Python interpreters.
 
 For each interpreter path given, a child process of that interpreter replays
-every entry of ``golden_corpus.json`` through ``run_cli`` and counts the
-entries whose exit code, stdout or stderr differ, and recomputes the five
+every entry of ``golden_corpus.json`` through ``_gen.run_argv`` and counts
+the entries whose exit code, stdout or stderr differ, and recomputes the eight
 pinned digests through ``_gen``; each is compared with the constant its test
 pins.  Then ``python -m sb_abelian classify Q`` runs as a process of its own,
 and its stdout is compared with the child's in-process ``run_cli`` of the same
@@ -19,8 +19,6 @@ imports every module in ``tests/``.
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -37,6 +35,9 @@ DIGESTS = {
     "PROBE_DIGEST": ("test_witness_padic.py", "probe_digest"),
     "ROUTE_DIGEST": ("test_route_multiplicities.py", "route_digest"),
     "PARSE_DIGEST": ("test_groupspec.py", "parse_digest"),
+    "CLASSIFY_DIGEST": ("test_cli_digests.py", "classify_digest"),
+    "INVARIANTS_DIGEST": ("test_cli_digests.py", "invariants_digest"),
+    "WITNESS_DIGEST": ("test_cli_digests.py", "witness_digest"),
 }
 
 
@@ -47,15 +48,6 @@ def pinned(name: str, test_file: str) -> str:
                 and [getattr(target, "id", None) for target in node.targets] == [name])
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    from sb_abelian.cli import run_cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def replay_corpus() -> None:
     """Replay the corpus and recompute the digests in this interpreter; print its
     version, the number of entries, the argvs and digests that differ and
@@ -64,12 +56,12 @@ def replay_corpus() -> None:
 
     entries = json.loads((TESTS / "golden_corpus.json").read_text(encoding="utf-8"))
     differ = [entry["argv"] for entry in entries
-              if _run(entry["argv"]) != (entry["code"], entry["stdout"], entry["stderr"])]
+              if _gen.run_argv(entry["argv"]) != (entry["code"], entry["stdout"], entry["stderr"])]
     digests = [name for name, (test_file, compute) in DIGESTS.items()
                if getattr(_gen, compute)() != pinned(name, test_file)]
     print(json.dumps({"version": sys.version.split()[0], "entries": len(entries),
                       "differ": differ, "digests": digests,
-                      "entry_stdout": _run(ENTRY_ARGV)[1]}))
+                      "entry_stdout": _gen.run_argv(ENTRY_ARGV)[1]}))
 
 
 def check(python: str) -> tuple[bool, str]:

@@ -21,8 +21,6 @@ runs under the ``__main__`` check, because the test run imports every module in
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import sys
 import time
 from collections import Counter
@@ -32,10 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from _gen import small_spec_texts
+    from _gen import run_argv, small_spec_texts
     from sb_abelian import parse_spec
     from sb_abelian.classify import StabilityClass, stability_class
-    from sb_abelian.cli import run_cli
 
     parser = argparse.ArgumentParser(description="witness on every small spec without SB")
     parser.add_argument("--primes", default="2,3", help="comma-separated (default 2,3)")
@@ -49,12 +46,10 @@ if __name__ == "__main__":
     slowest = (0.0, "")
     start = time.perf_counter()
     for text in middle:
-        err = io.StringIO()
         began = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run_cli(["witness", text])
+        code, _, err = run_argv(["witness", text])
         slowest = max(slowest, (time.perf_counter() - began, text))
-        tally[code, err.getvalue().strip()] += 1
+        tally[code, err.strip()] += 1
     for (code, message), count in sorted(tally.items()):
         print(f"{count:5d}  exit {code}  {message}")
     print(f"{len(middle)} specs in {time.perf_counter() - start:.1f} s; "

@@ -12,13 +12,13 @@ Re-record every entry from the current tree with
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from _gen import run_argv
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
 
@@ -152,12 +152,8 @@ ARGVS = [
 
 def replay(argv: list[str]) -> dict:
     """Run one argv in-process; returns its exit code, stdout and stderr."""
-    from sb_abelian.cli import run_cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(list(argv))
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    code, stdout, stderr = run_argv(argv)
+    return {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
 
 
 def _load() -> list[dict]:

@@ -121,13 +121,7 @@ def divisible_plus_bounded(spec: GroupSpec) -> bool:
     :func:`stability_class`: the divisible summands are quasicyclic/rational
     and the torsion ones must be finitely many cyclic singletons.
     """
-    for fam, _ in spec.entries:
-        if isinstance(fam, (Prufer, Rationals)):
-            continue
-        if isinstance(fam, Cyclic):
-            continue
-        return False
-    return True
+    return all(isinstance(fam, (Prufer, Rationals, Cyclic)) for fam, _ in spec.entries)
 
 
 class SbVerdict(Record):

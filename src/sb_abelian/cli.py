@@ -104,7 +104,6 @@ def _classify(args: SimpleNamespace) -> dict:
     condition3 = verdict.has_sb  # has_sb decides SB by condition 3
     condition4 = superstable and unipotence_report(spec).unipotent_all
     agreement = verdict.has_sb == omega == condition3 == condition4
-    preds = basic_predicates(spec)
     return {
         "spec": str(spec),
         "sb": verdict.has_sb,
@@ -117,21 +116,16 @@ def _classify(args: SimpleNamespace) -> dict:
         "route": verdict.route.value if verdict.route else None,
         "reason": verdict.reason,
         "connected_component_index": connected_component_index(spec),
-        "divisible": preds.divisible,
-        "reduced": preds.reduced,
-        "exponent": preds.exponent,
+        **basic_predicates(spec).to_json(),
     }
 
 
 def _invariants(args: SimpleNamespace) -> dict:
     spec = parse_spec(args.spec)
-    preds = basic_predicates(spec)
     return {
         "spec": str(spec),
         "szmielew": szmielew_invariants(spec).to_json(),
-        "divisible": preds.divisible,
-        "reduced": preds.reduced,
-        "exponent": preds.exponent,
+        **basic_predicates(spec).to_json(),
     }
 
 

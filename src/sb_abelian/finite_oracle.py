@@ -212,8 +212,7 @@ def socle_multiplicities_bruteforce(group: FiniteAbelianGroup) -> dict[int, int]
     The socle of a finite abelian group is elementary abelian; its p-part
     has dimension log_p |G[p]|.
     """
-    divisors = sorted(factorize(group.order)) if group.order > 1 else []
-    return {p: p_valuation(_socle_layer_size(group, p, 1), p) for p in divisors}
+    return {p: p_valuation(_socle_layer_size(group, p, 1), p) for p in factorize(group.order)}
 
 
 # ---------------------------------------------------------------------------

@@ -430,9 +430,7 @@ def socle(spec: GroupSpec) -> GroupSpec:
     """
     out: list[Entry] = []
     for fam, mult in spec.entries:
-        if isinstance(fam, Cyclic):
-            out.append((Cyclic(fam.p, 1), mult))
-        elif isinstance(fam, Prufer):
+        if isinstance(fam, (Cyclic, Prufer)):
             out.append((Cyclic(fam.p, 1), mult))
         elif isinstance(fam, CyclicPrimeFamily):
             out.append((CyclicPrimeFamily(fam.primes, 1), mult))
@@ -487,7 +485,7 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    mfact = factorize(m) if m > 1 else {}
+    mfact = factorize(m)
     tors: list[Entry] = []
     comp: list[Entry] = []
     for fam, mult in spec.entries:

@@ -194,16 +194,8 @@ class PAdicWitnessPair(Record):
         return total % modulus
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "precision": self.precision,
-            "unit1": self.certificate.sources[0],
-            "unit2": self.certificate.sources[1],
-            "attempts": self.attempts,
-            "certificate": self.certificate.to_json(),
-            "grids": dict(GRIDS),
-        }
+        unit1, unit2 = self.certificate.sources
+        return super().to_json() | {"unit1": unit1, "unit2": unit2, "grids": dict(GRIDS)}
 
 
 def build_padic_witness(
@@ -359,8 +351,7 @@ class MultiPrimeWitness(Record):
     components: tuple[PAdicWitnessPair, ...]
 
     def to_json(self) -> dict:
-        return {
-            "components": [c.to_json() for c in self.components],
+        return super().to_json() | {
             "rationale": (
                 "maps between the sums act componentwise: nonzero elements "
                 "of a reduced group have finite height at its prime"

@@ -124,12 +124,10 @@ class PrimeWindow(Record):
             if not self.source.contains(p):
                 raise ValueError(f"rank override at p={p} outside the support")
         self.__dict__["primes"] = self.source.first_n(self.width)
+        self.__dict__["_ranks"] = dict(self.overrides)
 
     def rank(self, p: int) -> int:
-        for q, r in self.overrides:
-            if q == p:
-                return r
-        return self.generic_rank
+        return self._ranks.get(p, self.generic_rank)
 
     def to_json(self) -> dict:
         return {
@@ -140,7 +138,7 @@ class PrimeWindow(Record):
         }
 
 
-def window_from_socle(spec: GroupSpec, width: int = 50) -> PrimeWindow:
+def window_from_socle(spec: GroupSpec, width: int) -> PrimeWindow:
     """Read a :class:`PrimeWindow` off an exponent-one (socle) description.
 
     The block ranks are the Ulm values U(p, 1) of the Szmielew key: the
@@ -321,10 +319,8 @@ class ProductElement(Record):
     exceptions: tuple[tuple[int, Vector], ...] = ()
 
     def evaluate(self, p: int) -> Vector:
-        window = self.witness.window
-        if not window.source.contains(p):
-            raise ValueError(f"prime {p} outside the support")
-        vec = (_tail_value(self.tail, *self.witness.scalars.at(p), p),) * window.rank(p)
+        w = self.witness  # its scalar lookup refuses a prime outside the support
+        vec = (_tail_value(self.tail, *w.scalars.at(p), p),) * w.window.rank(p)
         for q, extra in self.exceptions:
             if q == p:
                 vec = tuple((a + b) % p for a, b in zip(vec, extra))
@@ -378,11 +374,10 @@ def _tail_value(
     """The tail's face value at p, where the scalars are s and t."""
     total = 0
     for (i, j), c in tail:
-        if c.denominator % p == 0:
-            continue
-        scal = c.numerator * pow(c.denominator, -1, p) % p
-        total = (total + scal * pow(s, i, p) * pow(t, j, p)) % p
-    return total
+        d = c.denominator
+        if d % p:
+            total += c.numerator * pow(d, -1, p) * pow(s, i, p) * pow(t, j, p)
+    return total % p
 
 
 @functools.lru_cache(maxsize=4096)
@@ -428,10 +423,7 @@ def _assemble(
         if p not in killed:
             for x, factor in parts:
                 lam = factor(p)
-                for (i, j), c in x.tail:
-                    d = c.denominator
-                    if d % p:
-                        total += lam * c.numerator * pow(d, -1, p) * pow(s, i, p) * pow(t, j, p)
+                total += lam * _tail_value(x.tail, s, t, p)
                 for q, extra in x.exceptions:
                     if q == p:
                         extras = [a + lam * b for a, b in zip(extras, extra)]
@@ -487,11 +479,9 @@ class SocleWitnessPair(Record):
         return ProductElement(self, (), tuple(exceptions))
 
     def to_json(self) -> dict:
-        return {
+        return super().to_json() | {
             "kind": "socle-witness-pair",
             "window": self.window.to_json(),
-            "scalars": self.scalars.to_json(),
-            "certificate": self.certificate.to_json(),
             "base_overrides": [],
             "grids": dict(GRIDS),
             "reduced": True,

@@ -94,13 +94,13 @@ def test_window_from_socle_overrides_and_union():
 
 def test_window_from_socle_rejects_non_socle_input():
     with pytest.raises(ValueError, match="socle"):
-        window_from_socle(parse_spec("sumP(all; Z/p^2)"))
+        window_from_socle(parse_spec("sumP(all; Z/p^2)"), 50)
     with pytest.raises(ValueError, match="socle"):
-        window_from_socle(parse_spec("Prufer(3) + sumP(all; Z/p^1)"))
+        window_from_socle(parse_spec("Prufer(3) + sumP(all; Z/p^1)"), 50)
     with pytest.raises(ValueError, match="infinite multiplicity"):
-        window_from_socle(parse_spec("sumP(all; Z/p^1)^w"))
+        window_from_socle(parse_spec("sumP(all; Z/p^1)^w"), 50)
     with pytest.raises(ValueError, match="finitely many"):
-        window_from_socle(parse_spec("Z/3 + Z/5"))
+        window_from_socle(parse_spec("Z/3 + Z/5"), 50)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ specs, every finite abelian group up to an order, and every normal form of a
 few summands built from small atoms (by default, two over the primes 2 and 3).
 Also the readers that only tests need: subgroups of a finite group, a spec's
 multiplicity of one summand, and the coefficients of witness elements; and
-``run_argv``, the one in-process CLI runner of the test tools.  Last, the
-computations of the eight pinned digests (element arithmetic of both routes,
+``run_argv``, the one in-process CLI runner of the test tools, and
+``cli_row``, the one encoding of a run in a CLI digest.  Last, the
+computations of the nine pinned digests (element arithmetic of both routes,
 the elementary-matrix probe, the routes' multiplicities, the parser's outcomes
-on fuzzed texts, and the ``classify``, ``invariants`` and ``witness`` outputs
-over the small population): their tests compare them with the pinned
+on fuzzed texts, and the ``classify``, ``invariants``, ``witness`` and ``eq``
+outputs over the small population): their tests compare them with the pinned
 constants, and ``tests/matrix.py`` runs them under each interpreter, so this
 module imports only the standard library and the package."""
 
@@ -45,6 +46,7 @@ from sb_abelian.groupspec import (
     parse_spec,
     socle,
 )
+from sb_abelian.invariants import SzmielewInvariants, szmielew_invariants
 from sb_abelian.primes import primes
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
@@ -528,11 +530,16 @@ def parse_digest() -> str:
     return _digest([[text, _parse_outcome(text)] for text in texts])
 
 
+def cli_row(argv: Sequence[str], outcome: tuple[int, str, str]) -> bytes:
+    """One run's row in a CLI digest: the argv with its exit code, stdout and stderr."""
+    return json.dumps([list(argv), *outcome]).encode()
+
+
 def cli_digest(argvs) -> str:
-    """The sha256 over each argv with its exit code, stdout and stderr, in order."""
+    """The sha256 over the row of each argv's in-process run, in order."""
     digest = hashlib.sha256()
     for argv in argvs:
-        digest.update(json.dumps([list(argv), *run_argv(argv)]).encode())
+        digest.update(cli_row(argv, run_argv(argv)))
     return digest.hexdigest()
 
 
@@ -553,3 +560,17 @@ def witness_digest() -> str:
     middle = [text for text in small_spec_texts()
               if stability_class(parse_spec(text)) is StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE]
     return cli_digest(["witness", text] for text in middle[::8])
+
+
+def eq_digest() -> str:
+    """``eq`` on pairs of the 3,410 small spec texts: the first text of each
+    Szmielew-key class against each other text of that class (718 pairs from
+    327 classes), then 2,000 seeded random pairs, nearly all inequivalent."""
+    texts = small_spec_texts()
+    classes: dict[SzmielewInvariants, list[str]] = {}
+    for text in texts:
+        classes.setdefault(szmielew_invariants(parse_spec(text)), []).append(text)
+    rng = random.Random("eq")
+    pairs = [(first, other) for first, *rest in classes.values() for other in rest]
+    pairs += [rng.sample(texts, 2) for _ in range(2_000)]
+    return cli_digest(["eq", *pair] for pair in pairs)

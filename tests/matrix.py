@@ -2,7 +2,7 @@
 
 For each interpreter path given, a child process of that interpreter replays
 every entry of ``golden_corpus.json`` through ``_gen.run_argv`` and counts
-the entries whose exit code, stdout or stderr differ, and recomputes the eight
+the entries whose exit code, stdout or stderr differ, and recomputes the nine
 pinned digests through ``_gen``; each is compared with the constant its test
 pins.  Then ``python -m sb_abelian classify Q`` runs as a process of its own,
 and its stdout is compared with the child's in-process ``run_cli`` of the same
@@ -38,6 +38,7 @@ DIGESTS = {
     "CLASSIFY_DIGEST": ("test_cli_digests.py", "classify_digest"),
     "INVARIANTS_DIGEST": ("test_cli_digests.py", "invariants_digest"),
     "WITNESS_DIGEST": ("test_cli_digests.py", "witness_digest"),
+    "EQ_DIGEST": ("test_cli_digests.py", "eq_digest"),
 }
 
 

@@ -7,8 +7,10 @@ exponents up to ``max_k``, by default two summands over the primes 2 and 3 with
 k <= 2 (3,410 specs).  Each spec that ``classify`` places between superstable
 and omega-stable gets one ``witness`` run with the default flags, in-process
 through ``run_cli``.  The script prints one line per exit code and stderr
-message with its count, then the totals and the wall time.  It is a report,
-not a gate.
+message with its count, then the totals and the wall time, then the witness
+digest: the sha256 over the runs' rows as ``_gen.cli_row`` encodes them, the
+value ``_gen.cli_digest`` gives over the same argvs.  It is a report, not a
+gate.
 
     python tests/sweep.py
     python tests/sweep.py --primes 2,3,5 --max-k 3 --terms 2
@@ -21,6 +23,7 @@ runs under the ``__main__`` check, because the test run imports every module in
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from collections import Counter
@@ -30,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from _gen import run_argv, small_spec_texts
+    from _gen import cli_row, run_argv, small_spec_texts
     from sb_abelian import parse_spec
     from sb_abelian.classify import StabilityClass, stability_class
 
@@ -43,14 +46,17 @@ if __name__ == "__main__":
     middle = [text for text in population
               if stability_class(parse_spec(text)) is StabilityClass.SUPERSTABLE_NOT_OMEGA_STABLE]
     tally: Counter[tuple[int, str]] = Counter()
+    digest = hashlib.sha256()
     slowest = (0.0, "")
     start = time.perf_counter()
     for text in middle:
         began = time.perf_counter()
-        code, _, err = run_argv(["witness", text])
+        outcome = run_argv(["witness", text])
         slowest = max(slowest, (time.perf_counter() - began, text))
-        tally[code, err.strip()] += 1
+        digest.update(cli_row(["witness", text], outcome))
+        tally[outcome[0], outcome[2].strip()] += 1
     for (code, message), count in sorted(tally.items()):
         print(f"{count:5d}  exit {code}  {message}")
     print(f"{len(middle)} specs in {time.perf_counter() - start:.1f} s; "
           f"slowest {slowest[0]:.2f} s: witness {slowest[1]!r}")
+    print(f"witness digest {digest.hexdigest()}")

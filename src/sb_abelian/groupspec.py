@@ -151,7 +151,7 @@ class Cardinal(Record):
     value: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("finite", "aleph") or self.value < 0:
+        if self.kind not in ("finite", "aleph") or type(self.value) is not int or self.value < 0:
             raise ValueError(f"bad cardinal ({self.kind!r}, {self.value!r})")
 
     @classmethod
@@ -255,6 +255,15 @@ class Summand(Record):
 
     _rank = -1
 
+    def __post_init__(self) -> None:
+        """A field ``p`` must be a prime, and an exponent ``k`` an int >= 1."""
+        name = type(self).__name__
+        if "p" in self._fields:
+            ensure_prime(self.p, f"{name} prime")
+        k = getattr(self, "k", 1)
+        if type(k) is not int or k < 1:
+            raise ValueError(f"{name} exponent must be >= 1, got {k!r}")
+
     def sort_key(self) -> tuple:
         """(rank, p, k, prime set): the order of the entries of a normal form."""
         primes = getattr(self, "primes", None)
@@ -269,11 +278,6 @@ class Cyclic(Summand):
     k: int
     _rank = 0
 
-    def __post_init__(self) -> None:
-        ensure_prime(self.p, "Cyclic prime")
-        if self.k < 1:
-            raise ValueError(f"Cyclic exponent must be >= 1, got {self.k}")
-
     @property
     def modulus(self) -> int:
         return self.p**self.k
@@ -287,9 +291,6 @@ class Prufer(Summand):
 
     p: int
     _rank = 1
-
-    def __post_init__(self) -> None:
-        ensure_prime(self.p, "Prufer prime")
 
     def __str__(self) -> str:
         return f"Prufer({self.p})"
@@ -310,9 +311,6 @@ class PAdicComplete(Summand):
     p: int
     _rank = 3
 
-    def __post_init__(self) -> None:
-        ensure_prime(self.p, "PAdicComplete prime")
-
     def __str__(self) -> str:
         return f"Zhat({self.p})"
 
@@ -323,10 +321,6 @@ class CyclicPrimeFamily(Summand):
     primes: PrimeSet
     k: int
     _rank = 4
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"family exponent must be >= 1, got {self.k}")
 
     def __str__(self) -> str:
         return f"sumP({self.primes}; Z/p^{self.k})"
@@ -347,9 +341,6 @@ class CyclicExponentFamily(Summand):
 
     p: int
     _rank = 6
-
-    def __post_init__(self) -> None:
-        ensure_prime(self.p, "exponent family prime")
 
     def __str__(self) -> str:
         return f"sumK({self.p}; all)"

@@ -178,9 +178,6 @@ def ulm_invariant(spec: GroupSpec, p: int, i: int) -> Cardinal:
 
     On finite p-groups this is the brute-force Ulm value dim P_i/P_{i+1}.
     """
-    if i < 0:
-        raise ValueError(f"Ulm index must be >= 0, got {i}")
-    ensure_prime(p, "Ulm prime")
     return szmielew_invariants(spec).ulm(p, i + 1)
 
 

@@ -212,7 +212,6 @@ def build_padic_witness(
     The returned descriptor fixes (p, k, units, precision, certificate);
     all membership probes are made against it.
     """
-    ensure_prime(p, "witness prime")
     if k < 1:
         raise ValueError("need at least one coordinate (k >= 1)")
 

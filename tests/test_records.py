@@ -8,8 +8,10 @@ import pickle
 import pytest
 
 from sb_abelian.groupspec import (
+    ALL_PRIMES,
     Cardinal,
     Cyclic,
+    CyclicPrimeFamily,
     GroupSpec,
     PAdicComplete,
     PrimeSet,
@@ -153,6 +155,13 @@ def test_post_init_validation_still_runs():
         Cyclic(p=2, k=0)
     with pytest.raises(ValueError):
         Cardinal("finite", -1)
+    # an exponent or a multiplicity is an int: 1.5 would print Z/2.828... and key U(2, 1.5)
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        Cyclic(2, 1.5)
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        CyclicPrimeFamily(ALL_PRIMES, 2.5)
+    with pytest.raises(ValueError, match="bad cardinal"):
+        Cardinal.of(1.5)
     with pytest.raises(ValueError, match="window width must be >= 1"):
         PrimeWindow(PrimeSet.cofinite(), 0)
 

@@ -50,11 +50,12 @@ if __name__ == "__main__":
     slowest = (0.0, "")
     start = time.perf_counter()
     for text in middle:
+        argv = ["witness", text]
         began = time.perf_counter()
-        outcome = run_argv(["witness", text])
+        code, out, err = run_argv(argv)
         slowest = max(slowest, (time.perf_counter() - began, text))
-        digest.update(cli_row(["witness", text], outcome))
-        tally[outcome[0], outcome[2].strip()] += 1
+        digest.update(cli_row(argv, (code, out, err)))
+        tally[code, err.strip()] += 1
     for (code, message), count in sorted(tally.items()):
         print(f"{count:5d}  exit {code}  {message}")
     print(f"{len(middle)} specs in {time.perf_counter() - start:.1f} s; "

@@ -7,11 +7,11 @@ eighth of the 1,453 that are superstable but not omega-stable (182 runs, 99 on
 the completion route and 83 on the socle route).  ``eq`` runs on 2,718 pairs
 of the small texts: the first text of each Szmielew-key class against each
 other text of that class (718 pairs), then 2,000 seeded random pairs, of
-which 2 are equivalent.  The digests were recorded
-before the refactor that followed them; a change that keeps behaviour must
-reproduce them, and one that moves them on purpose maps each moved row in
-``CHANGES.md``.  The runs are computed in ``_gen``, which ``tests/matrix.py``
-also runs under each interpreter.
+which 2 are equivalent.  The digests were recorded before the refactor that
+followed them; a change that keeps behaviour must reproduce them, and one that
+moves them on purpose maps each moved row in ``CHANGES.md``.  The runs are
+computed in ``_gen``, which ``tests/matrix.py`` also runs under each
+interpreter.
 """
 
 from _gen import classify_digest, eq_digest, invariants_digest, witness_digest

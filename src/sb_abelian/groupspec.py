@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable
 
-from .primes import EXACT_BOUND, ensure_prime, factorize, first_primes_excluding
+from .primes import EXACT_BOUND, ensure_at_least, ensure_prime, factorize, first_primes_excluding
 
 __all__ = [
     "Record",
@@ -260,9 +260,7 @@ class Summand(Record):
         name = type(self).__name__
         if "p" in self._fields:
             ensure_prime(self.p, f"{name} prime")
-        k = getattr(self, "k", 1)
-        if type(k) is not int or k < 1:
-            raise ValueError(f"{name} exponent must be >= 1, got {k!r}")
+        ensure_at_least(getattr(self, "k", 1), 1, f"{name} exponent")
 
     def sort_key(self) -> tuple:
         """(rank, p, k, prime set): the order of the entries of a normal form."""
@@ -474,9 +472,7 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
     >>> str(r.torsion), str(r.complement)
     ('Z/4', 'Z/3 + Q')
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    mfact = factorize(m)
+    mfact = factorize(ensure_at_least(m, 1, "m"))
     tors: list[Entry] = []
     comp: list[Entry] = []
     for fam, mult in spec.entries:

@@ -43,7 +43,7 @@ from .groupspec import (
     Prufer,
     Summand,
 )
-from .primes import ensure_prime
+from .primes import ensure_at_least, ensure_prime
 
 __all__ = [
     "PrimeRecord",
@@ -97,9 +97,7 @@ class SzmielewInvariants(NamedTuple):
         return dict(self.primes).get(ensure_prime(p, "invariant prime"), self.generic)
 
     def ulm(self, p: int, k: int) -> Cardinal:
-        if k < 1:
-            raise ValueError(f"Ulm exponent must be >= 1, got {k}")
-        return self.record(p).u(k)
+        return self.record(p).u(ensure_at_least(k, 1, "Ulm exponent"))
 
     @property
     def exponent(self) -> int | None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .groupspec import Record
-from .primes import ensure_prime, p_valuation
+from .primes import ensure_at_least, ensure_prime, p_valuation
 from .relations import first_relation, monomials, search_space, seeded_rng, terms
 
 __all__ = [
@@ -56,8 +56,7 @@ class AtLeast(Record):
     bound: int
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise ValueError(f"valuation bound must be >= 0, got {self.bound}")
+        ensure_at_least(self.bound, 0, "valuation bound")
 
     def __str__(self) -> str:
         return f">={self.bound}"
@@ -88,8 +87,7 @@ class PAdicApprox(Record):
 
     def __post_init__(self) -> None:
         ensure_prime(self.p, "p-adic base")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
+        ensure_at_least(self.precision, 1, "precision")
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue out of range; use PAdicApprox.of")
 
@@ -171,8 +169,7 @@ def matrix_inverse_mod(
     mod p**n at every level n <= precision.
     """
     ensure_prime(p, "matrix base")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    ensure_at_least(precision, 1, "precision")
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise ValueError("matrix must be square and nonempty")

@@ -55,6 +55,13 @@ def ensure_prime(n: object, context: str = "prime") -> int:
     return n
 
 
+def ensure_at_least(n: object, low: int, context: str) -> int:
+    """Validate that ``n`` is an int (not a bool) >= ``low`` and return it."""
+    if type(n) is not int or n < low:
+        raise ValueError(f"{context} must be >= {low}, got {n!r}")
+    return n
+
+
 def primes() -> Iterator[int]:
     """All primes in increasing order."""
     for n in count(2):
@@ -64,8 +71,7 @@ def primes() -> Iterator[int]:
 
 def first_primes_excluding(count_: int, excluded: frozenset[int] | set[int]) -> tuple[int, ...]:
     """The first ``count_`` primes not in ``excluded``, in increasing order."""
-    if count_ < 0:
-        raise ValueError(f"cannot take {count_} primes")
+    ensure_at_least(count_, 0, "prime count")
     return tuple(islice((p for p in primes() if p not in excluded), count_))
 
 

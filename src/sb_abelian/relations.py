@@ -38,6 +38,7 @@ from itertools import chain, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .groupspec import BudgetExceeded
+from .primes import ensure_at_least
 
 __all__ = [
     "GRIDS", "RETRIES", "RetriesExhausted", "SCAN_BUDGET", "Survival", "check_grid",
@@ -117,9 +118,8 @@ def monomials(max_exponent: int) -> list[tuple[int, int]]:
     >>> monomials(1)
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
-    if max_exponent < 0:
-        raise ValueError("max_exponent must be >= 0")
-    return [(i, j) for i in range(max_exponent + 1) for j in range(max_exponent + 1)]
+    span = range(ensure_at_least(max_exponent, 0, "max_exponent") + 1)
+    return [(i, j) for i in span for j in span]
 
 
 def terms(pairs: Sequence[tuple[int, int]], vector: Sequence[int]) -> tuple[Vector, ...]:
@@ -151,8 +151,7 @@ def search_space(positions: int, height: int, budget: int | None) -> int:
     Every search checks its bounds here: ``ValueError`` for a height below 1
     or no positions, where the search would be empty and certify nothing.
     """
-    if height < 1:
-        raise ValueError("height_bound must be >= 1")
+    ensure_at_least(height, 1, "height_bound")
     if positions < 1:
         raise ValueError("a search needs at least one monomial")
     candidates = (2 * height + 1) ** positions
@@ -188,8 +187,7 @@ def first_relation(values: Sequence[int], height: int, modulus: int) -> Vector |
     (-1, 1)
     """
     search_space(len(values), height, None)
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    ensure_at_least(modulus, 1, "modulus")
     n, split, coeffs = len(values), len(values) // 2, range(-height, height + 1)
     high, low = (_residues(part, modulus, coeffs, [0]) for part in (values[:split], values[split:]))
     high_zero, low_zero = len(high) // 2, len(low) // 2  # the zero vectors

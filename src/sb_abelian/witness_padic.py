@@ -44,7 +44,7 @@ from .padic import (
     matrix_product_mod,
     seeded_unit,
 )
-from .primes import ensure_prime, p_valuation
+from .primes import ensure_at_least, ensure_prime, p_valuation
 from .relations import GRIDS, check_grid, first_passing, grid_allows, relation_str
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
@@ -212,8 +212,7 @@ def build_padic_witness(
     The returned descriptor fixes (p, k, units, precision, certificate);
     all membership probes are made against it.
     """
-    if k < 1:
-        raise ValueError("need at least one coordinate (k >= 1)")
+    ensure_at_least(k, 1, "coordinate count k")
 
     def draw(attempt: int) -> tuple[int, PAdicApprox, PAdicApprox, IndependenceCertificate]:
         base = seed + 1_000_003 * attempt

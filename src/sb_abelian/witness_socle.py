@@ -52,7 +52,7 @@ from .groupspec import (
     split_reduced_divisible,
 )
 from .invariants import szmielew_invariants
-from .primes import ensure_prime, factorize
+from .primes import ensure_at_least, ensure_prime, factorize
 from .relations import (
     GRIDS, RetriesExhausted, check_grid, first_passing, grid_allows, monomials, search_space,
     seeded_rng, survival_scans, terms,
@@ -106,10 +106,8 @@ class PrimeWindow(Record):
     overrides: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("window width must be >= 1")
-        if self.generic_rank < 1:
-            raise ValueError("generic rank must be >= 1")
+        ensure_at_least(self.width, 1, "window width")
+        ensure_at_least(self.generic_rank, 1, "generic rank")
         if not (isinstance(self.overrides, tuple)
                 and all(isinstance(pair, tuple) for pair in self.overrides)):
             raise ValueError("rank overrides must be a tuple of (prime, rank) tuples")
@@ -118,8 +116,7 @@ class PrimeWindow(Record):
             if p <= last:
                 raise ValueError(f"rank override at p={p} out of order or duplicated")
             last = p
-            if r < 1:
-                raise ValueError(f"rank override at p={p} must be >= 1")
+            ensure_at_least(r, 1, f"rank override at p={p}")
             ensure_prime(p, "rank override")  # the support test below takes a prime
             if not self.source.contains(p):
                 raise ValueError(f"rank override at p={p} outside the support")
@@ -267,8 +264,7 @@ def choose_scalars(
     # varies slowest, so the scan runs over the monomials in reverse.
     pairs = monomials(max_exponent)[::-1]
     search_space(len(pairs), height_bound, None)  # the bounds, before the threshold
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+    ensure_at_least(threshold, 1, "threshold")
     if threshold > window.width:
         raise RetriesExhausted(f"threshold {threshold} exceeds the window width {window.width}")
 
@@ -359,8 +355,7 @@ class ProductElement(Record):
         the nose.  Multiplying back by n recovers the element away from n's
         primes and leaves zeros at them.
         """
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("pseudo-division wants an integer n >= 1")
+        ensure_at_least(n, 1, "pseudo-division divisor n")
         return _assemble(((self, lambda p: pow(n, -1, p)),),
                          {m: c / n for m, c in self.tail}, _prime_factors(n))
 
@@ -457,8 +452,8 @@ class SocleWitnessPair(Record):
 
     def grid_point(self, i: int, j: int) -> ProductElement:
         """The base point moved by first^i second^j."""
-        if i < 0 or j < 0:
-            raise ValueError("grid exponents must be >= 0")
+        ensure_at_least(i, 0, "grid exponent i")
+        ensure_at_least(j, 0, "grid exponent j")
         from fractions import Fraction
 
         return ProductElement(self, (((i, j), Fraction(1)),), ())
@@ -585,8 +580,7 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
     W = 16 and d = B = 2), so it holds about as many counters as the avoidance
     scan at any ``max_shift``.
     """
-    if max_shift < 0:
-        raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
+    ensure_at_least(max_shift, 0, "max_shift")
     cert = w.certificate
     d, height = cert.max_exponent, cert.height_bound
     shifts: dict[tuple, list[int]] = {}  # shifts m >= d all allow every monomial

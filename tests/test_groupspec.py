@@ -459,4 +459,4 @@ def test_first_n_takes_no_prime_for_zero_and_refuses_a_negative_count():
     src = str(Path(groupspec.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                           timeout=10)
-    assert (done.returncode, done.stdout) == (0, "()\ncannot take -1 primes\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "()\nprime count must be >= 0, got -1\n"), done.stderr

@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 import random
+import re
 import subprocess
 import sys
 from math import isqrt, prod
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from sb_abelian import primes
-from sb_abelian.primes import factorize, is_prime, p_valuation
+from sb_abelian.primes import ensure_at_least, factorize, is_prime, p_valuation
 
 _SIEVE_LIMIT = 10**6
 
@@ -176,3 +177,10 @@ def test_p_valuation_refuses_a_base_below_two():
     with pytest.raises(ValueError, match="got 0"):
         p_valuation(8, 0)
     assert p_valuation(24, 2) == 3
+
+
+@pytest.mark.parametrize("n", [True, 1.5, "3", 2], ids=["bool", "float", "str", "low-minus-1"])
+def test_ensure_at_least_refuses_a_non_int_or_a_count_below_low(n):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'widget count must be >= 3, got {n!r}')}$"):
+        ensure_at_least(n, 3, "widget count")
+    assert ensure_at_least(3, 3, "widget count") == 3

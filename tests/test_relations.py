@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sb_abelian import relations
-from sb_abelian.groupspec import BudgetExceeded, parse_spec
+from sb_abelian.groupspec import BudgetExceeded, PrimeSet, parse_spec
 from sb_abelian.padic import independence_certificate, seeded_unit
 from sb_abelian.primes import primes as all_primes
 from sb_abelian.relations import (
@@ -28,7 +28,14 @@ from sb_abelian.relations import (
     survival_scans,
     terms,
 )
-from sb_abelian.witness_socle import build_socle_witness, proper_inclusion_check, window_from_socle
+from sb_abelian.witness_padic import build_padic_witness
+from sb_abelian.witness_socle import (
+    PrimeWindow,
+    build_socle_witness,
+    choose_scalars,
+    proper_inclusion_check,
+    window_from_socle,
+)
 
 
 def vectors(n, height):
@@ -277,8 +284,18 @@ def test_survival_scan_excludes_only_the_zero_vector():
     (lambda: search_space(-1, 2, None), "at least one monomial"),
     (lambda: survival_scans([], [5, 7], 1, None), "at least one monomial"),
     (lambda: monomials(-1), "max_exponent must be >= 0"),
+    # a non-integer bound is refused, not searched or certified against
+    (lambda: monomials(1.5), "max_exponent must be >= 0, got 1.5"),
+    (lambda: build_padic_witness(5, 1.5), "k must be >= 1, got 1.5"),
+    (lambda: build_padic_witness(5, True), "k must be >= 1, got True"),
+    (lambda: choose_scalars(PrimeWindow(PrimeSet.cofinite(), 5), threshold=2.5),
+     "threshold must be >= 1, got 2.5"),
+    (lambda: proper_inclusion_check(
+        build_socle_witness(PrimeWindow(PrimeSet.cofinite(), 5), max_exponent=0, height_bound=1,
+                            threshold=1), max_shift=1.5), "max_shift must be >= 0, got 1.5"),
 ], ids=["scan-height-0", "relation-height-0", "modulus-0", "modulus-minus-5",
-        "negative-positions", "scan-without-monomials", "negative-degree"])
+        "negative-positions", "scan-without-monomials", "negative-degree", "fractional-degree",
+        "fractional-power", "boolean-power", "fractional-threshold", "fractional-max-shift"])
 def test_every_search_refuses_empty_bounds(search, message):
     with pytest.raises(ValueError, match=message):
         search()

@@ -58,7 +58,9 @@ def test_window_rank_overrides():
 def test_window_validation():
     for args, message in [
         ((0,), "width must be >= 1"),
+        ((2.5,), "window width must be >= 1, got 2.5"),
         ((2, 0), "generic rank must be >= 1"),
+        ((3, 1.5), "generic rank must be >= 1, got 1.5"),
         ((2, 1, ((7, 2), (5, 3))), "p=5 out of order"),
         ((2, 1, ((7, 2), (7, 3))), "p=7 out of order or duplicated"),
         ((2, 1, ((5, 0),)), "p=5 must be >= 1"),
@@ -497,7 +499,7 @@ def test_proper_inclusion_check_refuses_a_negative_max_shift():
     # no shift would be scanned, and an empty check would pass
     w = build_socle_witness(PrimeWindow(ALL_PRIMES, 20), max_exponent=2,
                             height_bound=2, threshold=3)
-    with pytest.raises(ValueError, match="max_shift must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="max_shift must be >= 0, got -1"):
         proper_inclusion_check(w, max_shift=-1)
 
 

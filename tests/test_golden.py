@@ -147,6 +147,9 @@ ARGVS = [
     ["witness", "sumP(all; Zhat) + Q"],
     # numbers are ASCII digits: a superscript two is not a number
     ["classify", "Z/²"],
+    # a final "--" after the command name, and one after its last positional
+    ["oracle", "--"],
+    ["classify", "Q", "--format", "json", "--"],
 ]
 
 
@@ -176,7 +179,7 @@ def test_usage_and_help_ignore_the_terminal_width(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
     shown = [entry for entry in _load()
              if entry["stderr"].startswith("usage:") or entry["stdout"].startswith("usage:")]
-    assert len(shown) == 14
+    assert len(shown) == 16
     for expected in shown:
         assert replay(expected["argv"]) == expected
 

@@ -231,34 +231,33 @@ def unipotence_report(spec: GroupSpec) -> UnipotenceReport:
         raise NotApplicableError("unipotence analysis requires a superstable theory")
     if stability is StabilityClass.OMEGA_STABLE:
         return UnipotenceReport(unipotent_all=True, witness=None)
-    for fam, _ in spec.entries:
-        if isinstance(fam, PAdicComplete):
-            witness = NonUnipotentWitness(
-                kind="padic_scalar",
-                p=fam.p,
-                primes=None,
-                note=f"multiplication by a non-algebraic {fam.p}-adic unit on the "
-                "completion summand has infinite multiplicative order",
-            )
-            break
-        if isinstance(fam, PAdicPrimeFamily):
-            witness = NonUnipotentWitness(
-                kind="padic_scalar",
-                p=min(fam.primes.first_n(1)),
-                primes=fam.primes,
-                note="multiplication by a non-algebraic unit on any completion "
-                "component of the family has infinite multiplicative order",
-            )
-            break
-        if isinstance(fam, CyclicPrimeFamily):
-            witness = NonUnipotentWitness(
-                kind="family_coordinate_scalars",
-                p=None,
-                primes=fam.primes,
-                note="choosing a scalar of multiplicative order p-1 on each "
-                "component yields an automorphism of unbounded order",
-            )
-            break
-    else:  # pragma: no cover - unreachable: some non-(*) entry must exist
-        raise AssertionError("superstable-not-omega-stable spec without witness entry")
+    # Superstable but not omega-stable: some Exp(p) is finite and nonzero,
+    # which only a completion summand gives, or some generic Ulm value is
+    # nonzero, which only a cyclic prime family gives; so one such entry exists.
+    fam = next(fam for fam, _ in spec.entries
+               if isinstance(fam, (PAdicComplete, PAdicPrimeFamily, CyclicPrimeFamily)))
+    if isinstance(fam, PAdicComplete):
+        witness = NonUnipotentWitness(
+            kind="padic_scalar",
+            p=fam.p,
+            primes=None,
+            note=f"multiplication by a non-algebraic {fam.p}-adic unit on the "
+            "completion summand has infinite multiplicative order",
+        )
+    elif isinstance(fam, PAdicPrimeFamily):
+        witness = NonUnipotentWitness(
+            kind="padic_scalar",
+            p=min(fam.primes.first_n(1)),
+            primes=fam.primes,
+            note="multiplication by a non-algebraic unit on any completion "
+            "component of the family has infinite multiplicative order",
+        )
+    else:
+        witness = NonUnipotentWitness(
+            kind="family_coordinate_scalars",
+            p=None,
+            primes=fam.primes,
+            note="choosing a scalar of multiplicative order p-1 on each "
+            "component yields an automorphism of unbounded order",
+        )
     return UnipotenceReport(unipotent_all=False, witness=witness)

@@ -79,16 +79,15 @@ _LOWER_BOUNDS = (("precision", 1), ("degree", 0), ("height", 1), ("window", 1),
                  ("threshold", 1), ("order_bound", 1), ("seed", 0))
 
 
-def _bound_error(args: SimpleNamespace) -> str | None:
-    """The first flag outside its bounds, as a message; None if all hold."""
+def _check_bounds(args: SimpleNamespace) -> None:
+    """Raise ValueError naming the first flag outside its bounds."""
     for name, low in _LOWER_BOUNDS:
         if getattr(args, name, low) < low:
-            return f"--{name.replace('_', '-')} must be >= {low}"
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
     for name, high in (("window", MAX_WINDOW), ("precision", MAX_PRECISION),
                        ("order_bound", MAX_ORDER_BOUND)):
         if getattr(args, name, high) > high:
-            return f"--{name.replace('_', '-')} must be <= {high}"
-    return None
+            raise ValueError(f"--{name.replace('_', '-')} must be <= {high}")
 
 
 # ---------------------------------------------------------------------------
@@ -530,25 +529,18 @@ def run_cli(argv: list[str] | None = None) -> int:
             return EXIT_OK
         sys.stderr.write(f"{_usage(key)}\n{' '.join(('sb-abelian',) + key)}: error: {message}\n")
         return EXIT_USAGE
-    refused = _bound_error(args)
-    if refused:
-        print(f"sb-abelian: {refused}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _check_bounds(args)
         body = command.handler(args)
         # rendering can fail too: an integer past Python's 4300-digit
         # int-to-str limit raises ValueError, which exits 2 like bad input
         rendered = _render({"schema": SCHEMA, "command": args.command, **body}, args.format)
-    except NotApplicableError as bad:
+    except (BudgetExceeded, ValueError) as bad:
+        # a refusal exits by the first class it is: NotApplicableError 3,
+        # BudgetExceeded 4, any other ValueError (malformed input) 2
         print(f"sb-abelian: {bad}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BudgetExceeded as bad:
-        print(f"sb-abelian: {bad}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as bad:
-        # remaining ValueErrors are malformed inputs (bad primes, bounds, ...)
-        print(f"sb-abelian: {bad}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_PRECONDITION if isinstance(bad, NotApplicableError)
+                else EXIT_BUDGET if isinstance(bad, BudgetExceeded) else EXIT_USAGE)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

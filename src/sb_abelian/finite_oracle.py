@@ -37,7 +37,7 @@ DEFAULT_ORDER_BOUND = 2**16
 Element = tuple[int, ...]
 
 
-class OrderBoundError(BudgetExceeded, ValueError):
+class OrderBoundError(BudgetExceeded):
     """The requested group is larger than the enumeration bound."""
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "SpecSyntaxError",
     "NotApplicableError",
     "BudgetExceeded",
-    "MSplitPreconditionError",
     "MSplitResult",
     "parse_spec",
     "normalize",
@@ -438,17 +437,6 @@ class BudgetExceeded(RuntimeError):
     """A search space exceeds the configured candidate budget; the CLI exits 4."""
 
 
-class MSplitPreconditionError(NotApplicableError):
-    """A cyclic contribution at a prime of m is not annihilated by m."""
-
-    def __init__(self, p: int, k: int | None, m: int):
-        self.p, self.k, self.m = p, k, m
-        shown = "unbounded" if k is None else f"p^{k}"
-        super().__init__(
-            f"m-split precondition violated: contribution {shown} at p={p} does not divide m={m}"
-        )
-
-
 class MSplitResult(Record):
     """Outcome of :func:`m_split`.
 
@@ -466,7 +454,8 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
     """Split off the m-torsion: G = G[m] (+) mG for specs annihilated cleanly.
 
     Requires every cyclic contribution at a prime p dividing m to satisfy
-    p**k | m; quasicyclic and torsion-free summands are unrestricted.
+    p**k | m, and raises :class:`NotApplicableError` otherwise; quasicyclic
+    and torsion-free summands are unrestricted.
 
     >>> r = m_split(parse_spec("Z/4 + Z/3 + Q"), 4)
     >>> str(r.torsion), str(r.complement)
@@ -479,19 +468,22 @@ def m_split(spec: GroupSpec, m: int) -> MSplitResult:
         if isinstance(fam, Cyclic):
             if fam.p in mfact:
                 if fam.k > mfact[fam.p]:
-                    raise MSplitPreconditionError(fam.p, fam.k, m)
+                    raise NotApplicableError(f"m-split precondition violated: contribution "
+                                             f"p^{fam.k} at p={fam.p} does not divide m={m}")
                 tors.append((fam, mult))
             else:
                 comp.append((fam, mult))
         elif isinstance(fam, CyclicExponentFamily):
             if fam.p in mfact:
-                raise MSplitPreconditionError(fam.p, None, m)
+                raise NotApplicableError(f"m-split precondition violated: contribution "
+                                         f"unbounded at p={fam.p} does not divide m={m}")
             comp.append((fam, mult))
         elif isinstance(fam, CyclicPrimeFamily):
             inside = [p for p in mfact if fam.primes.contains(p)]
             for p in inside:
                 if fam.k > mfact[p]:
-                    raise MSplitPreconditionError(p, fam.k, m)
+                    raise NotApplicableError(f"m-split precondition violated: contribution "
+                                             f"p^{fam.k} at p={p} does not divide m={m}")
                 tors.append((Cyclic(p, fam.k), mult))
             comp.append((CyclicPrimeFamily(fam.primes.remove(inside), fam.k), mult))
         elif isinstance(fam, Prufer):

@@ -30,7 +30,6 @@ __all__ = [
     "AtLeast",
     "DEFAULT_INDEPENDENCE_BUDGET",
     "IndependenceCertificate",
-    "NonUnitError",
     "PAdicApprox",
     "SingularModP",
     "independence_certificate",
@@ -41,11 +40,7 @@ __all__ = [
 ]
 
 
-class NonUnitError(ArithmeticError):
-    """A value that must be a p-adic unit is divisible by p."""
-
-
-class SingularModP(ArithmeticError):
+class SingularModP(ValueError):
     """Matrix is not invertible modulo p."""
 
 
@@ -103,7 +98,7 @@ class PAdicApprox(Record):
         prime to p."""
         ensure_prime(p, "p-adic base")
         if denominator % p == 0:
-            raise NonUnitError(f"denominator {denominator} is divisible by {p}")
+            raise ValueError(f"denominator {denominator} is divisible by {p}")
         return cls.of(numerator * pow(denominator, -1, p**precision), p, precision)
 
     @property
@@ -245,7 +240,7 @@ def independence_certificate(
     if (g1.p, g1.precision) != (g2.p, g2.precision):
         raise ValueError("the two values disagree on p or precision")
     if g1.residue % g1.p == 0 or g2.residue % g2.p == 0:
-        raise NonUnitError("independence search requires unit inputs")
+        raise ValueError("independence search requires unit inputs")
 
     pairs = monomials(max_exponent)
     candidates = search_space(len(pairs), height_bound, budget)

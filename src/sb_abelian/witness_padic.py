@@ -36,7 +36,6 @@ from .groupspec import (
 from .invariants import szmielew_invariants
 from .padic import (
     IndependenceCertificate,
-    NonUnitError,
     PAdicApprox,
     SingularModP,
     independence_certificate,
@@ -269,7 +268,7 @@ def apply_scalar(
 
     q = Fraction(alpha)
     if q == 0 or q.numerator % w.p == 0 or q.denominator % w.p == 0:
-        raise NonUnitError(f"{alpha} is not a unit at p={w.p}")
+        raise ValueError(f"{alpha} is not a unit at p={w.p}")
     return x.scale(q)
 
 

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -316,15 +318,30 @@ def test_witness_import_leaves_dataclasses_unloaded():
 
 def test_witness_errors_keep_their_exit_classes():
     # run_cli maps NotApplicableError to 3 and BudgetExceeded to 4 before ValueError to 2
+    import sb_abelian
     from sb_abelian.finite_oracle import OrderBoundError
-    from sb_abelian.groupspec import BudgetExceeded, MSplitPreconditionError, NotApplicableError
+    from sb_abelian.groupspec import BudgetExceeded, NotApplicableError
     from sb_abelian.relations import RetriesExhausted
 
-    assert issubclass(MSplitPreconditionError, NotApplicableError)
     assert issubclass(NotApplicableError, ValueError)
     for cls in (RetriesExhausted, OrderBoundError):
         assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
-    assert issubclass(OrderBoundError, ValueError)
+    assert not issubclass(OrderBoundError, ValueError)
+    # every exported exception has one exit class and is no ArithmeticError;
+    # a module without __all__ (primes) exports its public names
+    modules = [sb_abelian] + [importlib.import_module(f"sb_abelian.{info.name}")
+                              for info in pkgutil.iter_modules(sb_abelian.__path__)
+                              if info.name != "__main__"]  # importing it runs the CLI
+    exported = [getattr(module, name) for module in modules
+                for name in getattr(module, "__all__", [n for n in vars(module) if n[0] != "_"])]
+    errors = {cls for cls in exported if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert sorted(cls.__name__ for cls in errors) == [
+        "BudgetExceeded", "NotApplicableError", "OrderBoundError", "RetriesExhausted",
+        "SingularModP", "SpecSyntaxError"]
+    for cls in errors:
+        assert issubclass(cls, (NotApplicableError, BudgetExceeded, ValueError)), cls
+        assert not (issubclass(cls, BudgetExceeded) and issubclass(cls, ValueError)), cls
+        assert not issubclass(cls, ArithmeticError), cls
 
 
 @pytest.mark.parametrize("argv, needle", [

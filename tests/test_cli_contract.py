@@ -151,3 +151,9 @@ def test_renderer_refuses_an_int_past_the_digit_limit_as_json_does():
     with pytest.raises(ValueError) as theirs:
         json.dumps(huge, indent=2)
     assert str(ours.value) == str(theirs.value)
+    # a value outside the rendered types is refused with json.dumps' words
+    with pytest.raises(TypeError) as ours:
+        cli._json({1})
+    with pytest.raises(TypeError) as theirs:
+        json.dumps({1})
+    assert str(ours.value) == str(theirs.value)

@@ -31,6 +31,7 @@ def test_group_basics():
     assert len(list(g.elements())) == 8
     assert g.add((1, 3), (1, 2)) == (0, 1)
     assert g.smul(3, (1, 3)) == (1, 1)
+    assert g == FiniteAbelianGroup([2, 4]) and hash(g) == hash(FiniteAbelianGroup([2, 4]))
 
 
 def test_trivial_group():

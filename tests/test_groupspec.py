@@ -15,7 +15,7 @@ from sb_abelian.groupspec import (
     CyclicExponentFamily,
     CyclicPrimeFamily,
     GroupSpec,
-    MSplitPreconditionError,
+    NotApplicableError,
     PAdicComplete,
     PAdicPrimeFamily,
     PrimeSet,
@@ -215,6 +215,8 @@ def test_normalize_merges_and_drops():
         ]
     )
     assert spec.entries == ((Cyclic(2, 3), Cardinal.of(3)),)
+    with pytest.raises(TypeError, match="multiplicity must be a Cardinal, got 1"):
+        normalize([(Cyclic(2, 3), 1)])
 
 
 def test_normalize_merges_family_with_expanded_singleton():
@@ -320,10 +322,12 @@ def test_m_split_example():
 
 
 def test_m_split_rejects_partial_annihilation():
-    with pytest.raises(MSplitPreconditionError):
+    with pytest.raises(NotApplicableError, match=r"contribution p\^3 at p=2 does not divide m=4"):
         m_split(parse_spec("Z/8"), 4)
-    with pytest.raises(MSplitPreconditionError):
+    with pytest.raises(NotApplicableError, match="contribution unbounded at p=2 does not divide m=2"):
         m_split(parse_spec("sumK(2; all)"), 2)
+    with pytest.raises(NotApplicableError, match=r"contribution p\^2 at p=2 does not divide m=2"):
+        m_split(parse_spec("sumP(all; Z/p^2)"), 2)
 
 
 def test_m_split_trivial_m():
@@ -347,6 +351,10 @@ def test_m_split_family_prime_extraction():
     r = m_split(parse_spec("sumP(all; Z/p^1)"), 6)
     assert r.torsion == parse_spec("Z/2 + Z/3")
     assert r.complement == parse_spec("sumP(all\\{2,3}; Z/p^1)")
+    # a family of exponents at a prime prime to m passes whole into the complement
+    r = m_split(parse_spec("sumK(3; all)"), 2)
+    assert r.torsion.is_trivial
+    assert r.complement == parse_spec("sumK(3; all)")
 
 
 def test_m_split_roundtrip_exhaustive_small():
@@ -356,7 +364,7 @@ def test_m_split_roundtrip_exhaustive_small():
         for m in range(1, exp + 1):
             try:
                 r = m_split(spec, m)
-            except MSplitPreconditionError:
+            except NotApplicableError:
                 continue
             combined = direct_sum(r.torsion, r.complement)  # no quasicyclic summand
             assert combined == spec

@@ -176,6 +176,8 @@ def test_p_valuation_refuses_a_base_below_two():
         0, "valuation needs a base p >= 2, got 1\n"), done.stderr
     with pytest.raises(ValueError, match="got 0"):
         p_valuation(8, 0)
+    with pytest.raises(ValueError, match="valuation of 0 is unbounded"):
+        p_valuation(0, 2)
     assert p_valuation(24, 2) == 3
 
 

@@ -13,14 +13,12 @@ import sys
 
 import reach
 
-# Dunders that no entry point calls; the guard that refuses writes to a record;
-# and the error of an m-split whose precondition no entry point breaks.
+# Dunders that no entry point calls, and the guard that refuses writes to a record.
 UNRUN = {
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__eq__",
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__hash__",
     "sb_abelian.finite_oracle.FiniteAbelianGroup.__repr__",
     "sb_abelian.groupspec.Cardinal.__repr__",
-    "sb_abelian.groupspec.MSplitPreconditionError.__init__",
     "sb_abelian.groupspec.Record.__setattr__",
     "sb_abelian.witness_padic.GridElement.__str__",
     "sb_abelian.witness_padic.GridMonomial.__str__",

@@ -297,6 +297,7 @@ def test_subtraction_round_trip():
     y = random_socle_member(WIT, rng)
     assert (x + y) - y == x
     assert x - x == WIT.zero()
+    assert -x == x.scale(-1)
 
 
 def test_fraction_reduction_keeps_evaluations_exact():

@@ -12,6 +12,9 @@ from itertools import count, islice
 from math import gcd
 from typing import Iterator
 
+__all__ = ["EXACT_BOUND", "ensure_at_least", "ensure_prime", "factorize",
+           "first_primes_excluding", "is_prime", "p_valuation"]
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with the first thirteen primes as witnesses is exact below

@@ -13,19 +13,19 @@ tabulated once, and a vector vanishes exactly when its halves satisfy
 L = -R (Horowitz-Sahni).  The socle scan counts this for every vector in
 bit-sliced counters over Python ints, a row per high half and a lane per low
 half.  The rows that share a prefix of the high monomials form a group, whose
-mask at a prime depends only on the prefix's residue plus the target: per
-block of groups, each prime builds one table of masks, one per residue that a
-group or target asks for, and every (group, target) pair adds its lookup into
-its own counters.  One depth-first walk of a group's counters' bit planes
-yields each count that occurs, the largest first: the scan without a target
-adds them all into an exact histogram, and a target scan stops at the first.
-Groups and blocks are sized from one lane budget, which T targets split T
-ways.  Past the number of targets that hold one group each within it, the
-targets are scanned in batches of that many, so a scan of any size holds about
-one single-target block's counters.  A scan of several blocks or batches
-keeps, within a memo, the smallest primes' low masks and the other primes'
-residues across them.  The module also holds :func:`terms` and the RNG, grid
-shapes and retry loop both routes share.
+mask at a prime depends only on the prefix's residue plus the target.  The
+(group, target) pairs are scanned in chunks, all targets of a group next to
+each other: per chunk, each prime builds one table of masks, one per residue
+that a pair asks for, and every pair adds its lookup into its own counters.
+One depth-first walk of a pair's counters' bit planes yields each count that
+occurs, the largest first: the scan without a target adds them all into an
+exact histogram, and a target scan stops at the first.  Groups and chunks are
+sized from one lane budget: a group's mask takes at most 1/_LOOKUPS of it, and
+a chunk holds as many pairs as it allows, at least one, so a scan of any
+number of targets holds about one budget of counters.  A scan of several
+chunks keeps, within a memo, the smallest primes' low masks and the other
+primes' residues across them.  The module also holds :func:`terms` and the
+RNG, grid shapes and retry loop both routes share.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import random
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .groupspec import BudgetExceeded
@@ -49,9 +49,9 @@ __all__ = [
 Vector = tuple[int, ...]
 
 SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
-_BLOCK_BITS = 1 << 20  # lanes of counters one block holds, over all its targets
-_LOOKUPS = 8  # a group's mask holds at most 1/_LOOKUPS of a block's lanes
-_MEMO_BYTES = 1 << 23  # masks, then residues, kept across blocks (8 MB); past it, per block
+_BLOCK_BITS = 1 << 20  # lanes of counters one chunk holds, over all its pairs
+_LOOKUPS = 8  # a group's mask holds at most 1/_LOOKUPS of a chunk's lanes
+_MEMO_BYTES = 1 << 23  # masks, then residues, kept across chunks (8 MB); past it, per chunk
 GRID_NAMES = ("H1", "H2")
 GRIDS = {"H1": "all (i, j)", "H2": "i >= 1, plus (0, 0)"}  # grid_allows, as witnesses print it
 RETRIES = 8  # seeded draws a witness route tries before it gives up
@@ -311,20 +311,24 @@ def survival_scans(
 ) -> list[Survival]:
     """For each target t and every c in [-height, height]^n, count the window primes
     p_w where sum_k c_k values[k][w] - t[w] is nonzero mod p_w, sharing each prime's
-    residues, masks and tables over one value table.
+    residues and masks over one value table, and its tables over each chunk of
+    (group, target) pairs, as many as :data:`_BLOCK_BITS` lanes of counters hold.
 
     None scans once without a target, and then the zero vector is left out; c and
     -c vanish at the same primes, so only the vectors before it are scanned, each
     counted twice, and the histogram is exact.  With targets only the minimum and
-    its first vector are found.  Over :data:`SCAN_BUDGET` vectors raises
+    its first vector are found.  A value row or target without one entry per window
+    prime raises ``ValueError``; over :data:`SCAN_BUDGET` vectors raises
     :class:`BudgetExceeded`.
     """
     # A vector is a (row, lane) pair of its high and smaller low half.  A group is
     # the rows that share their first ``cut`` coefficients: its mask depends only
-    # on that prefix's residue plus the target, so one table per prime and block
+    # on that prefix's residue plus the target, so one table per prime and chunk
     # serves every group and target that asks for the same residue.
     n, width, half = len(values), len(primes), targets is None
     targets = [[0] * width] if half else targets
+    if any(len(row) != width for row in chain(values, targets)):
+        raise ValueError(f"each value row and target needs one entry per window prime ({width})")
     candidates = search_space(n, height, SCAN_BUDGET)
     base, split = 2 * height + 1, n - n // 2
     n_low = base ** (n - split)
@@ -336,21 +340,19 @@ def survival_scans(
         cut -= 1
     group = base ** (split - cut)  # rows of a group
     n_groups = -(-rows // group)
-    # targets whose counters one block holds for at least one group each; more
-    # are scanned in batches of that many, and a batch splits a block's lanes
-    batch = min(len(targets), max(1, _BLOCK_BITS // (group * row_bits)))
-    n_blocks = -(-n_groups // max(1, _BLOCK_BITS // batch // (group * row_bits)))
-    block = -(-n_groups // n_blocks)  # groups of a block, as even as they go
     full, tail = (((1 << k) - 1).to_bytes(size, "little") for k in (n_low, last))
     end = rows - (n_groups - 1) * group  # rows of the last group
     lanes = (int.from_bytes(full * group, "little"),
              int.from_bytes(full * (end - 1) + tail, "little"))  # a group's; the last one's
     columns = list(enumerate(primes))
-    # A scan of several blocks or batches builds once what the memo holds: the smallest
-    # primes' masks, while every later prime's residues still fit, then those
+    # pair m is group m // T and target m % T of T targets; a chunk holds the pairs,
+    # each with its counters, that _BLOCK_BITS lanes of counters allow
+    n_pairs, chunk = n_groups * len(targets), max(1, _BLOCK_BITS // (group * row_bits))
+    # A scan of several chunks builds once what the memo holds: the smallest primes'
+    # masks, while every later prime's residues still fit, then those
     kept: list = []  # per prime from the first: its masks, then its residues
     n_masks = 0
-    if n_blocks > 1 or batch < len(targets):
+    if n_pairs > chunk:
         room, spare = _MEMO_BYTES, 2 * (base ** cut + group + n_low)  # a prime's residues
         for w, ((prefix, suffix, masks), cost) in enumerate(_prime_masks(
                 values, height, split, cut, [(w, p, None) for w, p in columns])):
@@ -363,33 +365,27 @@ def survival_scans(
             kept.append([_packed(residues, p)
                          for residues in _prime_residues(values, height, split, cut, w, p)])
     hist, best = [Counter() for _ in targets], [(-1, 0)] * len(targets)
-    for first, lo in product(range(0, len(targets), batch), range(0, n_groups, block)):
-        ours = targets[first:first + batch]
-        counters = [[[] for _ in ours] for _ in range(lo, min(n_groups, lo + block))]
+    for lo in range(0, n_pairs, chunk):
+        ours = [(*divmod(m, len(targets)), []) for m in range(lo, min(n_pairs, lo + chunk))]
         fresh = (masks for masks, _ in _prime_masks(values, height, split, cut, [
             (w, p, kept[w] if w < len(kept) else None) for w, p in columns[n_masks:]]))
         for (w, p), (prefix, suffix, masks) in zip(columns, chain(kept[:n_masks], fresh)):
-            # residue: the mask of a group that asks for it, for whole groups and the last
-            kinds = ({}, suffix), ({}, suffix[:end])
-            for i, (r, group_counters) in enumerate(zip(prefix[lo:lo + block], counters), lo):
-                table, own = kinds[i == n_groups - 1]
-                for target, levels in zip(ours, group_counters):
-                    s = (r + target[w]) % p  # lanes whose low residue is s - row residue
-                    mask = table.get(s)
-                    if mask is None:
-                        t = s - p  # masks[t + x] is masks[(s + x) % p]
-                        mask = table[s] = int.from_bytes(
-                            b"".join([masks[t + x] for x in own]), "little")
-                    _add(levels, mask)
-        for i, group_counters in enumerate(counters, lo):
-            within = lanes[i == n_groups - 1]
-            for k, levels in enumerate(group_counters, first):
-                for top, mask in _leaves(levels, within):  # the first leaf has the top count
-                    if top > best[k][0]:
-                        best[k] = (top, i * group * row_bits + (mask & -mask).bit_length() - 1)
-                    if not half:
-                        break
-                    hist[k][top] += mask.bit_count()
+            table = {}  # residue: its mask, for every group (lanes[1] cuts the last one's)
+            for i, k, levels in ours:
+                s = (prefix[i] + targets[k][w]) % p  # lanes whose low residue is s - row residue
+                mask = table.get(s)
+                if mask is None:
+                    t = s - p  # masks[t + x] is masks[(s + x) % p]
+                    mask = table[s] = int.from_bytes(
+                        b"".join([masks[t + x] for x in suffix]), "little")
+                _add(levels, mask)
+        for i, k, levels in ours:
+            for top, mask in _leaves(levels, lanes[i == n_groups - 1]):  # top count first
+                if top > best[k][0]:
+                    best[k] = (top, i * group * row_bits + (mask & -mask).bit_length() - 1)
+                if not half:
+                    break
+                hist[k][top] += mask.bit_count()
     return [
         Survival(candidates - half, width - top,
                  _decode(lane // row_bits * n_low + lane % row_bits, n, height),

@@ -575,10 +575,9 @@ def proper_inclusion_check(w: SocleWitnessPair, max_shift: int = 5) -> ProperInc
 
     Shifts that allow the same monomials share one :func:`survival_scans` call,
     one target each.  Every shift from d on allows them all, so this runs at
-    most d + 1 scans: three at d = 2.  A scan's T targets split one target's
-    block of rows T ways, or run in batches that one block holds (past 13 at
-    W = 16 and d = B = 2), so it holds about as many counters as the avoidance
-    scan at any ``max_shift``.
+    most d + 1 scans: three at d = 2.  A scan runs its (group, target) pairs in
+    chunks that hold one lane budget of counters, so it holds about as many
+    counters as the avoidance scan at any ``max_shift``.
     """
     ensure_at_least(max_shift, 0, "max_shift")
     cert = w.certificate

@@ -327,13 +327,11 @@ def test_witness_errors_keep_their_exit_classes():
     for cls in (RetriesExhausted, OrderBoundError):
         assert issubclass(cls, BudgetExceeded) and issubclass(cls, RuntimeError)
     assert not issubclass(OrderBoundError, ValueError)
-    # every exported exception has one exit class and is no ArithmeticError;
-    # a module without __all__ (primes) exports its public names
+    # every exported exception has one exit class and is no ArithmeticError
     modules = [sb_abelian] + [importlib.import_module(f"sb_abelian.{info.name}")
                               for info in pkgutil.iter_modules(sb_abelian.__path__)
                               if info.name != "__main__"]  # importing it runs the CLI
-    exported = [getattr(module, name) for module in modules
-                for name in getattr(module, "__all__", [n for n in vars(module) if n[0] != "_"])]
+    exported = [getattr(module, name) for module in modules for name in module.__all__]
     errors = {cls for cls in exported if isinstance(cls, type) and issubclass(cls, Exception)}
     assert sorted(cls.__name__ for cls in errors) == [
         "BudgetExceeded", "NotApplicableError", "OrderBoundError", "RetriesExhausted",

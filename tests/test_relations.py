@@ -164,11 +164,11 @@ def test_survival_scan_matches_brute_force(n, height, primes):
 
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_survival_scan_is_independent_of_blocking(monkeypatch, block):
-    # a small lane budget splits the rows over many groups and blocks: one
-    # target's block holds ``block`` rows of one byte, and fewer rows of two
-    # bytes or for several targets.  A group fills its share once (the largest
-    # groups), twice, or many times (single rows); the memo keeps every prime's
-    # masks, some primes' masks and the others' residues, or nothing
+    # a small lane budget splits the (group, target) pairs over many chunks: a
+    # chunk holds ``block`` rows of one byte, and fewer of two bytes, so a chunk
+    # may end within a group's targets.  A group fills the budget once (the
+    # largest groups), twice, or many times (single rows); the memo keeps every
+    # prime's masks, some primes' masks and the others' residues, or nothing
     monkeypatch.setattr(relations, "_BLOCK_BITS", 8 * block)
     primes = (2, 3, 5, 7)
     zero_later = argmin_later = False
@@ -299,6 +299,23 @@ def test_survival_scan_excludes_only_the_zero_vector():
 def test_every_search_refuses_empty_bounds(search, message):
     with pytest.raises(ValueError, match=message):
         search()
+
+
+def test_survival_scans_with_no_targets_scan_nothing():
+    assert survival_scans([[1, 2], [3, 4]], [5, 7], 1, []) == []
+
+
+@pytest.mark.parametrize("values, targets", [
+    ([[1, 2], [3]], None),
+    ([[1, 2], [3, 4, 5]], None),
+    ([[1, 2], [3, 4]], [[1]]),
+    ([[1, 2], [3, 4]], [[1, 2], [1, 2, 3]]),
+], ids=["short-row", "long-row", "short-target", "long-target"])
+def test_survival_scans_refuse_rows_and_targets_off_the_window(values, targets):
+    # an entry per window prime, no fewer (an index past the row) and no more
+    # (an entry the scan would never read)
+    with pytest.raises(ValueError, match="one entry per window prime"):
+        survival_scans(values, [5, 7], 1, targets)
 
 
 def test_budgets():
@@ -456,7 +473,8 @@ def test_survival_scan_memory_is_bounded():
 
 def test_proper_inclusion_check_memory_is_bounded():
     # the certify bounds: W=16, d=B=2, shifts up to 5.  The nine-monomial scan
-    # has four targets, which split one target's block, so the check holds no
+    # has four targets, and a chunk of (group, target) pairs holds the counters
+    # of one lane budget however many targets there are, so the check holds no
     # more than the single-target avoidance scan that builds the witness
     window = window_from_socle(parse_spec("sumP(all; Z/p^1)"), 16)
     witness, build_peak = traced_peak(
@@ -464,8 +482,8 @@ def test_proper_inclusion_check_memory_is_bounded():
     check, peak = traced_peak(proper_inclusion_check, witness, max_shift=5)
     assert check.passed
     assert peak <= build_peak <= 3.5 * 2**20
-    # at shift 60 that scan has 59 targets, past the 13 whose counters one block
-    # holds; it runs them in batches of 13, so its peak stays near the build's
+    # at shift 60 that scan has 59 targets, and its chunks hold no more pairs,
+    # so its peak stays near the build's
     check, peak = traced_peak(proper_inclusion_check, witness, max_shift=60)
     assert check.passed
     assert peak <= 1.1 * build_peak

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .groupspec import Record
 from .primes import ensure_at_least, ensure_prime, p_valuation
-from .relations import first_relation, monomials, search_space, seeded_rng, terms
+from .relations import first_relation, monomial_values, monomials, search_space, seeded_rng, terms
 
 __all__ = [
     "AtLeast",
@@ -245,9 +245,7 @@ def independence_certificate(
     pairs = monomials(max_exponent)
     candidates = search_space(len(pairs), height_bound, budget)
     modulus, x, y = g1.modulus, g1.residue, g2.residue
-    xs, ys = ([pow(v, i, modulus) for i in range(max_exponent + 1)] for v in (x, y))
-    values = [a * b % modulus for a in xs for b in ys]  # ``pairs`` runs i slowest, then j
-    found = first_relation(values, height_bound, modulus)
+    found = first_relation(monomial_values(pairs, x, y, modulus), height_bound, modulus)
     # the first relation leads with a negative coefficient; the certificate shows its negation
     violation = None if found is None else terms(pairs, [-c for c in found])
     return IndependenceCertificate(

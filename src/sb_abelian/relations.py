@@ -25,7 +25,7 @@ a chunk holds as many pairs as it allows, at least one, so a scan of any
 number of targets holds about one budget of counters.  A scan of several
 chunks keeps, within a memo, the smallest primes' low masks and the other
 primes' residues across them.  The module also holds :func:`terms` and the
-RNG, grid shapes and retry loop both routes share.
+RNG, grid shapes, retry loop, monomial values and face values both routes share.
 """
 
 from __future__ import annotations
@@ -35,15 +35,18 @@ from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .groupspec import BudgetExceeded
 from .primes import ensure_at_least
 
+if TYPE_CHECKING:  # only face values read fractions, and only their two attributes
+    from fractions import Fraction
+
 __all__ = [
-    "GRIDS", "RETRIES", "RetriesExhausted", "SCAN_BUDGET", "Survival", "check_grid",
-    "first_passing", "first_relation", "grid_allows", "monomials", "relation_str", "search_space",
-    "seeded_rng", "survival_scans", "terms",
+    "GRIDS", "RETRIES", "RetriesExhausted", "SCAN_BUDGET", "Survival", "check_grid", "face_value",
+    "first_passing", "first_relation", "grid_allows", "monomial_values", "monomials",
+    "relation_str", "search_space", "seeded_rng", "survival_scans", "terms",
 ]
 
 Vector = tuple[int, ...]
@@ -52,7 +55,6 @@ SCAN_BUDGET = 100_000_000  # coefficient vectors in one socle scan
 _BLOCK_BITS = 1 << 20  # lanes of counters one chunk holds, over all its pairs
 _LOOKUPS = 8  # a group's mask holds at most 1/_LOOKUPS of a chunk's lanes
 _MEMO_BYTES = 1 << 23  # masks, then residues, kept across chunks (8 MB); past it, per chunk
-GRID_NAMES = ("H1", "H2")
 GRIDS = {"H1": "all (i, j)", "H2": "i >= 1, plus (0, 0)"}  # grid_allows, as witnesses print it
 RETRIES = 8  # seeded draws a witness route tries before it gives up
 
@@ -101,9 +103,9 @@ def first_passing(draw: Callable[[int], tuple], failure: Callable[[list], str]) 
 
 
 def check_grid(which: str) -> None:
-    """Reject a subgroup name other than H1 and H2."""
-    if which not in GRID_NAMES:
-        raise ValueError(f"which must be one of {GRID_NAMES}, not {which!r}")
+    """Reject a subgroup name other than the keys of :data:`GRIDS`, H1 and H2."""
+    if which not in tuple(GRIDS):  # not the dict: an unhashable name is refused too
+        raise ValueError(f"which must be one of {tuple(GRIDS)}, not {which!r}")
 
 
 def grid_allows(which: str, i: int, j: int) -> bool:
@@ -120,6 +122,24 @@ def monomials(max_exponent: int) -> list[tuple[int, int]]:
     """
     span = range(ensure_at_least(max_exponent, 0, "max_exponent") + 1)
     return [(i, j) for i in span for j in span]
+
+
+def monomial_values(pairs: Sequence[tuple[int, int]], x: int, y: int, modulus: int) -> list[int]:
+    """x^i y^j mod ``modulus`` for each (i, j) of ``pairs``, in order."""
+    return [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
+
+
+def face_value(
+    tail: Iterable[tuple[tuple[int, int], Fraction]], x: int, y: int, modulus: int
+) -> int:
+    """sum c x^i y^j mod ``modulus`` over the terms ((i, j), c) of ``tail``; a term whose
+    denominator the modulus divides contributes nothing (pseudo-division at a prime)."""
+    total = 0
+    for (i, j), c in tail:
+        d = c.denominator
+        if d % modulus:
+            total += c.numerator * pow(d, -1, modulus) * pow(x, i, modulus) * pow(y, j, modulus)
+    return total % modulus
 
 
 def terms(pairs: Sequence[tuple[int, int]], vector: Sequence[int]) -> tuple[Vector, ...]:

@@ -44,7 +44,7 @@ from .padic import (
     seeded_unit,
 )
 from .primes import ensure_at_least, ensure_prime, p_valuation
-from .relations import GRIDS, check_grid, first_passing, grid_allows, relation_str
+from .relations import GRIDS, check_grid, face_value, first_passing, grid_allows, relation_str
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
     from fractions import Fraction
@@ -181,16 +181,9 @@ class PAdicWitnessPair(Record):
 
     def coordinate_sum(self, x: GridElement, s: int) -> int:
         """Residue of coordinate s of p**t * x at the working precision."""
-        modulus, u1, u2 = self.unit1.modulus, self.unit1.residue, self.unit2.residue
-        lift = self.p**x.t
-        total = 0
-        for m, c in x.terms:
-            if m.s != s:
-                continue
-            value = pow(u1, m.i, modulus) * pow(u2, m.j, modulus) % modulus
-            c *= lift
-            total += c.numerator * pow(c.denominator, -1, modulus) * value
-        return total % modulus
+        lift = self.p**x.t  # the lifted denominators are prime to p: face_value skips no term
+        return face_value((((m.i, m.j), c * lift) for m, c in x.terms if m.s == s),
+                          self.unit1.residue, self.unit2.residue, self.unit1.modulus)
 
     def to_json(self) -> dict:
         unit1, unit2 = self.certificate.sources

@@ -54,8 +54,8 @@ from .groupspec import (
 from .invariants import szmielew_invariants
 from .primes import ensure_at_least, ensure_prime, factorize
 from .relations import (
-    GRIDS, RetriesExhausted, check_grid, first_passing, grid_allows, monomials, search_space,
-    seeded_rng, survival_scans, terms,
+    GRIDS, RetriesExhausted, check_grid, face_value, first_passing, grid_allows, monomial_values,
+    monomials, search_space, seeded_rng, survival_scans, terms,
 )
 
 if TYPE_CHECKING:  # a witness pair needs no fractions; its elements import them
@@ -239,10 +239,10 @@ class AvoidanceCertificate(Record):
 
 def _monomial_values(
     pairs: Sequence[tuple[int, int]], scalars: AutomorphismPair
-) -> list[list[int]]:
+) -> list[tuple[int, ...]]:
     """Residue of first^i second^j at each window prime, per monomial (i, j)."""
-    at = list(zip(scalars.window.primes, scalars.first, scalars.second))
-    return [[pow(s, i, p) * pow(t, j, p) % p for p, s, t in at] for i, j in pairs]
+    at = zip(scalars.window.primes, scalars.first, scalars.second)
+    return list(zip(*(monomial_values(pairs, s, t, p) for p, s, t in at)))
 
 
 def choose_scalars(
@@ -316,7 +316,7 @@ class ProductElement(Record):
 
     def evaluate(self, p: int) -> Vector:
         w = self.witness  # its scalar lookup refuses a prime outside the support
-        vec = (_tail_value(self.tail, *w.scalars.at(p), p),) * w.window.rank(p)
+        vec = (face_value(self.tail, *w.scalars.at(p), p),) * w.window.rank(p)
         for q, extra in self.exceptions:
             if q == p:
                 vec = tuple((a + b) % p for a, b in zip(vec, extra))
@@ -343,9 +343,8 @@ class ProductElement(Record):
         """Apply the first (which=1) or second (which=2) automorphism."""
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
-        tail = {
-            ((i + 1, j) if which == 1 else (i, j + 1)): c for (i, j), c in self.tail
-        }
+        di, dj = (1, 0) if which == 1 else (0, 1)
+        tail = {(i + di, j + dj): c for (i, j), c in self.tail}
         return _assemble(((self, lambda p: self.witness.scalars.at(p)[which - 1]),), tail)
 
     def pseudo_divide(self, n: int) -> "ProductElement":
@@ -361,18 +360,6 @@ class ProductElement(Record):
 
 
 pseudo_divide = ProductElement.pseudo_divide  # the free-function form, pseudo_divide(x, n)
-
-
-def _tail_value(
-    tail: Iterable[tuple[tuple[int, int], Fraction]], s: int, t: int, p: int
-) -> int:
-    """The tail's face value at p, where the scalars are s and t."""
-    total = 0
-    for (i, j), c in tail:
-        d = c.denominator
-        if d % p:
-            total += c.numerator * pow(d, -1, p) * pow(s, i, p) * pow(t, j, p)
-    return total % p
 
 
 @functools.lru_cache(maxsize=4096)
@@ -402,11 +389,7 @@ def _assemble(
     w = parts[0][0].witness
     probes = set(killed)
     for x, _ in parts:
-        probes.update(dict(x.exceptions))
-        for _, c in x.tail:
-            d = c.denominator
-            if d != 1:
-                probes.update(_prime_factors(d))
+        probes.update(dict(x.exceptions), *(_prime_factors(c.denominator) for _, c in x.tail))
     tail = tuple(sorted(filter(itemgetter(1), tail_map.items())))  # no zero coefficient
     exceptions: list[tuple[int, Vector]] = []
     window, scalars = w.window, w.scalars
@@ -418,11 +401,11 @@ def _assemble(
         if p not in killed:
             for x, factor in parts:
                 lam = factor(p)
-                total += lam * _tail_value(x.tail, s, t, p)
+                total += lam * face_value(x.tail, s, t, p)
                 for q, extra in x.exceptions:
                     if q == p:
                         extras = [a + lam * b for a, b in zip(extras, extra)]
-        total -= _tail_value(tail, s, t, p)
+        total -= face_value(tail, s, t, p)
         diff = tuple((total + a) % p for a in extras)
         if any(diff):
             exceptions.append((p, diff))

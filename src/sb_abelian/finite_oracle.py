@@ -57,8 +57,8 @@ class FiniteAbelianGroup:
     __slots__ = ("factors", "order", "_histogram")
 
     def __init__(self, factors: Sequence[int], order_bound: int = DEFAULT_ORDER_BOUND):
-        factors = tuple(int(n) for n in factors)
-        if any(n < 2 for n in factors):
+        factors = tuple(factors)
+        if any(type(n) is not int or n < 2 for n in factors):  # a bool, float or str too
             raise ValueError(f"factors must be >= 2, got {factors}")
         self.factors = factors
         self.order = math.prod(factors)

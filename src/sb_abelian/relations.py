@@ -125,7 +125,11 @@ def monomials(max_exponent: int) -> list[tuple[int, int]]:
 
 
 def monomial_values(pairs: Sequence[tuple[int, int]], x: int, y: int, modulus: int) -> list[int]:
-    """x^i y^j mod ``modulus`` for each (i, j) of ``pairs``, in order."""
+    """x^i y^j mod ``modulus`` for each (i, j) of ``pairs``, in order.
+
+    >>> monomial_values(monomials(1), 2, 3, 7)
+    [1, 3, 2, 6]
+    """
     return [pow(x, i, modulus) * pow(y, j, modulus) % modulus for i, j in pairs]
 
 
@@ -133,7 +137,12 @@ def face_value(
     tail: Iterable[tuple[tuple[int, int], Fraction]], x: int, y: int, modulus: int
 ) -> int:
     """sum c x^i y^j mod ``modulus`` over the terms ((i, j), c) of ``tail``; a term whose
-    denominator the modulus divides contributes nothing (pseudo-division at a prime)."""
+    denominator the modulus divides contributes nothing (pseudo-division at a prime).
+
+    >>> from fractions import Fraction
+    >>> [face_value([((0, 0), Fraction(1, 3))], 2, 3, p) for p in (3, 5)]
+    [0, 2]
+    """
     total = 0
     for (i, j), c in tail:
         d = c.denominator

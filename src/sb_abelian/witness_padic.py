@@ -111,7 +111,7 @@ class GridElement(Record):
                 raise ValueError("exponents must be nonnegative")
             if s < 1:
                 raise ValueError("coordinate index starts at 1")
-        return cls(p, tuple(sorted((m, Fraction(c)) for m, c in coeffs.items() if c != 0)))
+        return cls(p, tuple(sorted((GridMonomial(*m), Fraction(c)) for m, c in coeffs.items() if c)))
 
     @property
     def t(self) -> int:
@@ -248,17 +248,17 @@ def apply_scalar(
     """Multiply x by a unit scalar, in exact representation.
 
     alpha is one of the grid units ("unit1" shifts i by one, "unit2" shifts
-    j by one) or an exact rational that is a p-adic unit.  Arbitrary p-adic
-    scalars have no exact image in the grid representation and are rejected.
+    j by one) or an int or Fraction that is a p-adic unit.  Arbitrary p-adic
+    scalars, floats among them, have no exact image in the grid and are rejected.
     """
-    if alpha == "unit1":
-        return x.shift(1, 0)
-    if alpha == "unit2":
-        return x.shift(0, 1)
-    if isinstance(alpha, str):
-        raise ValueError(f"unknown symbolic scalar {alpha!r}")
     from fractions import Fraction
 
+    if alpha in ("unit1", "unit2"):
+        return x.shift(1, 0) if alpha == "unit1" else x.shift(0, 1)
+    if isinstance(alpha, str):
+        raise ValueError(f"unknown symbolic scalar {alpha!r}")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"{alpha!r} is not 'unit1', 'unit2', an int or a Fraction")
     q = Fraction(alpha)
     if q == 0 or q.numerator % w.p == 0 or q.denominator % w.p == 0:
         raise ValueError(f"{alpha} is not a unit at p={w.p}")

@@ -337,11 +337,13 @@ class ProductElement(Record):
         return self.scale(-1)
 
     def scale(self, n: int) -> "ProductElement":
+        if type(n) is not int:  # a fraction is no map of the product; see pseudo_divide
+            raise ValueError(f"scale factor must be an int, got {n!r}")
         return _assemble(((self, lambda p: n),), {m: c * n for m, c in self.tail})
 
     def apply_scalar(self, which: int) -> "ProductElement":
         """Apply the first (which=1) or second (which=2) automorphism."""
-        if which not in (1, 2):
+        if type(which) is not int or which not in (1, 2):
             raise ValueError("which must be 1 or 2")
         di, dj = (1, 0) if which == 1 else (0, 1)
         tail = {(i + di, j + dj): c for (i, j), c in self.tail}
@@ -448,10 +450,12 @@ class SocleWitnessPair(Record):
             ensure_prime(p, "coordinate prime")
             if not self.window.source.contains(p):
                 raise ValueError(f"prime {p} outside the support")
-            r = self.window.rank(p)
-            vec = tuple(int(c) % p for c in coords[p])
+            r, vec = self.window.rank(p), tuple(coords[p])
             if len(vec) != r:
                 raise ValueError(f"coordinate vector at p={p} must have length {r}")
+            if any(type(c) is not int for c in vec):  # not bool, float or str either
+                raise ValueError(f"coordinates at p={p} must be ints, got {vec!r}")
+            vec = tuple(c % p for c in vec)
             if any(vec):
                 exceptions.append((p, vec))
         return ProductElement(self, (), tuple(exceptions))

@@ -50,6 +50,9 @@ def test_order_bound_enforced():
 def test_factor_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
+    for bad in ([2.5, 4], ["4"], [4.0], [True, 4]):  # refused, not truncated or parsed
+        with pytest.raises(ValueError, match="factors must be >= 2"):
+            FiniteAbelianGroup(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -43,6 +44,14 @@ def test_monomial_validation():
     assert str(GridMonomial(2, 1, 1)) == "u1^2*u2*e1"
     assert str(GridMonomial(0, 0, 3)) == "e3"
     assert GridMonomial(1, 2, 1).shift(1, 0) == GridMonomial(2, 2, 1)
+
+
+def test_plain_tuple_keys_become_grid_monomials(pair):
+    x = GridElement.of(5, {(0, 0, 1): 1, (1, 0, 2): Fraction(1, 3)})
+    assert x == GridElement.of(5, {GridMonomial(0, 0, 1): 1, GridMonomial(1, 0, 2): Fraction(1, 3)})
+    assert all(type(m) is GridMonomial for m in x.support) and x.coordinates() == (1, 2)
+    assert grid_membership(x, "H1", pair) and not grid_membership(x.shift(0, 1), "H2", pair)
+    assert pair.coordinate_sum(x, 1) == 1
 
 
 def test_element_canonical_form_absorbs_denominator_p_powers():
@@ -143,8 +152,10 @@ def test_grid_shapes():
     assert not grid_allows("H2", 0, 7)
     assert grid_allows("H2", 0, 0)
     assert grid_allows("H2", 1, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("('H1', 'H2')")):
         check_grid("H3")
+    with pytest.raises(ValueError):  # unhashable: refused, not a TypeError
+        check_grid(["H1"])
     # the H2 grid is contained in the H1 grid
     rng = random.Random(5)
     for _ in range(200):
@@ -245,6 +256,9 @@ def test_rational_unit_scalars(pair):
     assert grid_coefficient(y, GridMonomial(0, 0, 1)) == Fraction(3, 2)
     for bad in (5, Fraction(1, 5), 0, "unit3"):
         with pytest.raises(ValueError, match="is not a unit at p=5|unknown symbolic scalar"):
+            apply_scalar(pair, bad, x)
+    for bad in (True, False, 1.5, 2.0, None):  # neither an int nor a Fraction
+        with pytest.raises(ValueError, match="is not 'unit1', 'unit2', an int or a Fraction"):
             apply_scalar(pair, bad, x)
 
 

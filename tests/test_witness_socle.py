@@ -247,6 +247,22 @@ def test_pseudo_divide_rejects_bad_modulus():
         g.pseudo_divide(-3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.scale(1.5),
+    lambda g: g.scale(Fraction(1, 2)),
+    lambda g: g.scale(True),
+    lambda g: g.apply_scalar(True),
+    lambda g: g.apply_scalar(1.0),
+    lambda g: g.pseudo_divide(1.5),
+    lambda g: g.pseudo_divide(True),
+], ids=["scale-float", "scale-fraction", "scale-bool", "apply-bool", "apply-float",
+        "divide-float", "divide-bool"])
+def test_element_scalars_refuse_non_integers(call):
+    # only pseudo_divide divides: a fraction, a float or a bool is no scalar of the product
+    with pytest.raises(ValueError):
+        call(WIT.base_point())
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 10**9))
 def test_pseudo_divide_composition_law(a, b, seed):
@@ -340,6 +356,10 @@ def test_from_coordinates_validation():
     with pytest.raises(ValueError, match="length"):
         WIT.from_coordinates({3: (1, 1)})
     assert WIT.from_coordinates({3: (0,)}) == WIT.zero()
+    for bad in ([1.5], ["2"], [True], [2.0]):  # refused, not truncated or parsed
+        with pytest.raises(ValueError, match="coordinates at p=3 must be ints"):
+            WIT.from_coordinates({3: bad})
+    assert WIT.from_coordinates({3: [4]}) == WIT.from_coordinates({3: (1,)})  # reduced mod 3
 
 
 def test_cross_witness_arithmetic_rejected():
